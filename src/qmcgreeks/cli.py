@@ -239,6 +239,7 @@ def _resolve(args) -> dict:
         market = ladder_market(assets, steps)
 
     values["market"] = market
+    _check_run(values)
     values["qmc"] = standard_stream(market.n_assets, market.n_dates,
                                     values["points"], values["reps"],
                                     values["lss_block"], values["seed"],
@@ -250,6 +251,27 @@ def _resolve(args) -> dict:
                strike=float(values["strikes"][0]) if values["strikes"] is not None
                else values["strike"])
     return values
+
+
+def _check_run(values: dict) -> None:
+    """Refuse run settings that estimation would reject, before it starts."""
+    if values["workers"] < 1:
+        raise ConfigurationError(
+            f"workers must be at least 1; got {values['workers']}")
+    if values["reps"] < 2:
+        raise ConfigurationError(
+            f"replications must be at least 2 for a standard error; "
+            f"got {values['reps']}")
+    if values["method"] == "loc" and values["loc_delta"] <= 0.0:
+        raise ConfigurationError(
+            f"loc_delta must be positive; got {values['loc_delta']}")
+    if values["method"] == "fd" and values["fd_bump"] <= 0.0:
+        raise ConfigurationError(f"fd_bump must be positive; got {values['fd_bump']}")
+    dates = values["market"].n_dates
+    if values["kind"] == "best_of" and dates < 2:
+        raise ConfigurationError(
+            f"steps (monitoring dates) must be at least 2 for the exotic "
+            f"payoff; got {dates}")
 
 
 def _execute(values: dict) -> tuple[list[list], list[list]]:

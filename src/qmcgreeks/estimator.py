@@ -77,39 +77,39 @@ class EstimateReport:
 
 
 def _localization_frame(spec: PayoffSpec, config: MarketConfig,
-                        ev: PayoffEval, component: int):
-    """Smoothing variable, its kink location, and the pathwise slope."""
-    x_k = config.spots[component]
+                        ev: PayoffEval):
+    """Smoothing variable (paths,), its kink location, and the
+    pathwise slopes (paths, assets), column k for spot k."""
+    x = config.spots
     if spec.kind == "call":
-        return ev.average, spec.strike, ev.average_grad[:, component] / x_k
+        return ev.average, spec.strike, ev.average_grad / x
     if spec.kind == "floating":
-        slope = (ev.average_grad[:, component] - ev.strike_grad[:, component]) / x_k
+        slope = (ev.average_grad - ev.strike_grad) / x
         return ev.average - ev.floating_strike, 0.0, slope
     if spec.kind == "best_of":
         on_average = ev.average >= ev.floating_strike
-        slope = np.where(on_average, ev.average_grad[:, component],
-                         ev.strike_grad[:, component]) / x_k
+        slope = np.where(on_average[:, None], ev.average_grad,
+                         ev.strike_grad) / x
         return np.maximum(ev.average, ev.floating_strike), spec.strike, slope
     raise ValueError(f"no localization frame for payoff kind {spec.kind!r}")
 
 
 def _component_weights(spec: PayoffSpec, config: MarketConfig,
-                       loadings: np.ndarray, weight_matrix: np.ndarray,
-                       bundle: PathBundle, component: int,
-                       ev: PayoffEval,
-                       bandwidth: float | None) -> wt.PathWeights:
-    terminal = bundle.w_terminal[:, component]
+                  loadings: np.ndarray, weight_matrix: np.ndarray,
+                  bundle: PathBundle, ev: PayoffEval,
+                  bandwidths: np.ndarray | None) -> wt.PathWeights:
+    """Weights of every component for one bundle, (paths, assets)."""
+    terminal = bundle.w_terminal
     if spec.kind == "best_of":
-        return wt.best_of_weight(config, loadings, weight_matrix, bundle, component)
+        return wt.best_of_weight(config, loadings, weight_matrix, bundle)
     if spec.kind == "floating":
         blocks = wt.floating_strike_blocks(config, loadings, weight_matrix,
-                                           bundle, component)
+                                           bundle)
         return wt.skorohod_weight(blocks, terminal)
-    blocks = wt.fixed_strike_blocks(config, loadings, weight_matrix,
-                                    bundle, component)
+    blocks = wt.fixed_strike_blocks(config, loadings, weight_matrix, bundle)
     if spec.kind == "digital":
         return wt.digital_weight(blocks, terminal, ev.average, spec.strike,
-                                 bandwidth)
+                                 bandwidths)
     return wt.skorohod_weight(blocks, terminal)
 
 
@@ -160,12 +160,11 @@ def _pilot_widths(config: MarketConfig, spec: PayoffSpec,
     if spec.kind == "digital":
         normals = streams.replication_normals(qmc, base)
         bundle = simulate_paths(config, loadings, normals, rotation)
+        blocks = wt.fixed_strike_blocks(config, loadings, weight_matrix, bundle)
+        div = wt.reciprocal_divergence(blocks, bundle.w_terminal)
         for k in range(n):
-            blocks = wt.fixed_strike_blocks(config, loadings, weight_matrix,
-                                            bundle, k)
-            div = wt.reciprocal_divergence(blocks, bundle.w_terminal[:, k])
-            keep = ~div.rejected
-            width = wt.adaptive_bandwidth(div.values[keep]) if keep.any() else None
+            keep = ~div.rejected[:, k]
+            width = wt.adaptive_bandwidth(div.values[keep, k]) if keep.any() else None
             widths[k] = _checked_width(width, spec, config, k)
         return widths, qmc.points_per_replication
 
@@ -176,39 +175,37 @@ def _pilot_widths(config: MarketConfig, spec: PayoffSpec,
         normals = streams.replication_normals(qmc, base)
         bundle = simulate_paths(config, loadings, normals, rotation)
         ev = evaluate(spec, config, bundle)
+        pw = _component_weights(spec, config, loadings, weight_matrix,
+                                bundle, ev, None)
+        variable, center, slope = _localization_frame(spec, config, ev)
         for k in range(n):
-            pw = _component_weights(spec, config, loadings, weight_matrix,
-                                    bundle, k, ev, None)
-            variable, center, slope = _localization_frame(spec, config, ev, k)
-            width = wt.adaptive_width_search(variable, center, slope,
-                                             pw.values, pw.rejected, scale)
+            width = wt.adaptive_width_search(variable, center, slope[:, k],
+                                             pw.values[:, k], pw.rejected[:, k],
+                                             scale)
             widths[k] = _checked_width(width, spec, config, k)
         return widths, qmc.points_per_replication
 
-    candidates = [fraction * scale for fraction in wt.WIDTH_SEARCH_FRACTIONS]
+    candidates = scale * np.array(wt.WIDTH_SEARCH_FRACTIONS)
     sub = replace(qmc, points_per_replication=sub_points)
     rep_means = np.empty((PILOT_SPLIT, len(candidates), n))
     for r in range(PILOT_SPLIT):
         normals = streams.replication_normals(sub, base + r)
         bundle = simulate_paths(config, loadings, normals, rotation)
         ev = evaluate(spec, config, bundle)
-        for k in range(n):
-            pw = _component_weights(spec, config, loadings, weight_matrix,
-                                    bundle, k, ev, None)
-            variable, center, slope = _localization_frame(spec, config, ev, k)
-            keep = ~pw.rejected
-            if keep.sum() < 1:
-                rep_means[r, :, k] = np.nan
-                continue
-            values = variable[keep]
-            kept_slope = slope[keep]
-            kept_weight = pw.values[keep]
-            for j, width in enumerate(candidates):
-                contribution = (
-                    wt.smoothed_indicator(values, center, width) * kept_slope
-                    + wt.localization_remainder(values, center, width)
-                    * kept_weight)
-                rep_means[r, j, k] = contribution.mean()
+        pw = _component_weights(spec, config, loadings, weight_matrix,
+                                bundle, ev, None)
+        variable, center, slope = _localization_frame(spec, config, ev)
+        # (paths, candidates) ramps, combined with (paths, assets) slopes
+        # and weights into (paths, candidates, assets) contributions
+        smooth = wt.smoothed_indicator(variable[:, None], center, candidates)
+        remainder = wt.localization_remainder(variable[:, None], center, candidates)
+        contribution = (smooth[:, :, None] * slope[:, None, :]
+                        + remainder[:, :, None] * pw.values[:, None, :])
+        keep = ~pw.rejected
+        totals = np.where(keep[:, None, :], contribution, 0.0).sum(axis=0)
+        with np.errstate(invalid="ignore"):
+            # a component that lost every path gets nan, which the race skips
+            rep_means[r] = totals / keep.sum(axis=0)
     for k in range(n):
         width = wt.width_by_replication_spread(rep_means[:, :, k], candidates)
         widths[k] = _checked_width(width, spec, config, k)
@@ -241,6 +238,10 @@ def estimate(config: MarketConfig, spec: PayoffSpec, qmc: streams.QmcConfig,
         raise ValueError("fd_bump must be positive")
     if workers < 1:
         raise ValueError("workers must be at least 1")
+    if qmc.replications < 2:
+        raise ValueError(
+            f"replications must be at least 2 for a standard error; "
+            f"got {qmc.replications}")
 
     loadings = vol_loadings(config)
     m = config.n_assets
@@ -273,33 +274,33 @@ def estimate(config: MarketConfig, spec: PayoffSpec, qmc: streams.QmcConfig,
         normals = streams.replication_normals(qmc, index)
         bundle = simulate_paths(config, loadings, normals, rotation)
         ev = evaluate(spec, config, bundle)
-        means = np.empty(m)
-        rejected = np.zeros(m, dtype=np.int64)
-        for k in range(m):
-            if method == "fd":
-                values = _bump_contrast(spec, config, ev, k, fd_bump)
-                keep_count = points
+        if method == "fd":
+            values = _bump_contrast(spec, config, ev, fd_bump)
+            rejected = np.zeros((points, m), dtype=bool)
+        else:
+            pw = _component_weights(spec, config, loadings, weight_matrix,
+                                    bundle, ev,
+                                    widths if spec.kind == "digital" else None)
+            rejected = pw.rejected
+            if spec.kind == "digital":
+                values = np.where(rejected, 0.0, ev.value[:, None] * pw.values)
             else:
-                pw = _component_weights(spec, config, loadings, weight_matrix,
-                                        bundle, k, ev,
-                                        widths[k] if spec.kind == "digital" else None)
-                if spec.kind == "digital":
-                    values = np.where(pw.rejected, 0.0, ev.value * pw.values)
-                else:
-                    variable, center, slope = _localization_frame(spec, config, ev, k)
-                    smooth = wt.smoothed_indicator(variable, center, widths[k])
-                    remainder = wt.localization_remainder(variable, center, widths[k])
-                    values = np.where(pw.rejected, 0.0,
-                                      smooth * slope + remainder * pw.values)
-                keep_count = points - int(pw.rejected.sum())
-                rejected[k] = points - keep_count
-                if keep_count == 0:
-                    means[k] = np.nan
-                    continue
-                if rejected[k]:
-                    values = values[~pw.rejected]
-            means[k] = disc * math.fsum(values) / keep_count
-        return means, rejected
+                variable, center, slope = _localization_frame(spec, config, ev)
+                smooth = wt.smoothed_indicator(variable[:, None], center, widths)
+                remainder = wt.localization_remainder(variable[:, None], center, widths)
+                values = np.where(rejected, 0.0, smooth * slope + remainder * pw.values)
+        counts = rejected.sum(axis=0)
+        means = np.empty(m)
+        for k in range(m):
+            keep_count = points - int(counts[k])
+            if keep_count == 0:
+                means[k] = np.nan
+                continue
+            column = values[:, k]
+            if counts[k]:
+                column = column[~rejected[:, k]]
+            means[k] = disc * math.fsum(column) / keep_count
+        return means, counts
 
     replication_means = np.empty((qmc.replications, m))
     rejected = np.zeros((qmc.replications, m), dtype=np.int64)
@@ -362,22 +363,25 @@ def estimate(config: MarketConfig, spec: PayoffSpec, qmc: streams.QmcConfig,
 
 
 def _bump_contrast(spec: PayoffSpec, config: MarketConfig, ev: PayoffEval,
-                   component: int, bump: float) -> np.ndarray:
-    """Central-difference contribution with common random numbers.
+                   bump: float) -> np.ndarray:
+    """Central-difference contributions with common random numbers,
+    (paths, assets), column k for spot k.
 
     Scaling spot k by (1 +- bump) scales asset k's path multiplicatively,
     so both aggregates shift by exactly bump times their component-k
     parts; no re-simulation is needed to realize the bumped scenarios.
     """
-    shift_avg = bump * ev.average_grad[:, component]
-    shift_strike = bump * ev.strike_grad[:, component]
+    shift_avg = bump * ev.average_grad
+    shift_strike = bump * ev.strike_grad
+    average = ev.average[:, None]
+    strike_leg = ev.floating_strike[:, None]
     up = payoff_value_from_aggregates(spec.kind, spec.strike,
-                                      ev.average + shift_avg,
-                                      ev.floating_strike + shift_strike)
+                                      average + shift_avg,
+                                      strike_leg + shift_strike)
     down = payoff_value_from_aggregates(spec.kind, spec.strike,
-                                        ev.average - shift_avg,
-                                        ev.floating_strike - shift_strike)
-    return (up - down) / (2.0 * bump * config.spots[component])
+                                        average - shift_avg,
+                                        strike_leg - shift_strike)
+    return (up - down) / (2.0 * bump * config.spots)
 
 
 def finite_difference_delta(config: MarketConfig, spec: PayoffSpec,

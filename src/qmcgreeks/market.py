@@ -152,7 +152,7 @@ def paths_from_increments(config: MarketConfig, loadings: np.ndarray,
     """Build a bundle from uncorrelated driver increments (p, m, j)."""
     t = config.monitoring_times
     dt = config.interval_lengths
-    drive = np.einsum("im,pmj->pij", loadings, increments)
+    drive = loadings @ increments
     drift = (config.rate - 0.5 * config.vols ** 2)[None, :, None] * t[None, None, :]
     spot_grid = config.spots[None, :, None] * np.exp(np.cumsum(drive, axis=2) + drift)
 

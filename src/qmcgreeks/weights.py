@@ -15,8 +15,29 @@ floating-strike averages differ only in which aggregates feed g, d,
 gi, di; the digital replaces the outer payoff factor by a Laplace
 kernel around the strike; the two-variable best_of payoff needs a
 genuine two-dimensional inversion and is assembled from first-order
-jets (value plus per-interval Malliavin derivative samples) with exact
-product and quotient rules.
+jets (value plus Malliavin derivative data) with exact product and
+quotient rules.
+
+Every weight is built for all components at once: blocks, jets and
+weights carry a component axis, shape (paths, assets), so one call per
+path bundle yields every delta's weight. All families start from the
+same per-asset date sums sum_j w_ij S_i(t_j) t_j^r, one matmul over
+the date axis; contracting those with the loading matrix (or its
+square) gives the blocks of every component together.
+
+The best_of weight only ever uses two linear functionals of a jet's
+derivative process: int_0^T D_s ds and int_0^T s D_s ds. Product and
+quotient rules are linear in the derivative, so its jets carry just
+those two projections instead of one sample per interval. For a
+linear combination of path values the projections need no suffix sums
+over dates, because for any interval vector v
+
+    sum_l v_l sum_{j >= l} c_j S(t_j) = sum_j c_j S(t_j) cumsum(v)_j,
+
+and cumsum of the interval lengths is t_j, of the interval moments
+(t_l^2 - t_{l-1}^2)/2 it is t_j^2/2. `lincomb_jet` keeps the
+per-interval samples as the reference the projections are tested
+against.
 
 Localization splits a kinked payoff into a smooth pathwise part and a
 remainder handled by the weight, which is where most of the variance
@@ -50,12 +71,16 @@ DEGENERATE_FRACTION = 1e-12
 class MalliavinJet:
     """Path functional with its Malliavin derivative samples.
 
-    value has shape (paths,). samples has shape (paths, intervals):
+    samples has the shape of value plus one trailing axis. From
+    `lincomb_jet`, value is (paths,) and samples (paths, intervals):
     the derivative with respect to the chosen driver is constant on
     each monitoring interval, so one sample per interval determines it.
-    Arithmetic follows the exact product and quotient rules, which is
-    what makes chained expressions like (a*d - b*c) / e differentiable
-    without symbolic work.
+    Any fixed linear functionals of the derivative can stand in for
+    the per-interval samples, since every rule below is linear in
+    them; the best_of weight uses value (paths, assets) and samples
+    (paths, assets, 2). Arithmetic follows the exact product and
+    quotient rules, which is what makes chained expressions like
+    (a*d - b*c) / e differentiable without symbolic work.
     """
 
     value: np.ndarray
@@ -83,17 +108,17 @@ class MalliavinJet:
     def __mul__(self, other) -> "MalliavinJet":
         o = self._lift(other)
         return MalliavinJet(self.value * o.value,
-                            self.samples * o.value[:, None]
-                            + self.value[:, None] * o.samples)
+                            self.samples * o.value[..., None]
+                            + self.value[..., None] * o.samples)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "MalliavinJet":
         o = self._lift(other)
         return MalliavinJet(self.value / o.value,
-                            (self.samples * o.value[:, None]
-                             - self.value[:, None] * o.samples)
-                            / o.value[:, None] ** 2)
+                            (self.samples * o.value[..., None]
+                             - self.value[..., None] * o.samples)
+                            / o.value[..., None] ** 2)
 
     def __rtruediv__(self, other) -> "MalliavinJet":
         return self._lift(other).__truediv__(self)
@@ -131,8 +156,9 @@ def lincomb_jet(spot_grid: np.ndarray, loadings: np.ndarray,
 
 @dataclass(frozen=True, eq=False)
 class SkorohodBlocks:
-    """Per-path ingredients of one component's weight, all shape (paths,).
+    """Per-path ingredients of every component's weight, all (paths, assets).
 
+    Column k belongs to the delta in spot k.
     grad: pathwise spot derivative of the averaged quantity.
     denom: time integral of its Malliavin derivative.
     grad_int / denom_int: time-integrated derivatives of those two.
@@ -146,52 +172,58 @@ class SkorohodBlocks:
 
 @dataclass(frozen=True, eq=False)
 class PathWeights:
-    """Weight values with a rejection mask for degenerate paths."""
+    """Weight values with a rejection mask for degenerate paths.
+
+    Both are (paths, assets), column k for the delta in spot k.
+    """
 
     values: np.ndarray
     rejected: np.ndarray
 
 
+def _date_sums(spot_grid: np.ndarray, weights: np.ndarray,
+               times: np.ndarray, powers: int) -> np.ndarray:
+    """sums[r, p, i] = sum_j w_ij S_i(t_j) t_j^r for r < powers.
+
+    One (powers, dates) @ (dates, paths*assets) product serves every
+    block of every component.
+    """
+    p, m, n = spot_grid.shape
+    vectors = times[None, :] ** np.arange(powers)[:, None]
+    weighted = (spot_grid * weights).reshape(p * m, n)
+    return (vectors @ weighted.T).reshape(powers, p, m)
+
+
 def fixed_strike_blocks(config: MarketConfig, loadings: np.ndarray,
-                        weights: np.ndarray, bundle: PathBundle,
-                        component: int) -> SkorohodBlocks:
-    spot = bundle.spot_grid
-    t = config.monitoring_times
-    x_k = config.spots[component]
-    col = loadings[:, component]
-    own = loadings[component, component]
-    row = weights[component]
-    own_spot = spot[:, component, :]
-    grad = own_spot @ row / x_k
-    denom = np.einsum("pij,ij,i->p", spot, weights * t[None, :], col)
-    grad_int = (own_spot * row) @ t * (own / x_k)
-    denom_int = np.einsum("pij,ij,i->p", spot, weights * (t * t)[None, :], col * col)
-    return SkorohodBlocks(grad=grad, denom=denom, grad_int=grad_int,
-                          denom_int=denom_int)
+                        weights: np.ndarray, bundle: PathBundle) -> SkorohodBlocks:
+    sums = _date_sums(bundle.spot_grid, weights, config.monitoring_times, 3)
+    x = config.spots
+    return SkorohodBlocks(grad=sums[0] / x,
+                          denom=sums[1] @ loadings,
+                          grad_int=sums[1] * (np.diag(loadings) / x),
+                          denom_int=sums[2] @ (loadings * loadings))
 
 
 def floating_strike_blocks(config: MarketConfig, loadings: np.ndarray,
-                           weights: np.ndarray, bundle: PathBundle,
-                           component: int) -> SkorohodBlocks:
+                           weights: np.ndarray, bundle: PathBundle) -> SkorohodBlocks:
     """Fixed-strike blocks minus the terminal-mean strike leg."""
-    base = fixed_strike_blocks(config, loadings, weights, bundle, component)
+    base = fixed_strike_blocks(config, loadings, weights, bundle)
     terminal = bundle.spot_grid[:, :, -1]
     m = config.n_assets
     big_t = config.maturity
-    x_k = config.spots[component]
-    col = loadings[:, component]
-    own = loadings[component, component]
-    grad = terminal[:, component] / (m * x_k)
-    denom = terminal @ col * (big_t / m)
-    grad_int = terminal[:, component] * (big_t * own / (m * x_k))
-    denom_int = terminal @ (col * col) * (big_t * big_t / m)
+    x = config.spots
+    grad = terminal / (m * x)
+    denom = terminal @ loadings * (big_t / m)
+    grad_int = terminal * (big_t * np.diag(loadings) / (m * x))
+    denom_int = terminal @ (loadings * loadings) * (big_t * big_t / m)
     return SkorohodBlocks(grad=base.grad - grad, denom=base.denom - denom,
                           grad_int=base.grad_int - grad_int,
                           denom_int=base.denom_int - denom_int)
 
 
-def _scaled_tolerance(values: np.ndarray) -> float:
-    return DEGENERATE_FRACTION * float(np.mean(np.abs(values)))
+def _scaled_tolerance(values: np.ndarray) -> np.ndarray:
+    """Per-component tolerance: the mean is over the path axis only."""
+    return DEGENERATE_FRACTION * np.mean(np.abs(values), axis=0)
 
 
 def _degenerate_split(blocks: SkorohodBlocks) -> tuple[np.ndarray, np.ndarray]:
@@ -209,7 +241,10 @@ def _degenerate_split(blocks: SkorohodBlocks) -> tuple[np.ndarray, np.ndarray]:
 
 def skorohod_weight(blocks: SkorohodBlocks,
                     terminal_increment: np.ndarray) -> PathWeights:
-    """The shared weight (g/d)(W_k(T) + di/d) - gi/d."""
+    """The shared weight (g/d)(W_k(T) + di/d) - gi/d.
+
+    terminal_increment holds W_k(T) in column k, like the blocks.
+    """
     degenerate, rejected = _degenerate_split(blocks)
     safe = np.where(degenerate, 1.0, blocks.denom)
     values = (blocks.grad / safe * (terminal_increment + blocks.denom_int / safe)
@@ -232,18 +267,21 @@ def reciprocal_divergence(blocks: SkorohodBlocks,
 
 def digital_weight(blocks: SkorohodBlocks, terminal_increment: np.ndarray,
                    average: np.ndarray, strike: float,
-                   bandwidth: float) -> PathWeights:
+                   bandwidth: float | np.ndarray) -> PathWeights:
     """Kernel-localized weight for the cash-or-nothing payoff.
 
     Uses the Laplace kernel phi(z) = exp(-|z|) around the strike with
-    scale `bandwidth`; the derivative at the tie point is taken as 0.
-    The estimator multiplies these values by the digital payoff.
+    scale `bandwidth`, one per component or a shared scalar; the
+    derivative at the tie point is taken as 0. average is the
+    (paths,) running average every component shares. The estimator
+    multiplies these values by the digital payoff.
     """
-    if bandwidth <= 0.0:
+    bandwidth = np.asarray(bandwidth, dtype=np.float64)
+    if (bandwidth <= 0.0).any():
         raise ValueError("bandwidth must be positive")
     degenerate, rejected = _degenerate_split(blocks)
     safe = np.where(degenerate, 1.0, blocks.denom)
-    z = (average - strike) / bandwidth
+    z = (average[:, None] - strike) / bandwidth
     kernel = np.exp(-np.abs(z))
     kernel_slope = -np.sign(z) * kernel
     divergence = terminal_increment / safe + blocks.denom_int / safe ** 2
@@ -255,10 +293,53 @@ def digital_weight(blocks: SkorohodBlocks, terminal_increment: np.ndarray,
 # ---------------------------------------------------------------------------
 # two-variable weight for the best_of payoff
 
+# positions of the two derivative projections in a best_of jet's samples
+_DT, _SDS = 0, 1
+
+
+def _best_of_jets(config: MarketConfig, loadings: np.ndarray,
+                  weights: np.ndarray, bundle: PathBundle
+                  ) -> tuple[MalliavinJet, ...]:
+    """The six linear path functionals of the best_of weight, per component.
+
+    In order: term, avg, int_term, int_avg, s_int_term, s_int_avg.
+    Column k of each value is the functional for driver k; samples
+    hold its projections [int D^k ds, int s D^k ds]. term and avg are
+    asset k's own legs (divided by x_k); the other four weight every
+    asset i by the loading sigma_ik, so their projections carry
+    sigma_ik^2.
+    """
+    big_t = config.maturity
+    m = config.n_assets
+    x = config.spots
+    own = np.diag(loadings) / x
+    squared = loadings * loadings
+    terminal = bundle.spot_grid[:, :, -1]
+    sums = _date_sums(bundle.spot_grid, weights, config.monitoring_times, 5)
+    # cumsum of (interval lengths, interval moments) at the last date
+    at_maturity = np.array([big_t, big_t * big_t / 2.0])
+    halves = np.array([1.0, 0.5])
+
+    def pair(first, second):
+        return np.stack((first, second), axis=-1)
+
+    term = MalliavinJet(terminal / (m * x),
+                        (terminal * own / m)[..., None] * at_maturity)
+    avg = MalliavinJet(sums[0] / x, pair(sums[1], sums[2]) * own[:, None] * halves)
+    int_term = MalliavinJet(terminal @ loadings * (big_t / m),
+                            (terminal @ squared * (big_t / m))[..., None]
+                            * at_maturity)
+    int_avg = MalliavinJet(sums[1] @ loadings,
+                           pair(sums[2] @ squared, sums[3] @ squared) * halves)
+    s_int_term = int_term * (big_t / 2.0)
+    s_int_avg = MalliavinJet(sums[2] @ loadings / 2.0,
+                             pair(sums[3] @ squared, sums[4] @ squared)
+                             * (halves / 2.0))
+    return term, avg, int_term, int_avg, s_int_term, s_int_avg
+
 
 def best_of_weight(config: MarketConfig, loadings: np.ndarray,
-                   weights: np.ndarray, bundle: PathBundle,
-                   component: int) -> PathWeights:
+                   weights: np.ndarray, bundle: PathBundle) -> PathWeights:
     """Weight for payoffs of both the running average and the terminal mean.
 
     Differentiating through max(average, terminal mean) needs a pair of
@@ -269,38 +350,12 @@ def best_of_weight(config: MarketConfig, loadings: np.ndarray,
     to s, which brings in the pathwise integral int_0^T s dW_k =
     T W_k(T) - int_0^T W_k ds.
     """
-    m, n = config.n_assets, config.n_dates
-    if n < 2:
+    if config.n_dates < 2:
         raise ValueError(
             "best_of weights need at least two monitoring dates; the "
             "covariation system is singular on a single date")
-    spot = bundle.spot_grid
-    t = config.monitoring_times
-    big_t = config.maturity
-    x_k = config.spots[component]
-    col = loadings[:, component]
-    dt = config.interval_lengths
-    grid = config.grid
-    interval_moments = np.diff(grid * grid) / 2.0
-
-    term_coeff = np.zeros((m, n))
-    term_coeff[component, -1] = 1.0 / (m * x_k)
-    avg_coeff = np.zeros((m, n))
-    avg_coeff[component] = weights[component] / x_k
-    int_term_coeff = np.zeros((m, n))
-    int_term_coeff[:, -1] = big_t * col / m
-    int_avg_coeff = weights * t[None, :] * col[:, None]
-    s_term_coeff = np.zeros((m, n))
-    s_term_coeff[:, -1] = big_t * big_t * col / (2.0 * m)
-    s_avg_coeff = weights * (t * t)[None, :] * col[:, None] / 2.0
-
-    term = lincomb_jet(spot, loadings, term_coeff, component)
-    avg = lincomb_jet(spot, loadings, avg_coeff, component)
-    int_term = lincomb_jet(spot, loadings, int_term_coeff, component)
-    int_avg = lincomb_jet(spot, loadings, int_avg_coeff, component)
-    s_int_term = lincomb_jet(spot, loadings, s_term_coeff, component)
-    s_int_avg = lincomb_jet(spot, loadings, s_avg_coeff, component)
-
+    term, avg, int_term, int_avg, s_int_term, s_int_avg = _best_of_jets(
+        config, loadings, weights, bundle)
     rejected = ((np.abs(avg.value) <= _scaled_tolerance(avg.value))
                 | (np.abs(term.value) <= _scaled_tolerance(term.value)))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -309,14 +364,14 @@ def best_of_weight(config: MarketConfig, loadings: np.ndarray,
         dual_term = (s_int_avg - s_int_term * (avg / term)) / det
         dual_avg = (int_avg * (term / avg) - int_term) / det
 
-        w_k = bundle.w_terminal[:, component]
-        first = (dual_term.value * term.value * w_k
-                 - dual_term.value * term.time_integral(dt)
-                 - term.value * dual_term.time_integral(dt))
-        s_increment = big_t * w_k - bundle.w_time_integral[:, component]
+        w = bundle.w_terminal
+        first = (dual_term.value * term.value * w
+                 - dual_term.value * term.samples[..., _DT]
+                 - term.value * dual_term.samples[..., _DT])
+        s_increment = config.maturity * w - bundle.w_time_integral
         second = (dual_avg.value * avg.value * s_increment
-                  - avg.value * dual_avg.weighted_time_integral(interval_moments)
-                  - dual_avg.value * avg.weighted_time_integral(interval_moments))
+                  - avg.value * dual_avg.samples[..., _SDS]
+                  - dual_avg.value * avg.samples[..., _SDS])
         values = first - second
     return PathWeights(values=np.where(rejected, 0.0, values), rejected=rejected)
 
@@ -353,15 +408,6 @@ def localization_remainder(values: np.ndarray, strike: float,
 
 # ---------------------------------------------------------------------------
 # adaptive parameters from pilot samples
-
-
-def adaptive_half_width(gain: np.ndarray,
-                        weight_values: np.ndarray) -> float | None:
-    """Var[gain * weight] / Var[weight]; None when the weight is flat."""
-    weight_var = float(np.var(weight_values, ddof=1))
-    if weight_var <= 0.0 or not np.isfinite(weight_var):
-        return None
-    return float(np.var(gain * weight_values, ddof=1)) / weight_var
 
 
 def adaptive_bandwidth(divergence_values: np.ndarray) -> float | None:

@@ -143,9 +143,9 @@ def test_criterion_05_single_asset_closed_forms():
     normals = streams.replication_normals(standard_stream(1, 1, 64, 1), 0)
     bundle = simulate_paths(config, loadings, normals, None)
     blocks = wt.fixed_strike_blocks(
-        config, loadings, PayoffSpec("call", k).weight_matrix(1, 1), bundle, 0)
-    pw = wt.skorohod_weight(blocks, bundle.w_terminal[:, 0])
-    expected = bundle.w_terminal[:, 0] / (x * t * sigma)
+        config, loadings, PayoffSpec("call", k).weight_matrix(1, 1), bundle)
+    pw = wt.skorohod_weight(blocks, bundle.w_terminal)
+    expected = bundle.w_terminal / (x * t * sigma)
     assert not pw.rejected.any()
     assert np.allclose(pw.values, expected, rtol=1e-12, atol=1e-15)
 
@@ -214,23 +214,23 @@ def test_criterion_07_bare_weights_have_zero_mean():
     bundle = simulate_paths(config, loadings, streams.replication_normals(qmc, 0),
                             None)
     families = {
-        "fixed": lambda matrix, k: wt.skorohod_weight(
-            wt.fixed_strike_blocks(config, loadings, matrix, bundle, k),
-            bundle.w_terminal[:, k]),
-        "floating": lambda matrix, k: wt.skorohod_weight(
-            wt.floating_strike_blocks(config, loadings, matrix, bundle, k),
-            bundle.w_terminal[:, k]),
-        "reciprocal": lambda matrix, k: wt.reciprocal_divergence(
-            wt.fixed_strike_blocks(config, loadings, matrix, bundle, k),
-            bundle.w_terminal[:, k]),
-        "best_of": lambda matrix, k: wt.best_of_weight(
-            config, loadings, matrix, bundle, k),
+        "fixed": lambda matrix: wt.skorohod_weight(
+            wt.fixed_strike_blocks(config, loadings, matrix, bundle),
+            bundle.w_terminal),
+        "floating": lambda matrix: wt.skorohod_weight(
+            wt.floating_strike_blocks(config, loadings, matrix, bundle),
+            bundle.w_terminal),
+        "reciprocal": lambda matrix: wt.reciprocal_divergence(
+            wt.fixed_strike_blocks(config, loadings, matrix, bundle),
+            bundle.w_terminal),
+        "best_of": lambda matrix: wt.best_of_weight(
+            config, loadings, matrix, bundle),
     }
     matrix = PayoffSpec("call", 100.0).weight_matrix(10, 64)
     for name, build in families.items():
+        pw = build(matrix)
         for k in range(config.n_assets):
-            pw = build(matrix, k)
-            kept = pw.values[~pw.rejected]
+            kept = pw.values[:, k][~pw.rejected[:, k]]
             z = abs(kept.mean()) / (kept.std(ddof=1) / math.sqrt(kept.size))
             assert z < 3.0, f"{name} weight mean off zero at component {k}: z={z:.2f}"
 

@@ -78,6 +78,26 @@ def test_bad_inputs_exit_with_config_code(tmp_path, capsys):
     assert "positive strike" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, field", [
+    (["--workers", "0"], "workers"),
+    (["--method", "loc", "--loc-delta", "-1"], "loc_delta"),
+    (["--method", "fd", "--fd-bump", "0"], "fd_bump"),
+    (["--payoff", "exotic", "--steps", "1"], "steps"),
+    (["--reps", "1"], "replications"),
+])
+def test_invalid_run_arguments_exit_before_estimation(monkeypatch, capsys,
+                                                      flags, field):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("estimation started")
+
+    monkeypatch.setattr(cli, "estimate", unreachable)
+    monkeypatch.setattr(cli, "build_lt_matrix", unreachable)
+    assert cli.run(flags) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert field in err
+    assert "Traceback" not in err
+
+
 def test_estimation_failure_exits_with_run_code(monkeypatch, capsys):
     def explode(*args, **kwargs):
         raise EstimationError("too many degenerate paths")

@@ -158,6 +158,32 @@ def test_invalid_arguments_are_rejected():
         estimate(config, spec, qmc, method="fd", fd_bump=-0.1)
     with pytest.raises(ValueError, match="workers"):
         estimate(config, spec, qmc, workers=0)
+    # one replication has no spread, so its stderr would be a silent nan
+    with pytest.raises(ValueError, match="replications"):
+        estimate(config, spec, _stream(config, replications=1), method="loc")
+
+
+@pytest.mark.parametrize("kind, builder, pilot_bundles", [
+    ("call", "fixed_strike_blocks", est.PILOT_SPLIT),
+    ("digital", "fixed_strike_blocks", 1),
+    ("floating", "floating_strike_blocks", est.PILOT_SPLIT),
+    ("best_of", "best_of_weight", est.PILOT_SPLIT),
+])
+def test_weights_are_built_once_per_bundle(monkeypatch, kind, builder,
+                                           pilot_bundles):
+    config = _market(n_assets=3, n_dates=3)
+    spec = PayoffSpec(kind=kind, strike=0.0 if kind == "floating" else 100.0)
+    qmc = _stream(config, points=64, replications=3)
+    original = getattr(wt, builder)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(wt, builder, counted)
+    estimate(config, spec, qmc, method="adaptive")
+    assert len(calls) == qmc.replications + pilot_bundles
 
 
 def test_rejection_limit_aborts_the_run(monkeypatch):
@@ -166,15 +192,12 @@ def test_rejection_limit_aborts_the_run(monkeypatch):
     qmc = _stream(config, points=256, replications=4)
     original = est._component_weights
 
-    def leaky(spec_, config_, loadings, weight_matrix, bundle, component,
-              ev, bandwidth):
-        pw = original(spec_, config_, loadings, weight_matrix, bundle,
-                      component, ev, bandwidth)
-        if component == 0:
-            rejected = pw.rejected.copy()
-            rejected[:4] = True
-            pw = wt.PathWeights(values=pw.values, rejected=rejected)
-        return pw
+    def leaky(spec_, config_, loadings, weight_matrix, bundle, ev, bandwidths):
+        pw = original(spec_, config_, loadings, weight_matrix, bundle, ev,
+                      bandwidths)
+        rejected = pw.rejected.copy()
+        rejected[:4, 0] = True
+        return wt.PathWeights(values=pw.values, rejected=rejected)
 
     monkeypatch.setattr(est, "_component_weights", leaky)
     with pytest.raises(EstimationError, match="component 1"):

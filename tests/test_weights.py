@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -166,14 +167,14 @@ def test_fixed_blocks_against_loop_oracle():
     config = _config()
     loadings, bundle = _bundle(config, n_paths=32, seed=4)
     weights = np.random.default_rng(5).dirichlet(np.ones(6)).reshape(2, 3)
+    blocks = wt.fixed_strike_blocks(config, loadings, weights, bundle)
     for k in range(2):
-        blocks = wt.fixed_strike_blocks(config, loadings, weights, bundle, k)
         grad, denom, grad_int, denom_int = _loop_fixed_blocks(
             config, loadings, weights, bundle, k)
-        assert np.allclose(blocks.grad, grad, rtol=1e-13)
-        assert np.allclose(blocks.denom, denom, rtol=1e-13)
-        assert np.allclose(blocks.grad_int, grad_int, rtol=1e-13)
-        assert np.allclose(blocks.denom_int, denom_int, rtol=1e-13)
+        assert np.allclose(blocks.grad[:, k], grad, rtol=1e-13)
+        assert np.allclose(blocks.denom[:, k], denom, rtol=1e-13)
+        assert np.allclose(blocks.grad_int[:, k], grad_int, rtol=1e-13)
+        assert np.allclose(blocks.denom_int[:, k], denom_int, rtol=1e-13)
 
 
 def test_floating_blocks_subtract_terminal_leg():
@@ -183,18 +184,18 @@ def test_floating_blocks_subtract_terminal_leg():
     m = config.n_assets
     big_t = config.maturity
     terminal = bundle.spot_grid[:, :, -1]
+    fixed = wt.fixed_strike_blocks(config, loadings, weights, bundle)
+    floating = wt.floating_strike_blocks(config, loadings, weights, bundle)
     for k in range(2):
-        fixed = wt.fixed_strike_blocks(config, loadings, weights, bundle, k)
-        floating = wt.floating_strike_blocks(config, loadings, weights, bundle, k)
         x_k = config.spots[k]
-        assert np.allclose(fixed.grad - floating.grad,
+        assert np.allclose(fixed.grad[:, k] - floating.grad[:, k],
                            terminal[:, k] / (m * x_k), rtol=1e-13)
-        assert np.allclose(fixed.denom - floating.denom,
+        assert np.allclose(fixed.denom[:, k] - floating.denom[:, k],
                            terminal @ loadings[:, k] * big_t / m, rtol=1e-13)
-        assert np.allclose(fixed.grad_int - floating.grad_int,
+        assert np.allclose(fixed.grad_int[:, k] - floating.grad_int[:, k],
                            terminal[:, k] * big_t * loadings[k, k] / (m * x_k),
                            rtol=1e-13)
-        assert np.allclose(fixed.denom_int - floating.denom_int,
+        assert np.allclose(fixed.denom_int[:, k] - floating.denom_int[:, k],
                            terminal @ loadings[:, k] ** 2 * big_t ** 2 / m,
                            rtol=1e-13)
 
@@ -207,8 +208,8 @@ def test_equal_loadings_single_date_ratio():
     assert loadings[0, 0] == pytest.approx(loadings[1, 0])
     _, bundle = _bundle(config, n_paths=16, seed=7)
     weights = np.array([[0.3], [0.7]])
-    blocks = wt.fixed_strike_blocks(config, loadings, weights, bundle, 0)
-    ratio = blocks.denom_int / blocks.denom
+    blocks = wt.fixed_strike_blocks(config, loadings, weights, bundle)
+    ratio = blocks.denom_int[:, 0] / blocks.denom[:, 0]
     assert np.allclose(ratio, config.maturity * loadings[0, 0], rtol=1e-14)
 
 
@@ -218,9 +219,9 @@ def test_single_asset_single_date_weight_identity():
                           monitoring_times=[1.0])
     loadings, bundle = _bundle(config, n_paths=128, seed=8)
     weights = np.array([[1.0]])
-    blocks = wt.fixed_strike_blocks(config, loadings, weights, bundle, 0)
-    pw = wt.skorohod_weight(blocks, bundle.w_terminal[:, 0])
-    expected = bundle.w_terminal[:, 0] / (100.0 * 1.0 * 0.2)
+    blocks = wt.fixed_strike_blocks(config, loadings, weights, bundle)
+    pw = wt.skorohod_weight(blocks, bundle.w_terminal)
+    expected = bundle.w_terminal / (100.0 * 1.0 * 0.2)
     assert not pw.rejected.any()
     assert np.abs(pw.values - expected).max() < 1e-12
 
@@ -236,34 +237,42 @@ def test_degenerate_paths_are_rejected_unless_harmless():
     assert pw.values[1] == 0.0
     assert pw.values[2] == 0.0
     assert np.isfinite(pw.values).all()
+    # each component keeps its own tolerance: a column on a tiny scale is
+    # not degenerate because another column is large
+    scaled = np.outer(np.ones(4), [1.0, 1e-20])
+    wide = wt.SkorohodBlocks(grad=scaled, denom=scaled, grad_int=scaled,
+                             denom_int=scaled)
+    pw = wt.skorohod_weight(wide, np.ones((4, 2)))
+    assert not pw.rejected.any()
+    assert (pw.values != 0.0).all()
 
 
 def test_zero_mean_of_bare_weights():
     config = _config(n_assets=2, n_dates=2)
     loadings, bundle = _bundle(config, n_paths=4096, seed=9)
     weights = np.full((2, 2), 0.25)
+    terminal = bundle.w_terminal
+    fixed = wt.skorohod_weight(
+        wt.fixed_strike_blocks(config, loadings, weights, bundle), terminal)
+    floating = wt.skorohod_weight(
+        wt.floating_strike_blocks(config, loadings, weights, bundle), terminal)
+    divergence = wt.reciprocal_divergence(
+        wt.fixed_strike_blocks(config, loadings, weights, bundle), terminal)
+    best = wt.best_of_weight(config, loadings, weights, bundle)
     for k in range(2):
-        terminal = bundle.w_terminal[:, k]
-        fixed = wt.skorohod_weight(
-            wt.fixed_strike_blocks(config, loadings, weights, bundle, k), terminal)
-        floating = wt.skorohod_weight(
-            wt.floating_strike_blocks(config, loadings, weights, bundle, k),
-            terminal)
-        divergence = wt.reciprocal_divergence(
-            wt.fixed_strike_blocks(config, loadings, weights, bundle, k), terminal)
-        best = wt.best_of_weight(config, loadings, weights, bundle, k)
         for pw in (fixed, floating, divergence, best):
-            assert not pw.rejected.any()
-            stderr = pw.values.std(ddof=1) / math.sqrt(pw.values.size)
-            assert abs(pw.values.mean()) < 3.0 * stderr
+            assert not pw.rejected[:, k].any()
+            values = pw.values[:, k]
+            stderr = values.std(ddof=1) / math.sqrt(values.size)
+            assert abs(values.mean()) < 3.0 * stderr
 
 
 def test_digital_weight_limits():
     config = _config()
     loadings, bundle = _bundle(config, n_paths=64, seed=10)
     weights = np.full((2, 3), 1.0 / 6.0)
-    blocks = wt.fixed_strike_blocks(config, loadings, weights, bundle, 0)
-    terminal = bundle.w_terminal[:, 0]
+    blocks = wt.fixed_strike_blocks(config, loadings, weights, bundle)
+    terminal = bundle.w_terminal
     average = np.einsum("pij,ij->p", bundle.spot_grid, weights)
     divergence = terminal / blocks.denom + blocks.denom_int / blocks.denom ** 2
     unlocalized = blocks.grad * divergence - blocks.grad_int / blocks.denom
@@ -277,15 +286,16 @@ def test_digital_weight_at_exact_tie_uses_zero_slope():
     config = _config()
     loadings, bundle = _bundle(config, n_paths=8, seed=11)
     weights = np.full((2, 3), 1.0 / 6.0)
-    blocks = wt.fixed_strike_blocks(config, loadings, weights, bundle, 0)
-    terminal = bundle.w_terminal[:, 0]
+    blocks = wt.fixed_strike_blocks(config, loadings, weights, bundle)
+    terminal = bundle.w_terminal
     average = np.einsum("pij,ij->p", bundle.spot_grid, weights)
     strike = float(average[3])  # make one path an exact tie
     pw = wt.digital_weight(blocks, terminal, average, strike, bandwidth=2.0)
-    divergence = (terminal[3] / blocks.denom[3]
-                  + blocks.denom_int[3] / blocks.denom[3] ** 2)
-    expected = blocks.grad[3] * divergence - blocks.grad_int[3] / blocks.denom[3]
-    assert pw.values[3] == pytest.approx(expected, rel=1e-12)
+    divergence = (terminal[3, 0] / blocks.denom[3, 0]
+                  + blocks.denom_int[3, 0] / blocks.denom[3, 0] ** 2)
+    expected = (blocks.grad[3, 0] * divergence
+                - blocks.grad_int[3, 0] / blocks.denom[3, 0])
+    assert pw.values[3, 0] == pytest.approx(expected, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +306,7 @@ def test_best_of_needs_two_dates():
     config = _config(n_dates=1)
     loadings, bundle = _bundle(config, n_paths=4, seed=12)
     with pytest.raises(ValueError, match="two monitoring dates"):
-        wt.best_of_weight(config, loadings, np.array([[0.5], [0.5]]),
-                          bundle, 0)
+        wt.best_of_weight(config, loadings, np.array([[0.5], [0.5]]), bundle)
 
 
 def test_best_of_block_jets_match_hand_integrals():
@@ -327,7 +336,7 @@ def test_best_of_weight_is_finite_and_scale_consistent():
     config = _config()
     loadings, bundle = _bundle(config, n_paths=512, seed=14)
     weights = np.full((2, 3), 1.0 / 6.0)
-    pw = wt.best_of_weight(config, loadings, weights, bundle, 0)
+    pw = wt.best_of_weight(config, loadings, weights, bundle)
     assert not pw.rejected.any()
     assert np.isfinite(pw.values).all()
     # the weight carries dimension 1/spot so that E[payoff * weight] has
@@ -338,8 +347,148 @@ def test_best_of_weight_is_finite_and_scale_consistent():
                            monitoring_times=config.monitoring_times)
     bundle2 = paths_from_increments(doubled, loadings, bundle.increments,
                                     bundle.normal_draws)
-    pw2 = wt.best_of_weight(doubled, loadings, weights, bundle2, 0)
+    pw2 = wt.best_of_weight(doubled, loadings, weights, bundle2)
     assert np.allclose(pw2.values, 0.5 * pw.values, rtol=1e-12)
+
+
+def _reference_tolerance(values):
+    return wt.DEGENERATE_FRACTION * np.mean(np.abs(values))
+
+
+def _reference_single_variable(config, loadings, weights, bundle, k, family,
+                               strike=None, bandwidth=None):
+    """One component's fixed, floating or digital weight and rejections,
+    from the loop-oracle blocks."""
+    grad, denom, grad_int, denom_int = _loop_fixed_blocks(
+        config, loadings, weights, bundle, k)
+    if family == "floating":
+        m, big_t, x_k = config.n_assets, config.maturity, config.spots[k]
+        terminal = bundle.spot_grid[:, :, -1]
+        col = loadings[:, k]
+        grad = grad - terminal[:, k] / (m * x_k)
+        denom = denom - terminal @ col * big_t / m
+        grad_int = grad_int - terminal[:, k] * big_t * loadings[k, k] / (m * x_k)
+        denom_int = denom_int - terminal @ (col * col) * big_t ** 2 / m
+    degenerate = np.abs(denom) <= _reference_tolerance(denom)
+    harmless = (degenerate & (np.abs(grad) <= _reference_tolerance(grad))
+                & (np.abs(grad_int) <= _reference_tolerance(grad_int)))
+    safe = np.where(degenerate, 1.0, denom)
+    divergence = bundle.w_terminal[:, k] / safe + denom_int / safe ** 2
+    values = grad * divergence - grad_int / safe
+    if family == "digital":
+        average = np.einsum("pij,ij->p", bundle.spot_grid, weights)
+        z = (average - strike) / bandwidth
+        kernel = np.exp(-np.abs(z))
+        values = kernel * values + grad / bandwidth * np.sign(z) * kernel
+    return np.where(degenerate, 0.0, values), degenerate & ~harmless
+
+
+def _reference_best_of_jets(config, loadings, weights, bundle, k):
+    """The six best_of functionals of driver k as per-interval jets."""
+    m, n = config.n_assets, config.n_dates
+    t = config.monitoring_times
+    big_t = config.maturity
+    col = loadings[:, k]
+    x_k = config.spots[k]
+    term = np.zeros((m, n))
+    term[k, -1] = 1.0 / (m * x_k)
+    avg = np.zeros((m, n))
+    avg[k] = weights[k] / x_k
+    int_term = np.zeros((m, n))
+    int_term[:, -1] = big_t * col / m
+    int_avg = weights * t[None, :] * col[:, None]
+    s_term = np.zeros((m, n))
+    s_term[:, -1] = big_t * big_t * col / (2.0 * m)
+    s_avg = weights * (t * t)[None, :] * col[:, None] / 2.0
+    return [wt.lincomb_jet(bundle.spot_grid, loadings, coeff, k)
+            for coeff in (term, avg, int_term, int_avg, s_term, s_avg)]
+
+
+def _reference_best_of(config, loadings, weights, bundle, k):
+    """One component's best_of weight and rejections from per-interval jets."""
+    term, avg, int_term, int_avg, s_int_term, s_int_avg = _reference_best_of_jets(
+        config, loadings, weights, bundle, k)
+    dt = config.interval_lengths
+    moments = np.diff(config.grid ** 2) / 2.0
+    rejected = ((np.abs(avg.value) <= _reference_tolerance(avg.value))
+                | (np.abs(term.value) <= _reference_tolerance(term.value)))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        det = int_term * s_int_avg - int_avg * s_int_term
+        rejected |= np.abs(det.value) <= _reference_tolerance(det.value)
+        dual_term = (s_int_avg - s_int_term * (avg / term)) / det
+        dual_avg = (int_avg * (term / avg) - int_term) / det
+        w_k = bundle.w_terminal[:, k]
+        first = (dual_term.value * term.value * w_k
+                 - dual_term.value * term.time_integral(dt)
+                 - term.value * dual_term.time_integral(dt))
+        s_increment = config.maturity * w_k - bundle.w_time_integral[:, k]
+        second = (dual_avg.value * avg.value * s_increment
+                  - avg.value * dual_avg.weighted_time_integral(moments)
+                  - dual_avg.value * avg.weighted_time_integral(moments))
+    return np.where(rejected, 0.0, first - second), rejected
+
+
+def _assert_matches(actual, desired, what):
+    # rtol for ordinary values; the atol covers entries that cancel to
+    # rounding level, like path 1 below
+    np.testing.assert_allclose(actual, desired, rtol=1e-10,
+                               atol=1e-12 * np.abs(desired).max(), err_msg=what)
+
+
+def test_batched_weights_match_per_component_references():
+    # negative correlation gives negative loadings, so a denominator can
+    # cancel; path 0 is zeroed (harmless for the single-variable blocks,
+    # a zero average for best_of) and path 1 cancels component 0's
+    # fixed-strike denominator while its gradient stays
+    config = _config(n_assets=3, n_dates=4, vols=(0.2, 0.3, 0.4), rho=-0.3)
+    loadings, bundle = _bundle(config, n_paths=32, seed=19)
+    spot = bundle.spot_grid.copy()
+    spot[0] = 0.0
+    profile = 100.0 * np.exp(0.1 * config.monitoring_times)
+    spot[1] = np.outer([1.0, loadings[0, 0] / -loadings[1, 0], 0.0], profile)
+    bundle = replace(bundle, spot_grid=spot)
+    m, n = config.n_assets, config.n_dates
+    uniform = np.full((m, n), 1.0 / (m * n))
+    dt = config.interval_lengths
+    moments = np.diff(config.grid ** 2) / 2.0
+    strike, bandwidths = 100.0, np.array([2.0, 5.0, 9.0])
+
+    fixed = wt.skorohod_weight(
+        wt.fixed_strike_blocks(config, loadings, uniform, bundle), bundle.w_terminal)
+    floating = wt.skorohod_weight(
+        wt.floating_strike_blocks(config, loadings, uniform, bundle),
+        bundle.w_terminal)
+    average = np.einsum("pij,ij->p", bundle.spot_grid, uniform)
+    digital = wt.digital_weight(
+        wt.fixed_strike_blocks(config, loadings, uniform, bundle),
+        bundle.w_terminal, average, strike, bandwidths)
+    best = wt.best_of_weight(config, loadings, uniform, bundle)
+    jets = wt._best_of_jets(config, loadings, uniform, bundle)
+    assert fixed.rejected[1, 0] and best.rejected[0].all()
+
+    for k in range(m):
+        for jet, reference in zip(jets, _reference_best_of_jets(
+                config, loadings, uniform, bundle, k)):
+            _assert_matches(jet.value[:, k], reference.value, f"value {k}")
+            _assert_matches(jet.samples[:, k, 0], reference.time_integral(dt),
+                            f"time integral {k}")
+            _assert_matches(jet.samples[:, k, 1],
+                            reference.weighted_time_integral(moments),
+                            f"weighted time integral {k}")
+        references = {
+            "fixed": (fixed, _reference_single_variable(
+                config, loadings, uniform, bundle, k, "fixed")),
+            "floating": (floating, _reference_single_variable(
+                config, loadings, uniform, bundle, k, "floating")),
+            "digital": (digital, _reference_single_variable(
+                config, loadings, uniform, bundle, k, "digital",
+                strike, bandwidths[k])),
+            "best_of": (best, _reference_best_of(config, loadings, uniform,
+                                                 bundle, k)),
+        }
+        for name, (pw, (values, rejected)) in references.items():
+            assert np.array_equal(pw.rejected[:, k], rejected), (name, k)
+            _assert_matches(pw.values[:, k], values, f"{name} component {k}")
 
 
 # ---------------------------------------------------------------------------
@@ -386,28 +535,16 @@ def test_ramp_antiderivative_integrates_the_ramp():
 # adaptive parameters
 
 
-def test_adaptive_half_width_frozen_case():
-    gain = np.array([1.0, 2.0, 3.0, 4.0])
-    values = np.array([1.0, -1.0, 2.0, 0.0])
-    # products (1, -2, 6, 0): sample variance 34.75/3; weights: 5/3
-    assert wt.adaptive_half_width(gain, values) == pytest.approx(34.75 / 5.0)
-
-
 def test_adaptive_parameters_scale_rules():
     rng = np.random.default_rng(15)
-    gain = rng.normal(size=500)
     values = rng.normal(size=500)
-    base = wt.adaptive_half_width(gain, values)
-    assert wt.adaptive_half_width(gain, 3.0 * values) == pytest.approx(base)
     bandwidth = wt.adaptive_bandwidth(values)
     assert wt.adaptive_bandwidth(5.0 * values) == pytest.approx(bandwidth / 5.0)
     assert bandwidth == pytest.approx(np.var(values, ddof=1) ** -0.5)
 
 
 def test_adaptive_parameters_degenerate_inputs():
-    flat = np.ones(10)
-    assert wt.adaptive_half_width(np.arange(10.0), flat) is None
-    assert wt.adaptive_bandwidth(flat) is None
+    assert wt.adaptive_bandwidth(np.ones(10)) is None
 
 
 def _search_case(seed=16, n=4000):
