@@ -157,8 +157,9 @@ def paths_from_increments(config: MarketConfig, loadings: np.ndarray,
     spot_grid = config.spots[None, :, None] * np.exp(np.cumsum(drive, axis=2) + drift)
 
     w_grid = np.cumsum(increments, axis=2)
-    w_prev = np.concatenate([np.zeros_like(w_grid[:, :, :1]), w_grid[:, :, :-1]], axis=2)
-    w_time_integral = ((w_prev + w_grid) * 0.5 * dt[None, None, :]).sum(axis=2)
+    # trapezoid sum_j (W_{j-1} + W_j) dt_j / 2 with W_0 = 0, regrouped by W_j
+    trapezoid = 0.5 * (dt + np.append(dt[1:], 0.0))
+    w_time_integral = w_grid @ trapezoid
 
     if normal_draws is None:
         normal_draws = np.empty((increments.shape[0], 0))
@@ -190,18 +191,3 @@ def simulate_paths(config: MarketConfig, loadings: np.ndarray,
     increments = eta.reshape(p, n, m).transpose(0, 2, 1) * sqrt_dt[None, None, :]
     return paths_from_increments(config, loadings, increments, normal_draws=normals)
 
-
-def malliavin_derivative_samples(bundle: PathBundle, loadings: np.ndarray,
-                                 component: int) -> np.ndarray:
-    """Per-interval samples of D_s^k S_i(t_j).
-
-    Returns (paths, assets, dates, intervals) with entry [p, i, j, l] =
-    S_i(t_j) sigma_ik 1{l <= j}: the derivative is constant on each
-    monitoring interval and vanishes after t_j. Dense output, meant for
-    validation on small grids; the weight formulas use the factorized
-    closed forms instead.
-    """
-    spot = bundle.spot_grid
-    n = spot.shape[2]
-    mask = (np.arange(n)[None, :] <= np.arange(n)[:, None]).astype(np.float64)
-    return np.einsum("pij,i,jl->pijl", spot, loadings[:, component], mask)

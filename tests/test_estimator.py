@@ -9,7 +9,7 @@ from qmcgreeks import weights as wt
 from qmcgreeks.estimator import EstimationError, EstimateReport, estimate
 from qmcgreeks.market import MarketConfig
 from qmcgreeks.payoffs import PayoffSpec
-from qmcgreeks.qmc import QmcConfig
+from qmcgreeks.qmc import MAX_DIMENSION, QmcConfig
 
 
 def _market(n_assets=2, n_dates=2, rho=0.5):
@@ -118,6 +118,18 @@ def test_rotation_leaves_the_estimate_unbiased():
     assert without.lt_first_objective is None
     spread = np.hypot(with_lt.stderrs, without.stderrs)
     assert (np.abs(with_lt.deltas - without.deltas) < 3.0 * spread).all()
+
+
+def test_runs_above_the_sobol_table_dimension():
+    # LSS draws only block-wide Sobol columns, so the nominal dimension
+    # may exceed the Sobol table
+    config = _market(n_assets=3, n_dates=7101)
+    assert config.nominal_dimension > MAX_DIMENSION
+    spec = PayoffSpec(kind="call", strike=100.0)
+    report = estimate(config, spec, _stream(config, points=8, replications=2),
+                      method="loc", use_lt=False)
+    assert report.deltas.shape == (3,)
+    assert np.isfinite(report.deltas).all() and np.isfinite(report.stderrs).all()
 
 
 def test_stderr_shrinks_as_points_grow():

@@ -3,6 +3,8 @@ import pytest
 
 from qmcgreeks import market
 
+import helpers
+
 
 def _simple_config(n_assets=2, n_dates=3, rho=0.5, vols=None):
     vols = np.array([0.2, 0.4][:n_assets]) if vols is None else np.asarray(vols)
@@ -162,7 +164,7 @@ def test_derivative_samples_mask():
     loadings = market.vol_loadings(config)
     normals = np.random.default_rng(4).standard_normal((5, 6))
     bundle = market.simulate_paths(config, loadings, normals)
-    samples = market.malliavin_derivative_samples(bundle, loadings, 1)
+    samples = helpers.malliavin_derivative_samples(bundle, loadings, 1)
     assert samples.shape == (5, 2, 3, 3)
     for j in range(3):
         expected = bundle.spot_grid[:, :, j] * loadings[:, 1][None, :]

@@ -1,46 +1,50 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
 from qmcgreeks import qmc
 
+import helpers
+
 
 def test_dimension_one_prefix():
-    values = [qmc.sobol_point(i, 1)[0] for i in range(3)]
+    values = [helpers.sobol_point(i, 1)[0] for i in range(3)]
     assert values == [0.5, 0.75, 0.25]
 
 
 def test_first_point_is_all_halves():
-    assert np.array_equal(qmc.sobol_point(0, 5), np.full(5, 0.5))
+    assert np.array_equal(helpers.sobol_point(0, 5), np.full(5, 0.5))
 
 
 def test_points_are_dyadic_rationals():
     for index in (0, 3, 17, 100):
-        point = qmc.sobol_point(index, 4)
+        point = helpers.sobol_point(index, 4)
         scaled = point * 2.0 ** 32
         assert np.array_equal(scaled, np.round(scaled))
 
 
 def test_dimension_bounds():
     with pytest.raises(qmc.DimensionError):
-        qmc.sobol_point(0, 0)
+        helpers.sobol_point(0, 0)
     with pytest.raises(qmc.DimensionError):
-        qmc.sobol_point(0, qmc.MAX_DIMENSION + 1)
+        helpers.sobol_point(0, qmc.MAX_DIMENSION + 1)
     with pytest.raises(ValueError):
-        qmc.sobol_point(-1, 1)
+        helpers.sobol_point(-1, 1)
 
 
 def test_identity_scramble_is_noop():
-    raw = qmc._raw_sobol_block(3, 16)
+    raw = helpers.raw_sobol_block(3, 16)
     identity = qmc.DigitalScramble.identity(3)
     assert np.array_equal(identity.apply(raw), raw)
 
 
 def test_scramble_deterministic_in_seed():
-    raw = qmc._raw_sobol_block(4, 32)
-    once = qmc.scramble(raw, 2024)
-    again = qmc.scramble(raw, 2024)
-    other = qmc.scramble(raw, 2025)
+    raw = helpers.raw_sobol_block(4, 32)
+    once = helpers.scramble(raw, 2024)
+    again = helpers.scramble(raw, 2024)
+    other = helpers.scramble(raw, 2025)
     assert np.array_equal(once, again)
     assert not np.array_equal(once, other)
 
@@ -59,7 +63,7 @@ def _box_counts_all_one(points: np.ndarray, k: int) -> bool:
 def _underlying_block(k: int) -> np.ndarray:
     # the streamed points skip the origin; the net property belongs to
     # the underlying generator block that includes it
-    streamed = [qmc.sobol_point(i, 2) for i in range(2 ** k - 1)]
+    streamed = [helpers.sobol_point(i, 2) for i in range(2 ** k - 1)]
     return np.vstack([np.zeros(2), *streamed])
 
 
@@ -72,7 +76,7 @@ def test_scrambling_preserves_net_property():
     block = _underlying_block(4)
     raw = np.round(block * 2.0 ** 32).astype(np.uint64)
     for seed in (1, 7, 99):
-        unit = qmc.to_unit(qmc.scramble(raw, seed))
+        unit = qmc.to_unit(helpers.scramble(raw, seed))
         assert _box_counts_all_one(unit, 4)
 
 
@@ -138,7 +142,7 @@ def test_supercube_columns_are_block_permutations():
     config = qmc.QmcConfig(nominal_dimension=7, points_per_replication=64,
                            replications=2, lss_block_dimension=4, seed=5)
     u = qmc.replication_uniforms(config, 1)
-    raw = qmc._raw_sobol_block(4, 64)
+    raw = helpers.raw_sobol_block(4, 64)
     for block, width in enumerate(config.block_sizes):
         rng = qmc._substream(config.seed, 1, qmc._TAG_SCRAMBLE, block)
         ints = qmc.DigitalScramble.random(width, rng).apply(raw[:, :width])
@@ -168,3 +172,62 @@ def test_pseudo_random_mode():
     z = qmc.replication_normals(config, 1)
     assert z.shape == (128, 6)
     assert np.isfinite(z).all()
+
+
+def test_scramble_matrix_draw_matches_per_digit_loop():
+    for seed in range(5):
+        for dims in (1, 7, 50):
+            rng = np.random.default_rng(seed)
+            columns = np.empty((dims, qmc.BITS), dtype=np.uint64)
+            for digit in range(qmc.BITS):
+                diagonal = np.uint64(1) << np.uint64(qmc.BITS - 1 - digit)
+                below = rng.integers(0, int(diagonal), size=dims, dtype=np.uint64)
+                columns[:, digit] = diagonal | below
+            shift = rng.integers(0, 2 ** qmc.BITS, size=dims, dtype=np.uint64)
+            drawn = qmc.DigitalScramble.random(dims, np.random.default_rng(seed))
+            assert np.array_equal(drawn.columns, columns)
+            assert np.array_equal(drawn.shift, shift)
+
+
+def test_stream_is_gray_code_ordered():
+    raw = helpers.raw_sobol_block(9, 4096)
+    directions, steps = qmc._gray_code_table(9, 4096)
+    assert directions.shape == (13, 9)
+    assert steps.tolist() == [((i + 1) & -(i + 1)).bit_length() - 1
+                              for i in range(4096)]
+    # stream point i is stream point i-1 XOR v_ctz(i+1), the origin before 0
+    previous = np.vstack([np.zeros((1, 9), dtype=np.uint64), raw[:-1]])
+    assert np.array_equal(raw ^ previous, directions[steps])
+
+
+@pytest.mark.parametrize("points", [1, 2, 256, 1000])
+@pytest.mark.parametrize("nominal, block", [(1, 1), (7, 3), (50, 50), (107, 50)])
+def test_lss_assemble_matches_per_point_scramble(points, nominal, block):
+    config = qmc.QmcConfig(nominal_dimension=nominal, points_per_replication=points,
+                           replications=2, lss_block_dimension=block, seed=77)
+    for replication in (0, 1):
+        assert np.array_equal(qmc.lss_assemble(config, replication),
+                              helpers.per_point_uniforms(config, replication))
+
+
+def test_replication_uniforms_frozen_digest():
+    # digest recorded from the per-point scramble before the direction-table form
+    config = qmc.QmcConfig(nominal_dimension=7, points_per_replication=100,
+                           replications=2, lss_block_dimension=3, seed=2024)
+    u = qmc.replication_uniforms(config, 1)
+    assert u.dtype == np.float64 and u.shape == (100, 7)
+    assert hashlib.sha256(u.tobytes()).hexdigest() == (
+        "2008840b1fff7e2dfc5d993bae9054b5e87e078e9a18bdb2a6a3a74df9670858")
+
+
+def test_sobol_table_caps_the_block_not_the_nominal_dimension():
+    wide = qmc.MAX_DIMENSION + 1
+    qmc.QmcConfig(nominal_dimension=wide, points_per_replication=4,
+                  replications=2, lss_block_dimension=50, seed=1)
+    with pytest.raises(qmc.DimensionError, match="lss_block_dimension"):
+        qmc.QmcConfig(nominal_dimension=wide, points_per_replication=4,
+                      replications=2, lss_block_dimension=wide, seed=1)
+    pseudo = qmc.QmcConfig(nominal_dimension=wide, points_per_replication=4,
+                           replications=2, lss_block_dimension=wide, seed=1,
+                           mode="pseudo_random")
+    assert qmc.replication_uniforms(pseudo, 0).shape == (4, wide)
