@@ -8,8 +8,7 @@ sampling, and an optional dimension-reducing rotation of the driving
 draws. ``estimate`` is the main entry point; ``presets`` holds the
 benchmark configurations the CLI exposes.
 """
-from .estimator import (EstimateReport, EstimationError, estimate,
-                        finite_difference_delta)
+from .estimator import EstimateReport, EstimationError, estimate
 from .lt import LtBuild, build_lt_matrix
 from .market import MarketConfig, PathBundle, simulate_paths, vol_loadings
 from .payoffs import PayoffEval, PayoffSpec, evaluate
@@ -33,7 +32,6 @@ __all__ = [
     "build_lt_matrix",
     "estimate",
     "evaluate",
-    "finite_difference_delta",
     "ladder_market",
     "preset",
     "simulate_paths",

@@ -11,11 +11,12 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import os
 import sys
 
 import numpy as np
 
-from .estimator import METHODS, EstimationError, estimate
+from .estimator import METHODS, MIN_ADAPTIVE_POINTS, EstimationError, estimate
 from .lt import build_lt_matrix
 from .market import MarketConfig
 from .payoffs import PayoffSpec
@@ -239,13 +240,13 @@ def _resolve(args) -> dict:
         market = ladder_market(assets, steps)
 
     values["market"] = market
+    values["debug_replications"] = args.debug_replications
     _check_run(values)
     values["qmc"] = standard_stream(market.n_assets, market.n_dates,
                                     values["points"], values["reps"],
                                     values["lss_block"], values["seed"],
                                     values["mode"])
     values["strikes"] = _parse_sweep(args.sweep) if args.sweep else None
-    values["debug_replications"] = args.debug_replications
     # constructing one spec up front surfaces strike/kind mismatches early
     PayoffSpec(kind=values["kind"],
                strike=float(values["strikes"][0]) if values["strikes"] is not None
@@ -267,6 +268,15 @@ def _check_run(values: dict) -> None:
             f"loc_delta must be positive; got {values['loc_delta']}")
     if values["method"] == "fd" and values["fd_bump"] <= 0.0:
         raise ConfigurationError(f"fd_bump must be positive; got {values['fd_bump']}")
+    if values["method"] == "adaptive" and values["points"] < MIN_ADAPTIVE_POINTS:
+        raise ConfigurationError(
+            f"points must be at least {MIN_ADAPTIVE_POINTS} for the adaptive "
+            f"method; got {values['points']}")
+    for field in ("output", "debug_replications"):
+        path = values[field]
+        if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+            raise ConfigurationError(
+                f"{field}: directory of {path!r} does not exist")
     dates = values["market"].n_dates
     if values["kind"] == "best_of" and dates < 2:
         raise ConfigurationError(
@@ -331,16 +341,17 @@ def run(argv: list[str] | None = None) -> int:
         print(f"estimation failed: {exc}", file=sys.stderr)
         return EXIT_ESTIMATION
 
-    sweeping = values["strikes"] is not None
-    header = ["component", "delta", "stderr", "method", "rejected_paths"]
-    if sweeping:
-        header = ["strike"] + header
-    _write_csv(values["output"], header, rows)
-    if values["debug_replications"]:
-        debug_header = ["replication", "component", "mean"]
-        if sweeping:
-            debug_header = ["strike"] + debug_header
-        _write_csv(values["debug_replications"], debug_header, replication_rows)
+    prefix = ["strike"] if values["strikes"] is not None else []
+    try:
+        _write_csv(values["output"], prefix + ["component", "delta", "stderr",
+                                               "method", "rejected_paths"], rows)
+        if values["debug_replications"]:
+            _write_csv(values["debug_replications"],
+                       prefix + ["replication", "component", "mean"],
+                       replication_rows)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     return 0
 
 

@@ -7,12 +7,17 @@ delta contribution. The reported estimate is the mean of the R
 replication means; the standard error is their sample standard
 deviation over sqrt(R), the usual randomized-QMC construction.
 
-Three methods share this loop. "adaptive" and "loc" use the
-integration-by-parts weights with a localized payoff split, the former
-choosing the localization scale per component in a pilot phase, the
-latter taking it from a caller-supplied fraction.
+Three methods share one replication kernel, `_replication_means`,
+which returns discounted means for a table of localization widths.
+"adaptive" and "loc" use the integration-by-parts weights with a
+localized payoff split, the former choosing the localization scale per
+component in a pilot phase, the latter taking it from a caller-supplied
+fraction. The pilot race runs the same kernel over the whole candidate
+grid on PILOT_SPLIT sub-replications of P / PILOT_SPLIT points each, so
+"adaptive" needs at least 2 * PILOT_SPLIT points per replication.
 "fd" is the central finite-difference baseline with common random
-numbers, included for cost and accuracy comparisons.
+numbers, included for cost and accuracy comparisons. What differs
+between payoff kinds comes from `payoffs.FAMILIES`.
 
 Replications are independent tasks; results land in preallocated
 slots and are combined in replication order with compensated
@@ -26,21 +31,22 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from . import qmc as streams
 from . import weights as wt
 from .lt import LtBuild, build_lt_matrix
-from .market import MarketConfig, PathBundle, simulate_paths, vol_loadings
-from .payoffs import (PayoffEval, PayoffSpec, discount, evaluate,
-                      payoff_value_from_aggregates)
+from .market import MarketConfig, simulate_paths, vol_loadings
+from .payoffs import PayoffEval, PayoffSpec, discount, evaluate
 
 log = logging.getLogger(__name__)
 
 METHODS = ("adaptive", "loc", "fd")
 REJECTION_LIMIT = 1e-4
 PILOT_SPLIT = 8
+MIN_ADAPTIVE_POINTS = 2 * PILOT_SPLIT
 
 
 class EstimationError(RuntimeError):
@@ -76,146 +82,106 @@ class EstimateReport:
         return int(self.rejected_by_component.sum())
 
 
-def _localization_frame(spec: PayoffSpec, config: MarketConfig,
-                        ev: PayoffEval):
-    """Smoothing variable (paths,), its kink location, and the
-    pathwise slopes (paths, assets), column k for spot k."""
-    x = config.spots
-    if spec.kind == "call":
-        return ev.average, spec.strike, ev.average_grad / x
-    if spec.kind == "floating":
-        slope = (ev.average_grad - ev.strike_grad) / x
-        return ev.average - ev.floating_strike, 0.0, slope
-    if spec.kind == "best_of":
-        on_average = ev.average >= ev.floating_strike
-        slope = np.where(on_average[:, None], ev.average_grad,
-                         ev.strike_grad) / x
-        return np.maximum(ev.average, ev.floating_strike), spec.strike, slope
-    raise ValueError(f"no localization frame for payoff kind {spec.kind!r}")
+@dataclass(frozen=True, eq=False)
+class _Run:
+    """What every replication of one `estimate` call shares; fd_bump is
+    set for method "fd", whose contributions are bump contrasts."""
+
+    config: MarketConfig
+    spec: PayoffSpec
+    loadings: np.ndarray
+    weight_matrix: np.ndarray
+    rotation: np.ndarray | None
+    fd_bump: float | None
 
 
-def _component_weights(spec: PayoffSpec, config: MarketConfig,
-                  loadings: np.ndarray, weight_matrix: np.ndarray,
-                  bundle: PathBundle, ev: PayoffEval,
-                  bandwidths: np.ndarray | None) -> wt.PathWeights:
-    """Weights of every component for one bundle, (paths, assets)."""
-    terminal = bundle.w_terminal
-    if spec.kind == "best_of":
-        return wt.best_of_weight(config, loadings, weight_matrix, bundle)
-    if spec.kind == "floating":
-        blocks = wt.floating_strike_blocks(config, loadings, weight_matrix,
-                                           bundle)
-        return wt.skorohod_weight(blocks, terminal)
-    blocks = wt.fixed_strike_blocks(config, loadings, weight_matrix, bundle)
-    if spec.kind == "digital":
-        return wt.digital_weight(blocks, terminal, ev.average, spec.strike,
-                                 bandwidths)
-    return wt.skorohod_weight(blocks, terminal)
+def _replication_means(run: _Run, stream: streams.QmcConfig, index: int,
+                       widths: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """Discounted means of one replication's kept paths, (candidates,
+    assets), and its rejection counts per component, (assets,).
 
-
-def _width_scale(spec: PayoffSpec, config: MarketConfig) -> float:
-    """Reference level localization fractions multiply.
-
-    The strike for fixed-strike payoffs; the floating kind has none,
-    so the mean spot stands in.
+    widths broadcasts against (candidates, assets): (1, assets) for the
+    main run's per-component widths or digital bandwidths, (candidates,
+    1) for the pilot race's shared grid; "fd" ignores it. Rejected paths
+    contribute exact zeros, which the compensated sum ignores; a
+    component that lost every path gets nan.
     """
-    if spec.kind == "floating":
-        return float(config.spots.mean())
-    return spec.strike
+    config, spec = run.config, run.spec
+    normals = streams.replication_normals(stream, index)
+    bundle = simulate_paths(config, run.loadings, normals, run.rotation)
+    ev = evaluate(spec, config, bundle)
+    if run.fd_bump is not None:
+        contributions = _bump_contrast(spec, config, ev, run.fd_bump)[:, None, :]
+        rejected = np.zeros((ev.value.shape[0], config.n_assets), dtype=bool)
+    else:
+        family = spec.family
+        pw = family.weights(spec, config, run.loadings, run.weight_matrix,
+                            bundle, ev, widths)
+        rejected = pw.rejected
+        if family.frame is None:
+            contributions = (ev.value[:, None] * pw.values)[:, None, :]
+        else:
+            variable, center, slope = family.frame(spec, config, ev)
+            z = variable[:, None, None]
+            contributions = (wt.smoothed_indicator(z, center, widths)
+                             * slope[:, None, :]
+                             + wt.localization_remainder(z, center, widths)
+                             * pw.values[:, None, :])
+        contributions = np.where(rejected[:, None, :], 0.0, contributions)
+    paths = contributions.shape[0]
+    sums = np.array([math.fsum(column) for column in
+                     contributions.reshape(paths, -1).T.tolist()])
+    counts = rejected.sum(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        means = (discount(config) * sums.reshape(contributions.shape[1:])
+                 / (paths - counts))
+    return means, counts
 
 
-def _fallback_width(spec: PayoffSpec, config: MarketConfig) -> float:
-    return 0.01 * _width_scale(spec, config)
-
-
-def _checked_width(width: float | None, spec: PayoffSpec,
-                   config: MarketConfig, component: int) -> float:
-    if width is None or not np.isfinite(width) or width <= 0.0:
-        width = _fallback_width(spec, config)
-        log.warning("pilot variance degenerate for component %d; "
-                    "using fallback width %g", component + 1, width)
-    return width
-
-
-def _pilot_widths(config: MarketConfig, spec: PayoffSpec,
-                  qmc: streams.QmcConfig, loadings: np.ndarray,
-                  weight_matrix: np.ndarray, rotation: np.ndarray | None,
-                  pilot_reuse: bool) -> tuple[np.ndarray, int]:
+def _pilot_widths(run: _Run, qmc: streams.QmcConfig) -> tuple[np.ndarray, int]:
     """Per-component localization scales plus the pilot path count.
 
-    The digital bandwidth comes from one pilot replication. Ramp
-    widths instead come from racing the candidate widths over a
-    handful of small sub-replications and keeping, per component, the
-    width whose sub-replication means scatter least; a single pooled
-    block cannot rank widths this way because the point set
-    equidistributes each candidate integrand to a different degree
-    than its per-path variance suggests. Pilot indices start past the
-    main set so the main estimate stays independent of the tuning;
-    pilot_reuse starts them at 0, recycling prefixes of the main
-    draws.
+    The digital bandwidth comes from the divergence variance of one
+    pilot replication. Ramp widths come from racing the candidate
+    widths through the main run's kernel over PILOT_SPLIT
+    sub-replications of P / PILOT_SPLIT points, keeping per component
+    the width whose sub-replication means scatter least; a single block
+    cannot rank widths this way because the point set equidistributes
+    each candidate integrand to a different degree than its per-path
+    variance suggests. Pilot indices start past the main set so the
+    main estimate stays independent of the tuning. A degenerate pilot
+    falls back to 1% of the width scale.
     """
-    base = 0 if pilot_reuse else qmc.replications
-    n = config.n_assets
-    widths = np.empty(n)
-    if spec.kind == "digital":
+    config, spec = run.config, run.spec
+    base = qmc.replications
+    if spec.family.frame is None:
         normals = streams.replication_normals(qmc, base)
-        bundle = simulate_paths(config, loadings, normals, rotation)
-        blocks = wt.fixed_strike_blocks(config, loadings, weight_matrix, bundle)
+        bundle = simulate_paths(config, run.loadings, normals, run.rotation)
+        blocks = wt.fixed_strike_blocks(config, run.loadings, run.weight_matrix,
+                                        bundle)
         div = wt.reciprocal_divergence(blocks, bundle.w_terminal)
-        for k in range(n):
-            keep = ~div.rejected[:, k]
-            width = wt.adaptive_bandwidth(div.values[keep, k]) if keep.any() else None
-            widths[k] = _checked_width(width, spec, config, k)
-        return widths, qmc.points_per_replication
-
-    scale = _width_scale(spec, config)
-    sub_points = qmc.points_per_replication // PILOT_SPLIT
-    if sub_points < 2:
-        # too few points to split; fall back to one pooled block
-        normals = streams.replication_normals(qmc, base)
-        bundle = simulate_paths(config, loadings, normals, rotation)
-        ev = evaluate(spec, config, bundle)
-        pw = _component_weights(spec, config, loadings, weight_matrix,
-                                bundle, ev, None)
-        variable, center, slope = _localization_frame(spec, config, ev)
-        for k in range(n):
-            width = wt.adaptive_width_search(variable, center, slope[:, k],
-                                             pw.values[:, k], pw.rejected[:, k],
-                                             scale)
-            widths[k] = _checked_width(width, spec, config, k)
-        return widths, qmc.points_per_replication
-
-    candidates = scale * np.array(wt.WIDTH_SEARCH_FRACTIONS)
-    sub = replace(qmc, points_per_replication=sub_points)
-    rep_means = np.empty((PILOT_SPLIT, len(candidates), n))
-    for r in range(PILOT_SPLIT):
-        normals = streams.replication_normals(sub, base + r)
-        bundle = simulate_paths(config, loadings, normals, rotation)
-        ev = evaluate(spec, config, bundle)
-        pw = _component_weights(spec, config, loadings, weight_matrix,
-                                bundle, ev, None)
-        variable, center, slope = _localization_frame(spec, config, ev)
-        # (paths, candidates) ramps, combined with (paths, assets) slopes
-        # and weights into (paths, candidates, assets) contributions
-        smooth = wt.smoothed_indicator(variable[:, None], center, candidates)
-        remainder = wt.localization_remainder(variable[:, None], center, candidates)
-        contribution = (smooth[:, :, None] * slope[:, None, :]
-                        + remainder[:, :, None] * pw.values[:, None, :])
-        keep = ~pw.rejected
-        totals = np.where(keep[:, None, :], contribution, 0.0).sum(axis=0)
-        with np.errstate(invalid="ignore"):
-            # a component that lost every path gets nan, which the race skips
-            rep_means[r] = totals / keep.sum(axis=0)
-    for k in range(n):
-        width = wt.width_by_replication_spread(rep_means[:, :, k], candidates)
-        widths[k] = _checked_width(width, spec, config, k)
-    return widths, PILOT_SPLIT * sub_points
+        widths, paths = wt.adaptive_bandwidth(div), qmc.points_per_replication
+    else:
+        candidates = spec.width_scale(config) * np.array(wt.WIDTH_SEARCH_FRACTIONS)
+        sub = replace(qmc, points_per_replication=qmc.points_per_replication // PILOT_SPLIT)
+        table = np.stack([_replication_means(run, sub, base + r, candidates[:, None])[0]
+                          for r in range(PILOT_SPLIT)])
+        widths = wt.width_by_replication_spread(table, candidates)
+        paths = PILOT_SPLIT * sub.points_per_replication
+    bad = ~(np.isfinite(widths) & (widths > 0.0))
+    if bad.any():
+        fallback = 0.01 * spec.width_scale(config)
+        log.warning("pilot variance degenerate for component(s) %s; "
+                    "using fallback width %g",
+                    ", ".join(str(k + 1) for k in np.flatnonzero(bad)), fallback)
+        widths = np.where(bad, fallback, widths)
+    return widths, paths
 
 
 def estimate(config: MarketConfig, spec: PayoffSpec, qmc: streams.QmcConfig,
              method: str = "adaptive", *, use_lt: bool = True,
              loc_fraction: float = 0.01, fd_bump: float = 0.01,
-             workers: int = 1, pilot_reuse: bool = False,
+             workers: int = 1,
              lt_build: LtBuild | None = None) -> EstimateReport:
     """Estimate all per-asset deltas of one payoff.
 
@@ -223,7 +189,9 @@ def estimate(config: MarketConfig, spec: PayoffSpec, qmc: streams.QmcConfig,
     a fraction of the strike, or of the mean spot for the floating
     strike; fd_bump is the relative spot bump of the central
     differences (method "fd"). A prebuilt rotation can be passed to
-    amortize its construction over a strike sweep.
+    amortize its construction over a strike sweep. Method "adaptive"
+    needs at least MIN_ADAPTIVE_POINTS points per replication for its
+    pilot race.
     """
     start = time.perf_counter()
     if method not in METHODS:
@@ -242,10 +210,13 @@ def estimate(config: MarketConfig, spec: PayoffSpec, qmc: streams.QmcConfig,
         raise ValueError(
             f"replications must be at least 2 for a standard error; "
             f"got {qmc.replications}")
+    if method == "adaptive" and qmc.points_per_replication < MIN_ADAPTIVE_POINTS:
+        raise ValueError(
+            f"points_per_replication must be at least {MIN_ADAPTIVE_POINTS} "
+            f"for the adaptive pilot race; got {qmc.points_per_replication}")
 
     loadings = vol_loadings(config)
     m = config.n_assets
-    weight_matrix = spec.weight_matrix(m, config.n_dates)
     rotation = None
     lt_objective = None
     lt_fallbacks = None
@@ -255,66 +226,27 @@ def estimate(config: MarketConfig, spec: PayoffSpec, qmc: streams.QmcConfig,
         rotation = lt_build.matrix
         lt_objective = lt_build.first_objective
         lt_fallbacks = lt_build.fallback_columns
+    run = _Run(config, spec, loadings, spec.weight_matrix(m, config.n_dates),
+               rotation, fd_bump if method == "fd" else None)
 
     pilot_paths = 0
     widths: np.ndarray | None = None
     if method == "adaptive":
-        widths, pilot_count = _pilot_widths(config, spec, qmc, loadings,
-                                            weight_matrix, rotation,
-                                            pilot_reuse)
-        if not pilot_reuse:
-            pilot_paths = pilot_count
+        widths, pilot_paths = _pilot_widths(run, qmc)
     elif method == "loc":
-        widths = np.full(m, loc_fraction * _width_scale(spec, config))
-
-    disc = discount(config)
+        widths = np.full(m, loc_fraction * spec.width_scale(config))
     points = qmc.points_per_replication
-
-    def one_replication(index: int) -> tuple[np.ndarray, np.ndarray]:
-        normals = streams.replication_normals(qmc, index)
-        bundle = simulate_paths(config, loadings, normals, rotation)
-        ev = evaluate(spec, config, bundle)
-        if method == "fd":
-            values = _bump_contrast(spec, config, ev, fd_bump)
-            rejected = np.zeros((points, m), dtype=bool)
-        else:
-            pw = _component_weights(spec, config, loadings, weight_matrix,
-                                    bundle, ev,
-                                    widths if spec.kind == "digital" else None)
-            rejected = pw.rejected
-            if spec.kind == "digital":
-                values = np.where(rejected, 0.0, ev.value[:, None] * pw.values)
-            else:
-                variable, center, slope = _localization_frame(spec, config, ev)
-                smooth = wt.smoothed_indicator(variable[:, None], center, widths)
-                remainder = wt.localization_remainder(variable[:, None], center, widths)
-                values = np.where(rejected, 0.0, smooth * slope + remainder * pw.values)
-        counts = rejected.sum(axis=0)
-        means = np.empty(m)
-        for k in range(m):
-            keep_count = points - int(counts[k])
-            if keep_count == 0:
-                means[k] = np.nan
-                continue
-            column = values[:, k]
-            if counts[k]:
-                column = column[~rejected[:, k]]
-            means[k] = disc * math.fsum(column) / keep_count
-        return means, counts
-
-    replication_means = np.empty((qmc.replications, m))
-    rejected = np.zeros((qmc.replications, m), dtype=np.int64)
+    replicate = partial(_replication_means, run, qmc,
+                        widths=None if widths is None else widths[None, :])
     indices = range(qmc.replications)
     if workers == 1:
-        results = [one_replication(index) for index in indices]
+        results = list(map(replicate, indices))
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one_replication, indices))
-    for index, (means, rej) in zip(indices, results):
-        replication_means[index] = means
-        rejected[index] = rej
+            results = list(pool.map(replicate, indices))
+    replication_means = np.stack([means[0] for means, _ in results])
+    rejected_by_component = np.sum([counts for _, counts in results], axis=0)
 
-    rejected_by_component = rejected.sum(axis=0)
     total = qmc.replications * points
     over_limit = np.nonzero(rejected_by_component > REJECTION_LIMIT * total)[0]
     if over_limit.size:
@@ -341,7 +273,6 @@ def estimate(config: MarketConfig, spec: PayoffSpec, qmc: streams.QmcConfig,
         "sampler": qmc.mode,
         "lss_block": qmc.lss_block_dimension,
         "use_lt": use_lt,
-        "pilot_reuse": pilot_reuse,
     }
     if method == "loc":
         settings["loc_fraction"] = loc_fraction
@@ -375,19 +306,7 @@ def _bump_contrast(spec: PayoffSpec, config: MarketConfig, ev: PayoffEval,
     shift_strike = bump * ev.strike_grad
     average = ev.average[:, None]
     strike_leg = ev.floating_strike[:, None]
-    up = payoff_value_from_aggregates(spec.kind, spec.strike,
-                                      average + shift_avg,
-                                      strike_leg + shift_strike)
-    down = payoff_value_from_aggregates(spec.kind, spec.strike,
-                                        average - shift_avg,
-                                        strike_leg - shift_strike)
+    value = spec.family.value
+    up = value(spec.strike, average + shift_avg, strike_leg + shift_strike)
+    down = value(spec.strike, average - shift_avg, strike_leg - shift_strike)
     return (up - down) / (2.0 * bump * config.spots)
-
-
-def finite_difference_delta(config: MarketConfig, spec: PayoffSpec,
-                            qmc: streams.QmcConfig, bump: float = 0.01,
-                            *, use_lt: bool = True, workers: int = 1,
-                            lt_build: LtBuild | None = None) -> EstimateReport:
-    """Central finite differences; see `estimate` with method "fd"."""
-    return estimate(config, spec, qmc, "fd", use_lt=use_lt, fd_bump=bump,
-                    workers=workers, lt_build=lt_build)

@@ -11,7 +11,8 @@ gradient onto the complement of those columns.
 The driver is the running average for fixed-strike payoffs (including
 the digital, whose indicator is driven by the same variable), the
 average minus the terminal basket mean for the floating strike, and the
-active branch of max(average, terminal mean) for best_of. Gradients are
+active branch of max(average, terminal mean) for best_of; each payoff
+family in `payoffs.FAMILIES` supplies its own. Gradients are
 taken at an expansion path: the one generated by setting each already
 transformed coordinate to one and the rest to zero. None of this
 depends on the strike level, so one rotation serves a whole strike
@@ -47,21 +48,6 @@ class LtBuild:
     fallback_columns: int
 
 
-def _branch_coefficients(spec: PayoffSpec, config: MarketConfig,
-                         weights: np.ndarray, spot: np.ndarray) -> np.ndarray:
-    """Coefficient matrix c with driver = sum_ij c_ij S_i(t_j)."""
-    m, n = config.n_assets, config.n_dates
-    terminal = np.zeros((m, n))
-    terminal[:, -1] = 1.0 / m
-    if spec.kind in ("call", "digital"):
-        return weights
-    if spec.kind == "floating":
-        return weights - terminal
-    average = float(np.einsum("ij,ij->", spot[0], weights))
-    terminal_mean = float(spot[0, :, -1].mean())
-    return weights if average >= terminal_mean else terminal
-
-
 def driver_gradient(config: MarketConfig, loadings: np.ndarray,
                     coeff: np.ndarray, spot: np.ndarray) -> np.ndarray:
     """Gradient of sum_ij c_ij S_i(t_j) in the normal draws, flat (d,).
@@ -91,7 +77,7 @@ def build_lt_matrix(config: MarketConfig, spec: PayoffSpec,
         done = matrix[:, :k]
         eta_hat = done.sum(axis=1)[None, :]
         bundle = simulate_paths(config, loadings, eta_hat)
-        coeff = _branch_coefficients(spec, config, weights, bundle.spot_grid)
+        coeff = spec.family.driver(weights, bundle.spot_grid)
         gradient = driver_gradient(config, loadings, coeff, bundle.spot_grid)
         # two projection passes keep the columns orthonormal at scale
         residual = gradient - done @ (done.T @ gradient)

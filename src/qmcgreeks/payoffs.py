@@ -15,18 +15,23 @@ Every per-path quantity needed by both the estimators and the bump
 reruns is computed once here: the average, the floating strike, and the
 per-component gradients d(average)/d(log x_k) and d(strike)/d(log x_k),
 from which spot deltas follow by dividing out x_k.
+
+Everything else that differs between the kinds sits in one
+`PayoffFamily` record per kind, `FAMILIES`: the payoff from the two
+aggregates, the strike legs, the localization frame, the weight builder
+and the driver of the rotation. The estimator and the rotation read the
+record and never test a kind by name.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import weights as wt
 from .market import MarketConfig, PathBundle
-
-KINDS = ("call", "floating", "digital", "best_of")
-_FIXED_STRIKE_KINDS = ("call", "digital", "best_of")
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,16 +49,16 @@ class PayoffSpec:
     weights: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
+        if self.kind not in FAMILIES:
             raise ValueError(f"unknown payoff kind {self.kind!r}; expected one of {KINDS}")
         object.__setattr__(self, "strike", float(self.strike))
-        if self.kind in _FIXED_STRIKE_KINDS and self.strike <= 0:
+        if self.family.fixed_strike and self.strike <= 0:
             raise ValueError("fixed-strike payoffs need a positive strike")
         if self.weights is not None:
             w = np.array(self.weights, dtype=np.float64)
             w.setflags(write=False)
             object.__setattr__(self, "weights", w)
-            if self.kind not in ("call", "digital"):
+            if self.family.floating_leg:
                 raise ValueError(
                     f"{self.kind} payoffs use uniform weights; leave weights unset")
             if w.ndim != 2:
@@ -62,6 +67,17 @@ class PayoffSpec:
                 raise ValueError("weights must be non-negative")
             if not math.isclose(float(w.sum()), 1.0, rel_tol=0, abs_tol=1e-10):
                 raise ValueError("weights must sum to one")
+
+    @property
+    def family(self) -> PayoffFamily:
+        return FAMILIES[self.kind]
+
+    def width_scale(self, config: MarketConfig) -> float:
+        """Level localization fractions multiply: the strike, or the
+        mean spot for the floating kind, which has none."""
+        if self.family.fixed_strike:
+            return self.strike
+        return float(config.spots.mean())
 
     def weight_matrix(self, n_assets: int, n_dates: int) -> np.ndarray:
         if self.weights is None:
@@ -91,36 +107,124 @@ class PayoffEval:
     strike_grad: np.ndarray
 
 
-def payoff_value_from_aggregates(kind: str, strike: float, average: np.ndarray,
-                                 floating_strike: np.ndarray) -> np.ndarray:
-    """Payoff from the two path aggregates; shared with bump reruns."""
-    if kind == "call":
-        return np.maximum(average - strike, 0.0)
-    if kind == "floating":
-        return np.maximum(average - floating_strike, 0.0)
-    if kind == "digital":
-        return (average >= strike).astype(np.float64)
-    if kind == "best_of":
-        return np.maximum(np.maximum(average, floating_strike) - strike, 0.0)
-    raise ValueError(f"unknown payoff kind {kind!r}")
-
-
 def evaluate(spec: PayoffSpec, config: MarketConfig, bundle: PathBundle) -> PayoffEval:
     w = spec.weight_matrix(config.n_assets, config.n_dates)
     spot = bundle.spot_grid
     average = np.einsum("pij,ij->p", spot, w)
     average_grad = np.einsum("pij,ij->pi", spot, w)
-    if spec.kind in ("floating", "best_of"):
+    if spec.family.floating_leg:
         m = config.n_assets
         floating_strike = spot[:, :, -1].mean(axis=1)
         strike_grad = spot[:, :, -1] / m
     else:
         floating_strike = np.zeros(average.shape[0])
         strike_grad = np.zeros_like(average_grad)
-    value = payoff_value_from_aggregates(spec.kind, spec.strike, average, floating_strike)
+    value = spec.family.value(spec.strike, average, floating_strike)
     return PayoffEval(value=value, average=average, floating_strike=floating_strike,
                       average_grad=average_grad, strike_grad=strike_grad)
 
 
 def discount(config: MarketConfig) -> float:
     return math.exp(-config.rate * config.maturity)
+
+
+# ---------------------------------------------------------------------------
+# the per-kind record
+
+
+@dataclass(frozen=True, eq=False)
+class PayoffFamily:
+    """What sets one payoff kind apart; the builders look up the
+    `weights` functions when they run, so a wrapper installed on that
+    module sees every call."""
+
+    # payoff from (strike, average, floating_strike)
+    value: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
+    # strike leg on the equally weighted terminal mean; uniform weights only
+    floating_leg: bool
+    # pays against a positive strike, which also sets the width scale
+    fixed_strike: bool
+    # (spec, config, ev) -> smoothing variable (paths,), its kink and the
+    # pathwise slopes (paths, assets) of the ramp localization; None for
+    # the digital, which localizes through the kernel in its weight
+    frame: Callable | None
+    # (spec, config, loadings, weight_matrix, bundle, ev, widths) -> every
+    # component's weight, (paths, assets); widths are digital bandwidths
+    weights: Callable[..., wt.PathWeights]
+    # (weights, spot) -> coefficients c of the rotation driver
+    # sum_ij c_ij S_i(t_j) at the (1, assets, dates) expansion path
+    driver: Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+def _average_frame(spec, config, ev):
+    return ev.average, spec.strike, ev.average_grad / config.spots
+
+
+def _floating_frame(spec, config, ev):
+    slope = (ev.average_grad - ev.strike_grad) / config.spots
+    return ev.average - ev.floating_strike, 0.0, slope
+
+
+def _best_of_frame(spec, config, ev):
+    on_average = ev.average >= ev.floating_strike
+    slope = np.where(on_average[:, None], ev.average_grad,
+                     ev.strike_grad) / config.spots
+    return np.maximum(ev.average, ev.floating_strike), spec.strike, slope
+
+
+def _call_weights(spec, config, loadings, weight_matrix, bundle, ev, widths):
+    blocks = wt.fixed_strike_blocks(config, loadings, weight_matrix, bundle)
+    return wt.skorohod_weight(blocks, bundle.w_terminal)
+
+
+def _floating_weights(spec, config, loadings, weight_matrix, bundle, ev, widths):
+    blocks = wt.floating_strike_blocks(config, loadings, weight_matrix, bundle)
+    return wt.skorohod_weight(blocks, bundle.w_terminal)
+
+
+def _digital_weights(spec, config, loadings, weight_matrix, bundle, ev, widths):
+    blocks = wt.fixed_strike_blocks(config, loadings, weight_matrix, bundle)
+    return wt.digital_weight(blocks, bundle.w_terminal, ev.average,
+                             spec.strike, widths)
+
+
+def _best_of_weights(spec, config, loadings, weight_matrix, bundle, ev, widths):
+    return wt.best_of_weight(config, loadings, weight_matrix, bundle)
+
+
+def _terminal_leg(weights: np.ndarray) -> np.ndarray:
+    """Coefficients of the equally weighted terminal spot mean."""
+    m, n = weights.shape
+    leg = np.zeros((m, n))
+    leg[:, -1] = 1.0 / m
+    return leg
+
+
+def _best_of_driver(weights: np.ndarray, spot: np.ndarray) -> np.ndarray:
+    """The active branch of max(average, terminal mean)."""
+    average = float(np.einsum("ij,ij->", spot[0], weights))
+    terminal_mean = float(spot[0, :, -1].mean())
+    return weights if average >= terminal_mean else _terminal_leg(weights)
+
+
+FAMILIES = {
+    "call": PayoffFamily(
+        value=lambda strike, average, leg: np.maximum(average - strike, 0.0),
+        floating_leg=False, fixed_strike=True, frame=_average_frame,
+        weights=_call_weights, driver=lambda weights, spot: weights),
+    "floating": PayoffFamily(
+        value=lambda strike, average, leg: np.maximum(average - leg, 0.0),
+        floating_leg=True, fixed_strike=False, frame=_floating_frame,
+        weights=_floating_weights,
+        driver=lambda weights, spot: weights - _terminal_leg(weights)),
+    "digital": PayoffFamily(
+        value=lambda strike, average, leg: (average >= strike).astype(np.float64),
+        floating_leg=False, fixed_strike=True, frame=None,
+        weights=_digital_weights, driver=lambda weights, spot: weights),
+    "best_of": PayoffFamily(
+        value=lambda strike, average, leg: np.maximum(np.maximum(average, leg)
+                                                      - strike, 0.0),
+        floating_leg=True, fixed_strike=True, frame=_best_of_frame,
+        weights=_best_of_weights, driver=_best_of_driver),
+}
+KINDS = tuple(FAMILIES)

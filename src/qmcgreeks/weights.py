@@ -42,8 +42,9 @@ against.
 Localization splits a kinked payoff into a smooth pathwise part and a
 remainder handled by the weight, which is where most of the variance
 reduction comes from; the split is exact in expectation for any
-half-width. Adaptive rules pick the half-width (and the digital kernel
-scale) from pilot-sample variances.
+half-width. Adaptive rules pick the half-width from the spread of pilot
+sub-replication means and the digital kernel scale from a pilot
+variance, for every component at once.
 
 Denominators vanish only on a null set, but finite arithmetic can
 realize them. Paths with a tiny denominator are flagged for rejection
@@ -410,81 +411,52 @@ def localization_remainder(values: np.ndarray, strike: float,
 # adaptive parameters from pilot samples
 
 
-def adaptive_bandwidth(divergence_values: np.ndarray) -> float | None:
-    """Reciprocal root of Var[divergence]; None when degenerate."""
-    variance = float(np.var(divergence_values, ddof=1))
-    if variance <= 0.0 or not np.isfinite(variance):
-        return None
-    return variance ** -0.5
+def adaptive_bandwidth(divergence: PathWeights) -> np.ndarray:
+    """Reciprocal root of Var[divergence] over each component's kept
+    paths, (assets,); nan where the variance is degenerate."""
+    # C-contiguous (assets, paths) rows sum exactly as np.var sums a column
+    keep = np.ascontiguousarray(~divergence.rejected.T)
+    values = np.where(keep, np.ascontiguousarray(divergence.values.T), 0.0)
+    count = keep.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        deviation = np.where(keep, values - (values.sum(axis=1) / count)[:, None], 0.0)
+        variance = (deviation * deviation).sum(axis=1) / (count - 1)
+        # scalar powers: numpy's SIMD array power rounds differently
+        root = np.array([v ** -0.5 for v in variance])
+    return np.where(np.isfinite(variance) & (variance > 0.0), root, np.nan)
 
 
 WIDTH_SEARCH_FRACTIONS = (0.01, 0.02, 0.05, 0.10, 0.20, 0.50)
 
 
-def adaptive_width_search(variable: np.ndarray, center: float,
-                          slope: np.ndarray, weight_values: np.ndarray,
-                          rejected: np.ndarray, scale: float,
-                          fractions: tuple[float, ...] = WIDTH_SEARCH_FRACTIONS,
-                          ) -> float | None:
-    """Half-width minimizing the pilot variance of the delta contribution.
-
-    Evaluates ramp * slope + remainder * weight on the pilot paths for
-    each candidate width (a fraction of scale) and returns the
-    variance-minimizing one. The closed-form variance-ratio shortcut
-    is useless when the weight is heavy-tailed: a handful of
-    near-singular paths blow the ratio up by orders of magnitude, and
-    the resulting width exposes the weight term to exactly those
-    tails. Scanning candidate widths keeps the choice tied to the
-    quantity the main run actually averages, so tail-inflated widths
-    disqualify themselves. Ties go to the narrowest width; None means
-    the pilot is degenerate and the caller should fall back.
-    """
-    keep = ~rejected
-    if keep.sum() < 2:
-        return None
-    values = variable[keep]
-    kept_slope = slope[keep]
-    kept_weight = weight_values[keep]
-    best_width = None
-    best_variance = np.inf
-    for fraction in fractions:
-        width = fraction * scale
-        contribution = (smoothed_indicator(values, center, width) * kept_slope
-                        + localization_remainder(values, center, width)
-                        * kept_weight)
-        variance = float(np.var(contribution, ddof=1))
-        if np.isfinite(variance) and variance < best_variance:
-            best_variance = variance
-            best_width = width
-    if best_width is None or best_variance <= 0.0:
-        return None
-    return best_width
-
-
 def width_by_replication_spread(rep_means: np.ndarray,
-                                widths: Sequence[float]) -> float | None:
-    """Candidate width whose pilot replication means scatter least.
+                                widths: Sequence[float]) -> np.ndarray:
+    """Candidate width whose pilot replication means scatter least,
+    per component, (assets,).
 
-    rep_means holds one row per pilot sub-replication and one column
-    per candidate width. The column spread estimates the error the
-    main run would see at that width, so minimizing it targets the
-    reported standard error directly; per-path variance cannot, since
-    it is blind to how much of each integrand the point set
-    equidistributes away. Ties go to the narrowest width. None means
-    no column is usable and the caller should fall back.
+    rep_means is (sub-replications, candidates, assets): one pilot
+    sub-replication per row, one candidate width per column. The
+    column spread estimates the error the main run would see at that
+    width, so minimizing it targets the reported standard error
+    directly; per-path variance cannot, since it is blind to how much
+    of each integrand the point set equidistributes away. Columns with
+    a non-finite mean are skipped and ties go to the narrowest width.
+    nan marks a component with no usable column (or only constant
+    ones), where the caller should fall back.
     """
     means = np.asarray(rep_means, dtype=np.float64)
-    if means.ndim != 2 or means.shape[0] < 2 or means.shape[1] != len(widths):
-        return None
-    best_width = None
-    best_spread = np.inf
-    for width, column in sorted(zip(widths, means.T), key=lambda pair: pair[0]):
-        if not np.isfinite(column).all():
-            continue
-        spread = float(np.std(column, ddof=1))
-        if spread < best_spread:
-            best_spread = spread
-            best_width = width
-    if best_width is None or best_spread <= 0.0:
-        return None
-    return best_width
+    widths = np.asarray(widths, dtype=np.float64)
+    if means.ndim != 3 or means.shape[1] != widths.size:
+        raise ValueError("rep_means must be (sub-replications, candidates, "
+                         "assets) with one candidate per width")
+    if means.shape[0] < 2:
+        return np.full(means.shape[2], np.nan)
+    order = np.argsort(widths, kind="stable")
+    # C-contiguous (candidates, assets, rows): each spread sums like np.std of a column
+    rows = np.ascontiguousarray(np.moveaxis(means[:, order], 0, -1))
+    with np.errstate(invalid="ignore", over="ignore"):
+        spread = np.std(rows, axis=-1, ddof=1)
+    spread[np.isnan(spread)] = np.inf
+    best_spread = spread.min(axis=0)
+    usable = np.isfinite(best_spread) & (best_spread > 0.0)
+    return np.where(usable, widths[order][np.argmin(spread, axis=0)], np.nan)

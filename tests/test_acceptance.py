@@ -15,7 +15,7 @@ from scipy.special import ndtr
 
 from qmcgreeks import qmc as streams
 from qmcgreeks import weights as wt
-from qmcgreeks.estimator import estimate, finite_difference_delta
+from qmcgreeks.estimator import estimate
 from qmcgreeks.lt import build_lt_matrix
 from qmcgreeks.market import cholesky, simulate_paths, vol_loadings
 from qmcgreeks.payoffs import PayoffSpec, discount, evaluate
@@ -280,7 +280,7 @@ def test_criterion_10_bump_baseline_costs_at_least_double():
     spec = PayoffSpec("call", 100.0)
     qmc = standard_stream(10, 64, 256, 8)
     mall = estimate(config, spec, qmc, "adaptive", workers=WORKERS)
-    fd = finite_difference_delta(config, spec, qmc, workers=WORKERS)
+    fd = estimate(config, spec, qmc, "fd", workers=WORKERS)
     ratio = fd.simulated_paths / mall.simulated_paths
     assert ratio >= 2.0, (
         f"bump baseline simulated {fd.simulated_paths} paths vs "

@@ -84,6 +84,8 @@ def test_bad_inputs_exit_with_config_code(tmp_path, capsys):
     (["--method", "fd", "--fd-bump", "0"], "fd_bump"),
     (["--payoff", "exotic", "--steps", "1"], "steps"),
     (["--reps", "1"], "replications"),
+    (["--points", "15"], "points"),
+    (["--payoff", "digital", "--points", "1"], "points"),
 ])
 def test_invalid_run_arguments_exit_before_estimation(monkeypatch, capsys,
                                                       flags, field):
@@ -95,6 +97,31 @@ def test_invalid_run_arguments_exit_before_estimation(monkeypatch, capsys,
     assert cli.run(flags) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert field in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag, field", [("--output", "output"),
+                                         ("--debug-replications",
+                                          "debug_replications")])
+def test_missing_output_directory_exits_before_estimation(monkeypatch, capsys,
+                                                          tmp_path, flag, field):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("estimation started")
+
+    monkeypatch.setattr(cli, "estimate", unreachable)
+    monkeypatch.setattr(cli, "build_lt_matrix", unreachable)
+    missing = tmp_path / "no-such-dir" / "out.csv"
+    assert cli.run(FAST + [flag, str(missing)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert field in err
+    assert "Traceback" not in err
+
+
+def test_unwritable_output_exits_with_config_code(capsys, tmp_path):
+    # the directory exists, so only the write itself can fail
+    assert cli.run(FAST + ["--output", str(tmp_path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "cannot write" in err
     assert "Traceback" not in err
 
 

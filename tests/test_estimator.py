@@ -1,10 +1,14 @@
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmcgreeks import estimator as est
+from qmcgreeks import payoffs
 from qmcgreeks import weights as wt
 from qmcgreeks.estimator import EstimationError, EstimateReport, estimate
 from qmcgreeks.market import MarketConfig
@@ -78,8 +82,6 @@ def test_simulated_path_accounting():
     assert estimate(config, spec, qmc, method="loc").simulated_paths == base
     assert estimate(config, spec, qmc,
                     method="adaptive").simulated_paths == base + 128
-    assert estimate(config, spec, qmc, method="adaptive",
-                    pilot_reuse=True).simulated_paths == base
     fd = estimate(config, spec, qmc, method="fd")
     assert fd.simulated_paths == base * 2 * config.n_assets
     assert fd.localization_widths is None
@@ -202,7 +204,7 @@ def test_rejection_limit_aborts_the_run(monkeypatch):
     config = _market()
     spec = PayoffSpec(kind="call", strike=100.0)
     qmc = _stream(config, points=256, replications=4)
-    original = est._component_weights
+    original = payoffs.FAMILIES["call"].weights
 
     def leaky(spec_, config_, loadings, weight_matrix, bundle, ev, bandwidths):
         pw = original(spec_, config_, loadings, weight_matrix, bundle, ev,
@@ -211,7 +213,8 @@ def test_rejection_limit_aborts_the_run(monkeypatch):
         rejected[:4, 0] = True
         return wt.PathWeights(values=pw.values, rejected=rejected)
 
-    monkeypatch.setattr(est, "_component_weights", leaky)
+    monkeypatch.setitem(payoffs.FAMILIES, "call",
+                        replace(payoffs.FAMILIES["call"], weights=leaky))
     with pytest.raises(EstimationError, match="component 1"):
         estimate(config, spec, qmc, method="loc")
 
@@ -220,32 +223,81 @@ def test_degenerate_pilot_falls_back_with_warning(monkeypatch, caplog):
     config = _market()
     spec = PayoffSpec(kind="call", strike=100.0)
     monkeypatch.setattr(wt, "width_by_replication_spread",
-                        lambda *args, **kwargs: None)
+                        lambda table, widths: np.full(table.shape[2], np.nan))
     with caplog.at_level(logging.WARNING, logger="qmcgreeks.estimator"):
         report = estimate(config, spec, _stream(config), method="adaptive")
     assert np.allclose(report.localization_widths, 1.0)  # 1% of strike
     assert any("fallback width" in record.message for record in caplog.records)
 
 
-def test_pilot_reuse_changes_widths_but_stays_deterministic():
-    config = _market()
-    spec = PayoffSpec(kind="digital", strike=100.0)
-    qmc = _stream(config)
-    dedicated = estimate(config, spec, qmc, method="adaptive")
-    reused = estimate(config, spec, qmc, method="adaptive", pilot_reuse=True)
-    again = estimate(config, spec, qmc, method="adaptive", pilot_reuse=True)
-    assert not np.array_equal(dedicated.localization_widths,
-                              reused.localization_widths)
-    assert np.array_equal(reused.localization_widths,
-                          again.localization_widths)
-    assert reused.settings["pilot_reuse"] is True
+@pytest.mark.parametrize("kind, seed, widths", [
+    # frozen from the pilot race before it shared the main-run kernel
+    ("call", 7, [10.0, 5.0, 2.0]),
+    ("call", 11, [10.0, 2.0, 2.0]),
+    ("floating", 7, [1.0, 5.0, 2.0]),
+    ("floating", 11, [10.0, 1.0, 1.0]),
+    ("best_of", 7, [10.0, 10.0, 10.0]),
+    ("best_of", 11, [10.0, 10.0, 5.0]),
+])
+def test_pilot_race_widths_are_pinned(kind, seed, widths):
+    config = _market(n_assets=3, n_dates=4)
+    spec = PayoffSpec(kind=kind, strike=0.0 if kind == "floating" else 100.0)
+    qmc = _stream(config, points=256, replications=4, seed=seed)
+    report = estimate(config, spec, qmc, method="adaptive")
+    assert report.localization_widths.tolist() == widths
 
 
-def test_finite_difference_wrapper_matches_method():
+@pytest.mark.parametrize("kind", ["call", "digital"])
+def test_adaptive_needs_two_points_per_pilot_sub_replication(kind):
     config = _market()
-    spec = PayoffSpec(kind="call", strike=100.0)
-    qmc = _stream(config, points=128, replications=4)
-    direct = estimate(config, spec, qmc, method="fd", fd_bump=0.02)
-    wrapped = est.finite_difference_delta(config, spec, qmc, bump=0.02)
-    assert np.array_equal(direct.deltas, wrapped.deltas)
-    assert wrapped.method == "fd"
+    spec = PayoffSpec(kind=kind, strike=100.0)
+    short = _stream(config, points=est.MIN_ADAPTIVE_POINTS - 1, replications=2)
+    with pytest.raises(ValueError, match="points_per_replication"):
+        estimate(config, spec, short, method="adaptive")
+    # the other methods have no pilot, so a short block is fine
+    assert np.isfinite(estimate(config, spec, short, method="loc").deltas).all()
+    enough = _stream(config, points=est.MIN_ADAPTIVE_POINTS, replications=2)
+    report = estimate(config, spec, enough, method="adaptive")
+    assert report.simulated_paths == 3 * est.MIN_ADAPTIVE_POINTS
+
+
+def _correlation(draw, n):
+    """Random positive-definite correlation from a random factor matrix."""
+    factors = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n * n,
+                                     max_size=n * n))).reshape(n, n)
+    cov = factors @ factors.T + 0.2 * np.eye(n)
+    scale = 1.0 / np.sqrt(np.diag(cov))
+    corr = cov * scale[:, None] * scale[None, :]
+    np.fill_diagonal(corr, 1.0)
+    return corr
+
+
+@st.composite
+def _small_markets(draw):
+    n_assets = draw(st.integers(1, 4))
+    n_dates = draw(st.integers(2, 8))
+    vols = np.array(draw(st.lists(st.floats(0.1, 0.5), min_size=n_assets,
+                                  max_size=n_assets)))
+    config = MarketConfig(spots=np.full(n_assets, 100.0), rate=0.03, vols=vols,
+                          correlation=_correlation(draw, n_assets),
+                          maturity=1.0,
+                          monitoring_times=np.arange(1, n_dates + 1) / n_dates)
+    return config, draw(st.sampled_from(["call", "floating", "best_of"]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=8)
+@given(_small_markets())
+def test_malliavin_deltas_agree_with_crn_finite_differences(case):
+    config, kind = case
+    spec = PayoffSpec(kind=kind, strike=0.0 if kind == "floating" else 100.0)
+    qmc = _stream(config, points=256, replications=16)
+    loc = estimate(config, spec, qmc, method="loc", loc_fraction=0.05)
+    # a 1% bump leaves a curvature bias above the QMC error at low vols
+    fd = estimate(config, spec, qmc, method="fd", fd_bump=1e-3)
+    band = 5.0 * np.hypot(loc.stderrs, fd.stderrs)
+    assert (np.abs(loc.deltas - fd.deltas) <= band).all(), (loc.deltas, fd.deltas)
+    threaded = estimate(config, spec, qmc, method="loc", loc_fraction=0.05,
+                        workers=2)
+    assert np.array_equal(loc.replication_means, threaded.replication_means)
+    assert np.array_equal(loc.deltas, threaded.deltas)
+    assert np.array_equal(loc.stderrs, threaded.stderrs)

@@ -106,10 +106,9 @@ def test_digital_tie_pays_one():
 
 def test_value_monotone_in_average():
     for kind in ("call", "digital"):
-        low = payoffs.payoff_value_from_aggregates(kind, 100.0,
-                                                   np.array([95.0]), np.zeros(1))
-        high = payoffs.payoff_value_from_aggregates(kind, 100.0,
-                                                    np.array([105.0]), np.zeros(1))
+        value = payoffs.FAMILIES[kind].value
+        low = value(100.0, np.array([95.0]), np.zeros(1))
+        high = value(100.0, np.array([105.0]), np.zeros(1))
         assert high[0] >= low[0]
         assert high[0] > 0.0
 
@@ -123,8 +122,8 @@ def test_value_from_aggregates_matches_evaluate():
                          ("digital", 100.0), ("best_of", 100.0)):
         spec = payoffs.PayoffSpec(kind=kind, strike=strike)
         ev = payoffs.evaluate(spec, config, bundle)
-        direct = payoffs.payoff_value_from_aggregates(
-            kind, strike, ev.average, ev.floating_strike)
+        direct = payoffs.FAMILIES[kind].value(strike, ev.average,
+                                              ev.floating_strike)
         assert np.array_equal(ev.value, direct)
 
 

@@ -535,67 +535,50 @@ def test_ramp_antiderivative_integrates_the_ramp():
 # adaptive parameters
 
 
+def _divergence(values, rejected=None):
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim == 1:
+        values = values[:, None]
+    if rejected is None:
+        rejected = np.zeros(values.shape, dtype=bool)
+    return wt.PathWeights(values=values, rejected=rejected)
+
+
 def test_adaptive_parameters_scale_rules():
     rng = np.random.default_rng(15)
     values = rng.normal(size=500)
-    bandwidth = wt.adaptive_bandwidth(values)
-    assert wt.adaptive_bandwidth(5.0 * values) == pytest.approx(bandwidth / 5.0)
+    bandwidth = wt.adaptive_bandwidth(_divergence(values))[0]
+    assert (wt.adaptive_bandwidth(_divergence(5.0 * values))[0]
+            == pytest.approx(bandwidth / 5.0))
     assert bandwidth == pytest.approx(np.var(values, ddof=1) ** -0.5)
 
 
 def test_adaptive_parameters_degenerate_inputs():
-    assert wt.adaptive_bandwidth(np.ones(10)) is None
+    assert np.isnan(wt.adaptive_bandwidth(_divergence(np.ones(10)))).all()
 
 
-def _search_case(seed=16, n=4000):
-    rng = np.random.default_rng(seed)
-    variable = 100.0 + 10.0 * rng.standard_normal(n)
-    slope = 0.05 + 0.01 * rng.standard_normal(n)
-    rejected = np.zeros(n, dtype=bool)
-    return rng, variable, slope, rejected
+def test_adaptive_bandwidth_matches_per_component_loop():
+    # the per-component reference the batched rule replaced: np.var of
+    # the kept paths of each column, None when degenerate
+    def reference(values, keep):
+        if keep.sum() < 2:
+            return np.nan
+        variance = float(np.var(values[keep], ddof=1))
+        return variance ** -0.5 if variance > 0.0 and np.isfinite(variance) else np.nan
 
-
-def test_width_search_prefers_narrow_when_weight_is_wild():
-    rng, variable, slope, rejected = _search_case()
-    weights = 50.0 * rng.standard_normal(variable.size)
-    width = wt.adaptive_width_search(variable, 100.0, slope, weights,
-                                     rejected, 100.0)
-    assert width == pytest.approx(wt.WIDTH_SEARCH_FRACTIONS[0] * 100.0)
-
-
-def test_width_search_prefers_wide_when_weight_is_quiet():
-    # with a negligible weight the remainder term costs nothing and the
-    # wide ramp averages the noisy slope instead of switching it
-    rng, variable, slope, rejected = _search_case(seed=17)
-    slope = slope + 0.2 * rng.standard_normal(variable.size)
-    weights = np.full(variable.size, 1e-12)
-    width = wt.adaptive_width_search(variable, 100.0, slope, weights,
-                                     rejected, 100.0)
-    assert width == pytest.approx(wt.WIDTH_SEARCH_FRACTIONS[-1] * 100.0)
-
-
-def test_width_search_returns_grid_member_and_is_deterministic():
-    rng, variable, slope, rejected = _search_case(seed=18)
-    weights = rng.standard_normal(variable.size)
-    first = wt.adaptive_width_search(variable, 100.0, slope, weights,
-                                     rejected, 100.0)
-    second = wt.adaptive_width_search(variable, 100.0, slope, weights,
-                                      rejected, 100.0)
-    assert first == second
-    assert first in [f * 100.0 for f in wt.WIDTH_SEARCH_FRACTIONS]
-
-
-def test_width_search_degenerate_pilots():
-    n = 16
-    variable = np.full(n, 100.0)
-    slope = np.ones(n)
-    zeros = np.zeros(n)
-    all_rejected = np.ones(n, dtype=bool)
-    assert wt.adaptive_width_search(variable, 100.0, slope, zeros,
-                                    all_rejected, 100.0) is None
-    # identical contributions at every width: zero variance, no signal
-    assert wt.adaptive_width_search(variable, 100.0, slope, zeros,
-                                    np.zeros(n, dtype=bool), 100.0) is None
+    rng = np.random.default_rng(19)
+    values = rng.standard_t(3, size=(2048, 6)) * np.array([1e-3, 1, 1, 1, 1e4, 1])
+    values[:, 3] = 2.5                                   # zero variance
+    rejected = np.zeros(values.shape, dtype=bool)
+    got = wt.adaptive_bandwidth(_divergence(values, rejected))
+    want = [reference(values[:, k], ~rejected[:, k]) for k in range(6)]
+    assert np.array_equal(got, want, equal_nan=True)   # same sums, same bits
+    rejected[rng.random(values.shape) < 0.05] = True
+    rejected[1:, 5] = True                               # one kept path
+    got = wt.adaptive_bandwidth(_divergence(values, rejected))
+    want = [reference(values[:, k], ~rejected[:, k]) for k in range(6)]
+    assert np.allclose(got, want, rtol=1e-14, equal_nan=True)
+    assert np.isnan(got[[3, 5]]).all()
 
 
 def test_replication_spread_picks_least_scattered_column():
@@ -603,24 +586,52 @@ def test_replication_spread_picks_least_scattered_column():
                           [1.1, 9.0, 3.00],
                           [0.9, 1.0, 3.05],
                           [1.0, 7.0, 2.95]])
-    assert wt.width_by_replication_spread(rep_means, [2.0, 5.0, 10.0]) == 10.0
+    assert wt.width_by_replication_spread(rep_means[:, :, None],
+                                          [2.0, 5.0, 10.0])[0] == 10.0
 
 
 def test_replication_spread_breaks_ties_toward_narrow():
     tied = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
     # columns listed widest first; the narrow one must still win
-    assert wt.width_by_replication_spread(tied, [7.0, 3.0]) == 3.0
+    assert wt.width_by_replication_spread(tied[:, :, None], [7.0, 3.0])[0] == 3.0
 
 
 def test_replication_spread_skips_unusable_columns():
     rep_means = np.array([[np.nan, 4.0], [0.0, 4.5], [0.0, 3.5]])
-    assert wt.width_by_replication_spread(rep_means, [1.0, 2.0]) == 2.0
-    all_bad = np.full((3, 2), np.inf)
-    assert wt.width_by_replication_spread(all_bad, [1.0, 2.0]) is None
+    assert wt.width_by_replication_spread(rep_means[:, :, None], [1.0, 2.0])[0] == 2.0
+    all_bad = np.full((3, 2, 1), np.inf)
+    assert np.isnan(wt.width_by_replication_spread(all_bad, [1.0, 2.0])).all()
 
 
 def test_replication_spread_degenerate_inputs():
-    assert wt.width_by_replication_spread(np.ones((1, 3)), [1.0, 2.0, 3.0]) is None
-    assert wt.width_by_replication_spread(np.ones(4), [1.0]) is None
+    assert np.isnan(wt.width_by_replication_spread(np.ones((1, 3, 2)),
+                                                   [1.0, 2.0, 3.0])).all()
+    with pytest.raises(ValueError, match="candidates"):
+        wt.width_by_replication_spread(np.ones(4), [1.0])
     # constant columns carry no ranking information
-    assert wt.width_by_replication_spread(np.ones((4, 2)), [1.0, 2.0]) is None
+    assert np.isnan(wt.width_by_replication_spread(np.ones((4, 2, 1)),
+                                                   [1.0, 2.0])).all()
+
+
+def test_replication_spread_races_every_component_like_the_loop():
+    # the per-component reference the batched race replaced
+    def reference(column_means, widths):
+        best_width, best_spread = np.nan, np.inf
+        for width, column in sorted(zip(widths, column_means.T), key=lambda p: p[0]):
+            if np.isfinite(column).all():
+                spread = float(np.std(column, ddof=1))
+                if spread < best_spread:
+                    best_width, best_spread = width, spread
+        return best_width if best_spread > 0.0 and np.isfinite(best_spread) else np.nan
+
+    rng = np.random.default_rng(20)
+    widths = [5.0, 1.0, 10.0, 2.0, 20.0, 50.0]
+    for trial in range(200):
+        table = rng.standard_normal((8, 6, 5)) * 10.0 ** rng.integers(-6, 4)
+        if trial % 3 == 0:
+            table = np.round(table, 1)                   # ties
+        table[rng.integers(8), rng.integers(6), rng.integers(5)] = np.nan
+        table[:, 4, 2] = 7.0                             # one constant column
+        got = wt.width_by_replication_spread(table, widths)
+        want = [reference(table[:, :, k], widths) for k in range(5)]
+        assert np.array_equal(got, want, equal_nan=True)
