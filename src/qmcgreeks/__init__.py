@@ -10,7 +10,8 @@ benchmark configurations the CLI exposes.
 """
 from .estimator import EstimateReport, EstimationError, estimate
 from .lt import LtBuild, build_lt_matrix
-from .market import MarketConfig, PathBundle, simulate_paths, vol_loadings
+from .market import (MarketConfig, PathBundle, PathGenerator, path_generator,
+                     simulate_paths, vol_loadings)
 from .payoffs import PayoffEval, PayoffSpec, evaluate
 from .presets import PRESETS, ladder_market, preset, standard_stream
 from .qmc import DigitalScramble, DimensionError, QmcConfig
@@ -25,6 +26,7 @@ __all__ = [
     "LtBuild",
     "MarketConfig",
     "PathBundle",
+    "PathGenerator",
     "PayoffEval",
     "PayoffSpec",
     "PRESETS",
@@ -33,6 +35,7 @@ __all__ = [
     "estimate",
     "evaluate",
     "ladder_market",
+    "path_generator",
     "preset",
     "simulate_paths",
     "standard_stream",

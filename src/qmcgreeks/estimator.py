@@ -38,7 +38,8 @@ import numpy as np
 from . import qmc as streams
 from . import weights as wt
 from .lt import LtBuild, build_lt_matrix
-from .market import MarketConfig, simulate_paths, vol_loadings
+from .market import (MarketConfig, PathGenerator, path_generator, simulate_paths,
+                     vol_loadings)
 from .payoffs import PayoffEval, PayoffSpec, discount, evaluate
 
 log = logging.getLogger(__name__)
@@ -91,7 +92,7 @@ class _Run:
     spec: PayoffSpec
     loadings: np.ndarray
     weight_matrix: np.ndarray
-    rotation: np.ndarray | None
+    generator: PathGenerator
     fd_bump: float | None
 
 
@@ -108,7 +109,7 @@ def _replication_means(run: _Run, stream: streams.QmcConfig, index: int,
     """
     config, spec = run.config, run.spec
     normals = streams.replication_normals(stream, index)
-    bundle = simulate_paths(config, run.loadings, normals, run.rotation)
+    bundle = simulate_paths(config, run.generator, normals)
     ev = evaluate(spec, config, bundle)
     if run.fd_bump is not None:
         contributions = _bump_contrast(spec, config, ev, run.fd_bump)[:, None, :]
@@ -156,7 +157,7 @@ def _pilot_widths(run: _Run, qmc: streams.QmcConfig) -> tuple[np.ndarray, int]:
     base = qmc.replications
     if spec.family.frame is None:
         normals = streams.replication_normals(qmc, base)
-        bundle = simulate_paths(config, run.loadings, normals, run.rotation)
+        bundle = simulate_paths(config, run.generator, normals)
         blocks = wt.fixed_strike_blocks(config, run.loadings, run.weight_matrix,
                                         bundle)
         div = wt.reciprocal_divergence(blocks, bundle.w_terminal)
@@ -217,17 +218,14 @@ def estimate(config: MarketConfig, spec: PayoffSpec, qmc: streams.QmcConfig,
 
     loadings = vol_loadings(config)
     m = config.n_assets
-    rotation = None
-    lt_objective = None
-    lt_fallbacks = None
-    if use_lt:
-        if lt_build is None:
-            lt_build = build_lt_matrix(config, spec, loadings)
-        rotation = lt_build.matrix
-        lt_objective = lt_build.first_objective
-        lt_fallbacks = lt_build.fallback_columns
+    if not use_lt:
+        lt_build = None
+    elif lt_build is None:
+        lt_build = build_lt_matrix(config, spec, loadings)
+    rotation = None if lt_build is None else lt_build.matrix
     run = _Run(config, spec, loadings, spec.weight_matrix(m, config.n_dates),
-               rotation, fd_bump if method == "fd" else None)
+               path_generator(config, loadings, rotation),
+               fd_bump if method == "fd" else None)
 
     pilot_paths = 0
     widths: np.ndarray | None = None
@@ -288,8 +286,8 @@ def estimate(config: MarketConfig, spec: PayoffSpec, qmc: streams.QmcConfig,
         method=method,
         settings=settings,
         localization_widths=widths,
-        lt_first_objective=lt_objective,
-        lt_fallback_columns=lt_fallbacks,
+        lt_first_objective=None if lt_build is None else lt_build.first_objective,
+        lt_fallback_columns=None if lt_build is None else lt_build.fallback_columns,
     )
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .market import MarketConfig, simulate_paths, vol_loadings
+from .market import MarketConfig, path_generator, simulate_paths, vol_loadings
 from .payoffs import PayoffSpec
 
 _DEGENERATE_FRACTION = 1e-14
@@ -64,31 +64,37 @@ def driver_gradient(config: MarketConfig, loadings: np.ndarray,
 
 def build_lt_matrix(config: MarketConfig, spec: PayoffSpec,
                     loadings: np.ndarray | None = None) -> LtBuild:
-    """Greedy column-by-column construction of the rotation."""
+    """Greedy column-by-column construction of the rotation. The
+    projections read the finished columns as contiguous rows; basis
+    completion reads the column layout, whose per-coordinate sums break
+    exact ties between equally covered coordinates."""
     if loadings is None:
         loadings = vol_loadings(config)
     m, n = config.n_assets, config.n_dates
     d = m * n
     weights = spec.weight_matrix(m, n)
+    generator = path_generator(config, loadings)
     matrix = np.zeros((d, d))
+    rows = np.zeros((d, d))
+    eta_hat = np.zeros((1, d))
     fallback = 0
     first_objective = 0.0
     for k in range(d):
-        done = matrix[:, :k]
-        eta_hat = done.sum(axis=1)[None, :]
-        bundle = simulate_paths(config, loadings, eta_hat)
+        done = rows[:k]
+        bundle = simulate_paths(config, generator, eta_hat)
         coeff = spec.family.driver(weights, bundle.spot_grid)
         gradient = driver_gradient(config, loadings, coeff, bundle.spot_grid)
         # two projection passes keep the columns orthonormal at scale
-        residual = gradient - done @ (done.T @ gradient)
-        residual -= done @ (done.T @ residual)
+        residual = gradient - done.T @ (done @ gradient)
+        residual -= done.T @ (done @ residual)
         norm = float(np.linalg.norm(residual))
         if norm <= _DEGENERATE_FRACTION * max(1.0, float(np.linalg.norm(gradient))):
-            column = _basis_completion(done)
+            column = _basis_completion(matrix[:, :k])
             fallback += 1
         else:
             column = residual / norm
-        matrix[:, k] = column
+        matrix[:, k] = rows[k] = column
+        eta_hat[0] += column
         if k == 0:
             first_objective = float(gradient @ column) ** 2
     matrix.setflags(write=False)

@@ -10,6 +10,16 @@ sigma_i alpha_im for the Cholesky factor alpha of rho. In this form the
 Malliavin derivative of a path value with respect to driver k is the
 piecewise constant function D_s^k S_i(t_j) = S_i(t_j) sigma_ik
 1{s <= t_j}, which is what the weight formulas consume downstream.
+
+Everything between the normal draws and log S is linear: the
+orthogonal rotation R of the draws, the sqrt(dt) scaling, the loadings
+and the Brownian cumsum, and so are W(T) and the trapezoid
+int_0^T W ds. `path_generator` precomposes them once per run into one
+matrix G = R^T [A | B | C] of shape (d, d + 2m), d = assets * dates:
+block A maps the draws to the log-spot grid, B to W(T), C to int W ds.
+A rotated replication is then one product normals @ G, plus the drift
+offset and exp on the spot columns. Unrotated draws are the increments
+themselves, so they skip the d x d product.
 """
 from __future__ import annotations
 
@@ -127,67 +137,81 @@ def vol_loadings(config: MarketConfig) -> np.ndarray:
 class PathBundle:
     """Simulated trajectories for one replication, path axis first.
 
-    spot_grid[p, i, j] is S_i(t_j); increments[p, m, j] is the
-    uncorrelated driver increment over (t_{j-1}, t_j]; w_terminal[p, m]
-    is W_m(T); w_time_integral[p, m] approximates int_0^T W_m(s) ds by
-    the trapezoid rule on the monitoring grid. The raw standard normal
-    draws are retained so correlated reuse (bump runs, pilot phases)
-    can rebuild everything bit for bit.
+    spot_grid[p, i, j] is S_i(t_j); w_terminal[p, m] is W_m(T);
+    w_time_integral[p, m] approximates int_0^T W_m(s) ds by the
+    trapezoid rule on the monitoring grid.
     """
 
     spot_grid: np.ndarray
-    increments: np.ndarray
     w_terminal: np.ndarray
     w_time_integral: np.ndarray
-    normal_draws: np.ndarray
-
-    @property
-    def n_paths(self) -> int:
-        return self.spot_grid.shape[0]
 
 
-def paths_from_increments(config: MarketConfig, loadings: np.ndarray,
-                          increments: np.ndarray,
-                          normal_draws: np.ndarray | None = None) -> PathBundle:
-    """Build a bundle from uncorrelated driver increments (p, m, j)."""
-    t = config.monitoring_times
+@dataclass(frozen=True, eq=False)
+class PathGenerator:
+    """What one run needs to turn normal draws into paths.
+
+    matrix is the read-only G = R^T [A | B | C], (d, d + 2m); A's column
+    i*n + j is log S_i(t_j) less offset[i*n + j], the read-only
+    log S_i(0) + (r - sigma_i^2/2) t_j. Both are None without a rotation.
+    """
+
+    loadings: np.ndarray
+    matrix: np.ndarray | None = None
+    offset: np.ndarray | None = None
+
+
+def _brownian_sums(config: MarketConfig, loadings: np.ndarray,
+                   draws: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The driftless log-spot grid (rows, m, n), W(T) and the trapezoid
+    int W ds, both (rows, m), for time-major draws (rows, d)."""
+    rows = draws.shape[0]
+    m, n = config.n_assets, config.n_dates
     dt = config.interval_lengths
-    drive = loadings @ increments
-    drift = (config.rate - 0.5 * config.vols ** 2)[None, :, None] * t[None, None, :]
-    spot_grid = config.spots[None, :, None] * np.exp(np.cumsum(drive, axis=2) + drift)
-
+    increments = draws.reshape(rows, n, m).transpose(0, 2, 1) * np.sqrt(dt)
+    log_grid = np.cumsum(loadings @ increments, axis=2)
     w_grid = np.cumsum(increments, axis=2)
     # trapezoid sum_j (W_{j-1} + W_j) dt_j / 2 with W_0 = 0, regrouped by W_j
     trapezoid = 0.5 * (dt + np.append(dt[1:], 0.0))
-    w_time_integral = w_grid @ trapezoid
-
-    if normal_draws is None:
-        normal_draws = np.empty((increments.shape[0], 0))
-    return PathBundle(spot_grid=spot_grid,
-                      increments=increments,
-                      w_terminal=w_grid[:, :, -1],
-                      w_time_integral=w_time_integral,
-                      normal_draws=normal_draws)
+    return log_grid, w_grid[:, :, -1], w_grid @ trapezoid
 
 
-def simulate_paths(config: MarketConfig, loadings: np.ndarray,
-                   normals: np.ndarray,
-                   rotation: np.ndarray | None = None) -> PathBundle:
-    """Simulate a replication from standard normal draws.
+def _drift(config: MarketConfig) -> np.ndarray:
+    return (config.rate - 0.5 * config.vols ** 2)[:, None] * config.monitoring_times
 
-    normals has shape (paths, assets * dates), time-major: the block of
-    coordinates (j-1)*M .. j*M - 1 feeds the increments of step j. An
-    optional orthogonal rotation is applied to the draws first; being a
-    rotation it leaves the path law unchanged while reordering which
-    coordinates matter most.
-    """
+
+def path_generator(config: MarketConfig, loadings: np.ndarray,
+                   rotation: np.ndarray | None = None) -> PathGenerator:
+    """Precompose the rotation with the path build, once per run; an
+    identity rotation is no rotation and gets the unrotated generator."""
+    d = config.nominal_dimension
+    loadings = _frozen_array(loadings)
+    if rotation is None or np.array_equal(rotation, np.eye(d)):
+        return PathGenerator(loadings)
+    log_grid, w_terminal, w_integral = _brownian_sums(config, loadings, rotation.T)
+    matrix = np.concatenate((log_grid.reshape(d, d), w_terminal, w_integral), axis=1)
+    matrix.setflags(write=False)
+    offset = np.log(config.spots)[:, None] + _drift(config)
+    return PathGenerator(loadings, matrix, _frozen_array(offset.reshape(d)))
+
+
+def simulate_paths(config: MarketConfig, generator: PathGenerator,
+                   normals: np.ndarray) -> PathBundle:
+    """Simulate a replication from standard normal draws (paths, d),
+    time-major: coordinate (j-1)*M + m feeds driver m over (t_{j-1}, t_j].
+    With a rotation this is one product normals @ G, then the offset
+    and exp in place on the spot columns."""
     p, d = normals.shape
     m, n = config.n_assets, config.n_dates
     if d != m * n:
         raise ValueError(
             f"normal draws have dimension {d}, expected assets*dates = {m * n}")
-    eta = normals @ rotation.T if rotation is not None else normals
-    sqrt_dt = np.sqrt(config.interval_lengths)
-    increments = eta.reshape(p, n, m).transpose(0, 2, 1) * sqrt_dt[None, None, :]
-    return paths_from_increments(config, loadings, increments, normal_draws=normals)
-
+    if generator.matrix is None:
+        log_grid, *w = _brownian_sums(config, generator.loadings, normals)
+        return PathBundle(config.spots[:, None] * np.exp(log_grid + _drift(config)), *w)
+    y = normals @ generator.matrix
+    spots = y[:, :d]
+    spots += generator.offset
+    np.exp(spots, out=spots)
+    # the W columns are copied out as contiguous (paths, assets) arrays
+    return PathBundle(spots.reshape(p, m, n), y[:, d:d + m].copy(), y[:, d + m:].copy())

@@ -17,7 +17,6 @@ point bit for bit.
 """
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -162,13 +161,6 @@ class DigitalScramble:
         columns = (diagonal[:, None] | below).T
         shift = rng.integers(0, int(_SCALE), size=dims, dtype=np.uint64)
         return cls(columns=columns, shift=shift)
-
-    @classmethod
-    def identity(cls, dims: int) -> "DigitalScramble":
-        columns = np.empty((dims, BITS), dtype=np.uint64)
-        for digit in range(BITS):
-            columns[:, digit] = _ONE << np.uint64(BITS - 1 - digit)
-        return cls(columns=columns, shift=np.zeros(dims, dtype=np.uint64))
 
     def apply(self, raw: np.ndarray) -> np.ndarray:
         """Scramble a (points, dims) block of raw Sobol integers."""

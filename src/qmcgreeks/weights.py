@@ -35,9 +35,9 @@ over dates, because for any interval vector v
     sum_l v_l sum_{j >= l} c_j S(t_j) = sum_j c_j S(t_j) cumsum(v)_j,
 
 and cumsum of the interval lengths is t_j, of the interval moments
-(t_l^2 - t_{l-1}^2)/2 it is t_j^2/2. `lincomb_jet` keeps the
-per-interval samples as the reference the projections are tested
-against.
+(t_l^2 - t_{l-1}^2)/2 it is t_j^2/2. The tests check the projections
+against a per-interval reference jet with one suffix-sum sample per
+monitoring interval.
 
 Localization splits a kinked payoff into a smooth pathwise part and a
 remainder handled by the weight, which is where most of the variance
@@ -72,16 +72,15 @@ DEGENERATE_FRACTION = 1e-12
 class MalliavinJet:
     """Path functional with its Malliavin derivative samples.
 
-    samples has the shape of value plus one trailing axis. From
-    `lincomb_jet`, value is (paths,) and samples (paths, intervals):
-    the derivative with respect to the chosen driver is constant on
-    each monitoring interval, so one sample per interval determines it.
-    Any fixed linear functionals of the derivative can stand in for
-    the per-interval samples, since every rule below is linear in
-    them; the best_of weight uses value (paths, assets) and samples
-    (paths, assets, 2). Arithmetic follows the exact product and
-    quotient rules, which is what makes chained expressions like
-    (a*d - b*c) / e differentiable without symbolic work.
+    samples has the shape of value plus one trailing axis. The
+    derivative with respect to a driver is constant on each monitoring
+    interval, so one sample per interval determines it; any fixed
+    linear functionals of the derivative can stand in for those
+    samples, since every rule below is linear in them. The best_of
+    weight uses value (paths, assets) and samples (paths, assets, 2).
+    Arithmetic follows the exact product and quotient rules, which is
+    what makes chained expressions like (a*d - b*c) / e differentiable
+    without symbolic work.
     """
 
     value: np.ndarray
@@ -126,29 +125,6 @@ class MalliavinJet:
 
     def __neg__(self) -> "MalliavinJet":
         return MalliavinJet(-self.value, -self.samples)
-
-    def time_integral(self, interval_lengths: np.ndarray) -> np.ndarray:
-        """int_0^T D_s f ds for the piecewise-constant samples."""
-        return self.samples @ interval_lengths
-
-    def weighted_time_integral(self, interval_moments: np.ndarray) -> np.ndarray:
-        """int_0^T s D_s f ds; pass (t_l^2 - t_{l-1}^2)/2 per interval."""
-        return self.samples @ interval_moments
-
-
-def lincomb_jet(spot_grid: np.ndarray, loadings: np.ndarray,
-                coeff: np.ndarray, component: int) -> MalliavinJet:
-    """Jet of sum_ij c_ij S_i(t_j) with respect to driver `component`.
-
-    The derivative sample on interval l collects every observation at
-    or after t_l: samples[:, l] = sum_i sigma_ik sum_{j >= l} c_ij
-    S_i(t_j), a suffix sum over dates.
-    """
-    weighted = coeff[None, :, :] * spot_grid
-    value = weighted.sum(axis=(1, 2))
-    suffix = np.cumsum(weighted[:, :, ::-1], axis=2)[:, :, ::-1]
-    samples = np.einsum("i,pij->pj", loadings[:, component], suffix)
-    return MalliavinJet(value=value, samples=samples)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,16 @@
 """Reference implementations used only by the tests.
 
-The package computes these quantities in factorized or direction-table
-form; the tests compare it against the plain per-point versions here.
+The package computes these quantities in factorized, direction-table
+or precomposed-matrix form; the tests compare it against the plain
+per-point, per-interval and increment-by-increment versions here.
 """
 import warnings
 
 import numpy as np
 from scipy.stats import qmc as scipy_qmc
 
-from qmcgreeks import qmc
+from qmcgreeks import qmc, weights
+from qmcgreeks.market import PathBundle
 
 
 def _raw_engine(dimension: int, skip: int) -> scipy_qmc.Sobol:
@@ -72,3 +74,82 @@ def malliavin_derivative_samples(bundle, loadings: np.ndarray,
     n = spot.shape[2]
     mask = (np.arange(n)[None, :] <= np.arange(n)[:, None]).astype(np.float64)
     return np.einsum("pij,i,jl->pijl", spot, loadings[:, component], mask)
+
+
+def identity_scramble(dims: int) -> qmc.DigitalScramble:
+    """The scramble that leaves every point unchanged."""
+    columns = np.empty((dims, qmc.BITS), dtype=np.uint64)
+    for digit in range(qmc.BITS):
+        columns[:, digit] = np.uint64(1) << np.uint64(qmc.BITS - 1 - digit)
+    return qmc.DigitalScramble(columns=columns, shift=np.zeros(dims, dtype=np.uint64))
+
+
+# ---------------------------------------------------------------------------
+# structured path build: increments -> cumsum -> exp
+
+
+def driver_increments(config, normals: np.ndarray,
+                      rotation: np.ndarray | None = None) -> np.ndarray:
+    """Uncorrelated driver increments (paths, drivers, dates).
+
+    normals are time-major: coordinate (j-1)*M + m, after the optional
+    rotation eta = normals @ R^T, feeds driver m over (t_{j-1}, t_j].
+    """
+    p = normals.shape[0]
+    m, n = config.n_assets, config.n_dates
+    eta = normals @ rotation.T if rotation is not None else normals
+    sqrt_dt = np.sqrt(config.interval_lengths)
+    return eta.reshape(p, n, m).transpose(0, 2, 1) * sqrt_dt[None, None, :]
+
+
+def paths_from_increments(config, loadings: np.ndarray,
+                          increments: np.ndarray) -> PathBundle:
+    """The bundle built step by step from driver increments (p, m, j)."""
+    t = config.monitoring_times
+    dt = config.interval_lengths
+    drive = loadings @ increments
+    drift = (config.rate - 0.5 * config.vols ** 2)[None, :, None] * t[None, None, :]
+    spot_grid = config.spots[None, :, None] * np.exp(np.cumsum(drive, axis=2) + drift)
+    w_grid = np.cumsum(increments, axis=2)
+    w_time_integral = np.zeros(w_grid.shape[:2])
+    for j in range(config.n_dates):
+        left = w_grid[:, :, j - 1] if j else 0.0
+        w_time_integral += 0.5 * (left + w_grid[:, :, j]) * dt[j]
+    return PathBundle(spot_grid=spot_grid, w_terminal=w_grid[:, :, -1],
+                      w_time_integral=w_time_integral)
+
+
+def reference_paths(config, loadings: np.ndarray, normals: np.ndarray,
+                    rotation: np.ndarray | None = None) -> PathBundle:
+    return paths_from_increments(config, loadings,
+                                 driver_increments(config, normals, rotation))
+
+
+# ---------------------------------------------------------------------------
+# per-interval Malliavin jets
+
+
+def lincomb_jet(spot_grid: np.ndarray, loadings: np.ndarray,
+                coeff: np.ndarray, component: int) -> weights.MalliavinJet:
+    """Jet of sum_ij c_ij S_i(t_j) with respect to driver `component`.
+
+    value is (paths,) and samples (paths, intervals): the derivative
+    sample on interval l collects every observation at or after t_l,
+    samples[:, l] = sum_i sigma_ik sum_{j >= l} c_ij S_i(t_j), a suffix
+    sum over dates.
+    """
+    weighted = coeff[None, :, :] * spot_grid
+    value = weighted.sum(axis=(1, 2))
+    suffix = np.cumsum(weighted[:, :, ::-1], axis=2)[:, :, ::-1]
+    samples = np.einsum("i,pij->pj", loadings[:, component], suffix)
+    return weights.MalliavinJet(value=value, samples=samples)
+
+
+def time_integral(jet, interval_lengths: np.ndarray) -> np.ndarray:
+    """int_0^T D_s f ds for per-interval samples."""
+    return jet.samples @ interval_lengths
+
+
+def weighted_time_integral(jet, interval_moments: np.ndarray) -> np.ndarray:
+    """int_0^T s D_s f ds; pass (t_l^2 - t_{l-1}^2)/2 per interval."""
+    return jet.samples @ interval_moments

@@ -17,10 +17,11 @@ from qmcgreeks import qmc as streams
 from qmcgreeks import weights as wt
 from qmcgreeks.estimator import estimate
 from qmcgreeks.lt import build_lt_matrix
-from qmcgreeks.market import cholesky, simulate_paths, vol_loadings
+from qmcgreeks.market import cholesky, path_generator, simulate_paths, vol_loadings
 from qmcgreeks.payoffs import PayoffSpec, discount, evaluate
 from qmcgreeks.presets import ladder_market, preset, standard_stream
 
+import helpers
 from helpers import sobol_point
 
 WORKERS = 4
@@ -143,7 +144,7 @@ def test_criterion_05_single_asset_closed_forms():
     # pathwise identity: with one asset and one date the weight is W(T)/(x T sigma)
     loadings = vol_loadings(config)
     normals = streams.replication_normals(standard_stream(1, 1, 64, 1), 0)
-    bundle = simulate_paths(config, loadings, normals, None)
+    bundle = simulate_paths(config, path_generator(config, loadings), normals)
     blocks = wt.fixed_strike_blocks(
         config, loadings, PayoffSpec("call", k).weight_matrix(1, 1), bundle)
     pw = wt.skorohod_weight(blocks, bundle.w_terminal)
@@ -167,11 +168,10 @@ def test_criterion_06_estimates_agree_with_bump_baseline():
 
     # every jet the best-of weight builds must match bumping the
     # underlying increments
-    from qmcgreeks.market import paths_from_increments
-
     loadings = vol_loadings(config)
     normals = streams.replication_normals(standard_stream(3, 4, 32, 1, seed=9), 0)
-    bundle = simulate_paths(config, loadings, normals, None)
+    bundle = simulate_paths(config, path_generator(config, loadings), normals)
+    increments = helpers.driver_increments(config, normals)
     m, n = 3, 4
     times = config.monitoring_times
     big_t = config.maturity
@@ -190,18 +190,18 @@ def test_criterion_06_estimates_agree_with_bump_baseline():
         s_term[:, -1] = big_t * big_t * col / (2.0 * m)
         s_avg = matrix * (times * times)[None, :] * col[:, None] / 2.0
         for coeff in (term_coeff, avg_coeff, int_term, int_avg, s_term, s_avg):
-            jet = wt.lincomb_jet(bundle.spot_grid, loadings, coeff, component)
+            jet = helpers.lincomb_jet(bundle.spot_grid, loadings, coeff, component)
             h = 1e-6
             for interval in range(n):
-                up = bundle.increments.copy()
-                down = bundle.increments.copy()
+                up = increments.copy()
+                down = increments.copy()
                 up[:, component, interval] += h
                 down[:, component, interval] -= h
                 f_up = (coeff[None, :, :]
-                        * paths_from_increments(config, loadings, up).spot_grid
+                        * helpers.paths_from_increments(config, loadings, up).spot_grid
                         ).sum(axis=(1, 2))
                 f_down = (coeff[None, :, :]
-                          * paths_from_increments(config, loadings, down).spot_grid
+                          * helpers.paths_from_increments(config, loadings, down).spot_grid
                           ).sum(axis=(1, 2))
                 bumped = (f_up - f_down) / (2.0 * h)
                 assert np.allclose(jet.samples[:, interval], bumped, rtol=1e-4), (
@@ -213,8 +213,8 @@ def test_criterion_07_bare_weights_have_zero_mean():
     config = ladder_market(10, 64)
     loadings = vol_loadings(config)
     qmc = standard_stream(10, 64, 8192, 1, seed=11, mode="pseudo_random")
-    bundle = simulate_paths(config, loadings, streams.replication_normals(qmc, 0),
-                            None)
+    bundle = simulate_paths(config, path_generator(config, loadings),
+                            streams.replication_normals(qmc, 0))
     families = {
         "fixed": lambda matrix: wt.skorohod_weight(
             wt.fixed_strike_blocks(config, loadings, matrix, bundle),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qmcgreeks import lt
-from qmcgreeks.market import MarketConfig, simulate_paths, vol_loadings
+from qmcgreeks.market import MarketConfig, path_generator, simulate_paths, vol_loadings
 from qmcgreeks.payoffs import PayoffSpec
 
 
@@ -39,7 +39,7 @@ def test_first_column_follows_the_driver_gradient():
     spec = PayoffSpec(kind="call", strike=100.0)
     build = lt.build_lt_matrix(config, spec)
     d = config.nominal_dimension
-    bundle = simulate_paths(config, loadings, np.zeros((1, d)))
+    bundle = simulate_paths(config, path_generator(config, loadings), np.zeros((1, d)))
     weights = spec.weight_matrix(config.n_assets, config.n_dates)
     gradient = lt.driver_gradient(config, loadings, weights, bundle.spot_grid)
     direction = gradient / np.linalg.norm(gradient)
@@ -55,12 +55,13 @@ def test_driver_gradient_matches_finite_differences():
     rng = np.random.default_rng(6)
     eta = rng.standard_normal((1, d))
     coeff = rng.uniform(0.1, 1.0, size=(config.n_assets, config.n_dates))
+    generator = path_generator(config, loadings)
 
     def functional(point):
-        bundle = simulate_paths(config, loadings, point)
+        bundle = simulate_paths(config, generator, point)
         return float((coeff[None] * bundle.spot_grid).sum())
 
-    spot = simulate_paths(config, loadings, eta).spot_grid
+    spot = simulate_paths(config, generator, eta).spot_grid
     gradient = lt.driver_gradient(config, loadings, coeff, spot)
     h = 1e-6
     for p in range(d):

@@ -82,9 +82,9 @@ def test_grid_and_intervals():
 
 def test_zero_volatility_paths_are_forwards():
     config = _simple_config(vols=[0.0, 0.0])
-    loadings = market.vol_loadings(config)
+    generator = market.path_generator(config, market.vol_loadings(config))
     normals = np.random.default_rng(0).standard_normal((50, 6))
-    bundle = market.simulate_paths(config, loadings, normals)
+    bundle = market.simulate_paths(config, generator, normals)
     forwards = config.spots[None, :, None] * np.exp(
         config.rate * config.monitoring_times)[None, None, :]
     assert np.abs(bundle.spot_grid - forwards).max() < 1e-12
@@ -94,9 +94,9 @@ def test_single_asset_single_date_closed_form():
     config = market.MarketConfig(spots=[100.0], rate=0.05, vols=[0.2],
                                  correlation=[[1.0]], maturity=1.0,
                                  monitoring_times=[1.0])
-    loadings = market.vol_loadings(config)
+    generator = market.path_generator(config, market.vol_loadings(config))
     z = np.array([[0.7], [-1.3], [0.0]])
-    bundle = market.simulate_paths(config, loadings, z)
+    bundle = market.simulate_paths(config, generator, z)
     expected = 100.0 * np.exp((0.05 - 0.02) + 0.2 * z[:, 0])
     assert np.allclose(bundle.spot_grid[:, 0, 0], expected, rtol=1e-14)
     assert np.allclose(bundle.w_terminal[:, 0], z[:, 0])
@@ -104,20 +104,21 @@ def test_single_asset_single_date_closed_form():
 
 def test_dimension_mismatch_raises():
     config = _simple_config()
-    loadings = market.vol_loadings(config)
+    generator = market.path_generator(config, market.vol_loadings(config))
     with pytest.raises(ValueError, match="dimension"):
-        market.simulate_paths(config, loadings, np.zeros((4, 5)))
+        market.simulate_paths(config, generator, np.zeros((4, 5)))
 
 
 def test_brownian_aggregates():
     config = _simple_config(n_dates=4)
-    loadings = market.vol_loadings(config)
+    generator = market.path_generator(config, market.vol_loadings(config))
     normals = np.random.default_rng(1).standard_normal((20, 8))
-    bundle = market.simulate_paths(config, loadings, normals)
+    bundle = market.simulate_paths(config, generator, normals)
+    increments = helpers.driver_increments(config, normals)
     # terminal value is the sum of increments
-    assert np.allclose(bundle.w_terminal, bundle.increments.sum(axis=2))
+    assert np.allclose(bundle.w_terminal, increments.sum(axis=2))
     # trapezoid of the piecewise-linear bridge through the grid values
-    w_grid = np.cumsum(bundle.increments, axis=2)
+    w_grid = np.cumsum(increments, axis=2)
     dt = config.interval_lengths
     manual = np.zeros_like(bundle.w_terminal)
     for j in range(4):
@@ -129,21 +130,23 @@ def test_brownian_aggregates():
 def test_identity_rotation_matches_no_rotation():
     config = _simple_config()
     loadings = market.vol_loadings(config)
+    generator = market.path_generator(config, loadings)
     normals = np.random.default_rng(2).standard_normal((10, 6))
-    plain = market.simulate_paths(config, loadings, normals)
-    rotated = market.simulate_paths(config, loadings, normals, rotation=np.eye(6))
+    plain = market.simulate_paths(config, generator, normals)
+    rotated = market.simulate_paths(
+        config, market.path_generator(config, loadings, rotation=np.eye(6)), normals)
     assert np.array_equal(plain.spot_grid, rotated.spot_grid)
 
 
 def test_time_major_coordinate_layout():
     # bumping coordinate (j-1)*M + m must move only dates >= j of driver m
     config = _simple_config(n_dates=3)
-    loadings = market.vol_loadings(config)
+    generator = market.path_generator(config, market.vol_loadings(config))
     base = np.zeros((1, 6))
     bumped = base.copy()
     bumped[0, 2] = 1.0  # step 2, driver 0
-    b0 = market.simulate_paths(config, loadings, base)
-    b1 = market.simulate_paths(config, loadings, bumped)
+    b0 = market.simulate_paths(config, generator, base)
+    b1 = market.simulate_paths(config, generator, bumped)
     moved = b0.spot_grid[0] != b1.spot_grid[0]
     assert not moved[:, 0].any()
     assert moved[:, 1:].all()
@@ -151,9 +154,9 @@ def test_time_major_coordinate_layout():
 
 def test_terminal_spot_mean(monte_carlo_tolerance=0.5):
     config = _simple_config()
-    loadings = market.vol_loadings(config)
+    generator = market.path_generator(config, market.vol_loadings(config))
     normals = np.random.default_rng(3).standard_normal((200_000, 6))
-    bundle = market.simulate_paths(config, loadings, normals)
+    bundle = market.simulate_paths(config, generator, normals)
     expected = 100.0 * np.exp(0.05)
     sample = bundle.spot_grid[:, :, -1].mean(axis=0)
     assert np.abs(sample - expected).max() < monte_carlo_tolerance
@@ -162,8 +165,9 @@ def test_terminal_spot_mean(monte_carlo_tolerance=0.5):
 def test_derivative_samples_mask():
     config = _simple_config(n_dates=3)
     loadings = market.vol_loadings(config)
+    generator = market.path_generator(config, loadings)
     normals = np.random.default_rng(4).standard_normal((5, 6))
-    bundle = market.simulate_paths(config, loadings, normals)
+    bundle = market.simulate_paths(config, generator, normals)
     samples = helpers.malliavin_derivative_samples(bundle, loadings, 1)
     assert samples.shape == (5, 2, 3, 3)
     for j in range(3):
@@ -174,3 +178,45 @@ def test_derivative_samples_mask():
                 assert np.allclose(block, expected)
             else:
                 assert np.abs(block).max() == 0.0
+
+
+def _haar_orthogonal(d, seed):
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))
+    return q * np.sign(np.diag(r))
+
+
+@pytest.mark.parametrize("vols, times, rho, rotation", [
+    # one asset on one date; its only non-identity rotation is the reflection
+    ([0.3], [1.0], 0.0, np.array([[-1.0]])),
+    # three assets on seven non-dyadic dates, negatively correlated
+    ([0.1, 0.25, 0.4], [0.13, 0.3, 0.41, 0.58, 0.77, 0.9, 1.1], -0.3,
+     _haar_orthogonal(21, 5)),
+    # a zero volatility next to a live one
+    ([0.2, 0.0], [0.25, 0.5, 0.75, 1.0], 0.5, _haar_orthogonal(8, 6)),
+])
+def test_generator_matches_the_reference_build(vols, times, rho, rotation):
+    m = len(vols)
+    correlation = np.full((m, m), rho)
+    np.fill_diagonal(correlation, 1.0)
+    config = market.MarketConfig(spots=100.0 + 10.0 * np.arange(m), rate=0.03,
+                                 vols=vols, correlation=correlation,
+                                 maturity=times[-1], monitoring_times=times)
+    loadings = market.vol_loadings(config)
+    d = config.nominal_dimension
+    normals = np.random.default_rng(d).standard_normal((64, d))
+    fields = ("spot_grid", "w_terminal", "w_time_integral")
+    for rot in (None, rotation):
+        generator = market.path_generator(config, loadings, rot)
+        assert (generator.matrix is None) == (rot is None)
+        bundle = market.simulate_paths(config, generator, normals)
+        reference = helpers.reference_paths(config, loadings, normals, rot)
+        for field in fields:
+            desired = getattr(reference, field)
+            np.testing.assert_allclose(getattr(bundle, field), desired, rtol=1e-13,
+                                       atol=1e-13 * np.abs(desired).max(), err_msg=field)
+    # an identity rotation is exactly no rotation
+    plain = market.simulate_paths(config, market.path_generator(config, loadings), normals)
+    identity = market.simulate_paths(
+        config, market.path_generator(config, loadings, np.eye(d)), normals)
+    for field in fields:
+        assert np.array_equal(getattr(plain, field), getattr(identity, field))

@@ -16,11 +16,9 @@ def _config(n_assets=2, n_dates=2):
 
 def _bundle(spot_grid):
     spot_grid = np.asarray(spot_grid, dtype=np.float64)
-    p, m, n = spot_grid.shape
-    return PathBundle(spot_grid=spot_grid, increments=np.zeros((p, m, n)),
-                      w_terminal=np.zeros((p, m)),
-                      w_time_integral=np.zeros((p, m)),
-                      normal_draws=np.empty((p, 0)))
+    p, m = spot_grid.shape[:2]
+    return PathBundle(spot_grid=spot_grid, w_terminal=np.zeros((p, m)),
+                      w_time_integral=np.zeros((p, m)))
 
 
 def test_spec_validation():

@@ -36,7 +36,7 @@ def test_dimension_bounds():
 
 def test_identity_scramble_is_noop():
     raw = helpers.raw_sobol_block(3, 16)
-    identity = qmc.DigitalScramble.identity(3)
+    identity = helpers.identity_scramble(3)
     assert np.array_equal(identity.apply(raw), raw)
 
 

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qmcgreeks import weights as wt
-from qmcgreeks.market import (MarketConfig, paths_from_increments,
-                              simulate_paths, vol_loadings)
+from qmcgreeks.market import MarketConfig, path_generator, simulate_paths, vol_loadings
+
+import helpers
 
 
 def _config(n_assets=2, n_dates=3, vols=(0.2, 0.4), rho=0.5):
@@ -21,11 +22,15 @@ def _config(n_assets=2, n_dates=3, vols=(0.2, 0.4), rho=0.5):
                         monitoring_times=np.arange(1, n_dates + 1) / n_dates)
 
 
+def _normals(config, n_paths, seed):
+    return np.random.default_rng(seed).standard_normal(
+        (n_paths, config.nominal_dimension))
+
+
 def _bundle(config, n_paths=64, seed=0):
     loadings = vol_loadings(config)
-    normals = np.random.default_rng(seed).standard_normal(
-        (n_paths, config.nominal_dimension))
-    return loadings, simulate_paths(config, loadings, normals)
+    return loadings, simulate_paths(config, path_generator(config, loadings),
+                                    _normals(config, n_paths, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +79,7 @@ def test_lincomb_jet_value_and_integrals():
     config = _config()
     loadings, bundle = _bundle(config, n_paths=8)
     coeff = np.array([[0.2, 0.3, 0.1], [0.15, 0.05, 0.2]])
-    jet = wt.lincomb_jet(bundle.spot_grid, loadings, coeff, 0)
+    jet = helpers.lincomb_jet(bundle.spot_grid, loadings, coeff, 0)
     direct = np.einsum("pij,ij->p", bundle.spot_grid, coeff)
     assert np.allclose(jet.value, direct, rtol=1e-14)
     # suffix structure: sample on the last interval only sees the last date
@@ -83,23 +88,25 @@ def test_lincomb_jet_value_and_integrals():
     assert np.allclose(jet.samples[:, -1], last, rtol=1e-14)
     # integrals are plain quadratures of the samples
     dt = config.interval_lengths
-    assert np.allclose(jet.time_integral(dt), jet.samples @ dt)
+    assert np.allclose(helpers.time_integral(jet, dt), jet.samples @ dt)
     moments = np.diff(config.grid ** 2) / 2.0
-    assert np.allclose(jet.weighted_time_integral(moments), jet.samples @ moments)
+    assert np.allclose(helpers.weighted_time_integral(jet, moments),
+                       jet.samples @ moments)
 
 
-def _increment_bump_derivative(config, loadings, bundle, functional,
+def _increment_bump_derivative(config, loadings, normals, functional,
                                component, h=1e-6):
     """Central difference of a path functional in each driver-k increment."""
     n = config.n_dates
+    increments = helpers.driver_increments(config, normals)
     out = []
     for interval in range(n):
-        up = bundle.increments.copy()
-        down = bundle.increments.copy()
+        up = increments.copy()
+        down = increments.copy()
         up[:, component, interval] += h
         down[:, component, interval] -= h
-        f_up = functional(paths_from_increments(config, loadings, up))
-        f_down = functional(paths_from_increments(config, loadings, down))
+        f_up = functional(helpers.paths_from_increments(config, loadings, up))
+        f_down = functional(helpers.paths_from_increments(config, loadings, down))
         out.append((f_up - f_down) / (2.0 * h))
     return np.stack(out, axis=1)
 
@@ -113,8 +120,8 @@ def test_lincomb_jet_samples_match_increment_bumps():
         return np.einsum("pij,ij->p", b.spot_grid, coeff)
 
     for component in range(2):
-        jet = wt.lincomb_jet(bundle.spot_grid, loadings, coeff, component)
-        bumped = _increment_bump_derivative(config, loadings, bundle,
+        jet = helpers.lincomb_jet(bundle.spot_grid, loadings, coeff, component)
+        bumped = _increment_bump_derivative(config, loadings, _normals(config, 16, 1),
                                             functional, component)
         assert np.allclose(jet.samples, bumped, rtol=1e-4)
 
@@ -127,15 +134,16 @@ def test_composite_jet_matches_increment_bumps():
     c2 = np.array([[0.0, 0.0, 0.3], [0.0, 0.0, 0.7]])
 
     def build(b):
-        f = wt.lincomb_jet(b.spot_grid, loadings, c1, 0)
-        g = wt.lincomb_jet(b.spot_grid, loadings, c2, 0)
+        f = helpers.lincomb_jet(b.spot_grid, loadings, c1, 0)
+        g = helpers.lincomb_jet(b.spot_grid, loadings, c2, 0)
         return (f * g + 2.0) / (g - f)
 
     def functional(b):
         return build(b).value
 
     jet = build(bundle)
-    bumped = _increment_bump_derivative(config, loadings, bundle, functional, 0)
+    bumped = _increment_bump_derivative(config, loadings, _normals(config, 12, 3),
+                                        functional, 0)
     assert np.allclose(jet.samples, bumped, rtol=1e-4)
 
 
@@ -324,8 +332,8 @@ def test_best_of_block_jets_match_hand_integrals():
     coeff_b1 = np.zeros((m, n))
     coeff_b1[:, -1] = big_t ** 2 * col / (2.0 * m)
     coeff_b2 = weights * (t * t)[None, :] * col[:, None] / 2.0
-    jet_b1 = wt.lincomb_jet(spot, loadings, coeff_b1, k)
-    jet_b2 = wt.lincomb_jet(spot, loadings, coeff_b2, k)
+    jet_b1 = helpers.lincomb_jet(spot, loadings, coeff_b1, k)
+    jet_b2 = helpers.lincomb_jet(spot, loadings, coeff_b2, k)
     hand_b1 = terminal @ col * big_t ** 2 / (2.0 * m)
     hand_b2 = np.einsum("pij,ij,j,i->p", spot, weights, t ** 2, col) / 2.0
     assert np.allclose(jet_b1.value, hand_b1, rtol=1e-13)
@@ -345,8 +353,8 @@ def test_best_of_weight_is_finite_and_scale_consistent():
                            vols=config.vols, correlation=config.correlation,
                            maturity=config.maturity,
                            monitoring_times=config.monitoring_times)
-    bundle2 = paths_from_increments(doubled, loadings, bundle.increments,
-                                    bundle.normal_draws)
+    bundle2 = simulate_paths(doubled, path_generator(doubled, loadings),
+                             _normals(config, 512, 14))
     pw2 = wt.best_of_weight(doubled, loadings, weights, bundle2)
     assert np.allclose(pw2.values, 0.5 * pw.values, rtol=1e-12)
 
@@ -400,7 +408,7 @@ def _reference_best_of_jets(config, loadings, weights, bundle, k):
     s_term = np.zeros((m, n))
     s_term[:, -1] = big_t * big_t * col / (2.0 * m)
     s_avg = weights * (t * t)[None, :] * col[:, None] / 2.0
-    return [wt.lincomb_jet(bundle.spot_grid, loadings, coeff, k)
+    return [helpers.lincomb_jet(bundle.spot_grid, loadings, coeff, k)
             for coeff in (term, avg, int_term, int_avg, s_term, s_avg)]
 
 
@@ -419,12 +427,12 @@ def _reference_best_of(config, loadings, weights, bundle, k):
         dual_avg = (int_avg * (term / avg) - int_term) / det
         w_k = bundle.w_terminal[:, k]
         first = (dual_term.value * term.value * w_k
-                 - dual_term.value * term.time_integral(dt)
-                 - term.value * dual_term.time_integral(dt))
+                 - dual_term.value * helpers.time_integral(term, dt)
+                 - term.value * helpers.time_integral(dual_term, dt))
         s_increment = config.maturity * w_k - bundle.w_time_integral[:, k]
         second = (dual_avg.value * avg.value * s_increment
-                  - avg.value * dual_avg.weighted_time_integral(moments)
-                  - dual_avg.value * avg.weighted_time_integral(moments))
+                  - avg.value * helpers.weighted_time_integral(dual_avg, moments)
+                  - dual_avg.value * helpers.weighted_time_integral(avg, moments))
     return np.where(rejected, 0.0, first - second), rejected
 
 
@@ -470,10 +478,10 @@ def test_batched_weights_match_per_component_references():
         for jet, reference in zip(jets, _reference_best_of_jets(
                 config, loadings, uniform, bundle, k)):
             _assert_matches(jet.value[:, k], reference.value, f"value {k}")
-            _assert_matches(jet.samples[:, k, 0], reference.time_integral(dt),
+            _assert_matches(jet.samples[:, k, 0], helpers.time_integral(reference, dt),
                             f"time integral {k}")
             _assert_matches(jet.samples[:, k, 1],
-                            reference.weighted_time_integral(moments),
+                            helpers.weighted_time_integral(reference, moments),
                             f"weighted time integral {k}")
         references = {
             "fixed": (fixed, _reference_single_variable(
