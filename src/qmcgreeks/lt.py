@@ -38,14 +38,20 @@ _DEGENERATE_FRACTION = 1e-14
 class LtBuild:
     """Orthogonal rotation with build diagnostics.
 
-    first_objective is the squared gradient norm captured by the first
-    column; fallback_columns counts columns completed from coordinate
-    vectors instead of gradients.
+    objectives[k] is the squared directional derivative (gradient @
+    column)^2 that greedy step k captured, 0 for a column completed
+    from coordinate vectors instead of gradients; fallback_columns
+    counts those columns.
     """
 
     matrix: np.ndarray
-    first_objective: float
+    objectives: np.ndarray
     fallback_columns: int
+
+    @property
+    def first_objective(self) -> float:
+        """Squared gradient norm captured by the first column."""
+        return float(self.objectives[0])
 
 
 def driver_gradient(config: MarketConfig, loadings: np.ndarray,
@@ -77,8 +83,8 @@ def build_lt_matrix(config: MarketConfig, spec: PayoffSpec,
     matrix = np.zeros((d, d))
     rows = np.zeros((d, d))
     eta_hat = np.zeros((1, d))
+    objectives = np.zeros(d)
     fallback = 0
-    first_objective = 0.0
     for k in range(d):
         done = rows[:k]
         bundle = simulate_paths(config, generator, eta_hat)
@@ -93,13 +99,12 @@ def build_lt_matrix(config: MarketConfig, spec: PayoffSpec,
             fallback += 1
         else:
             column = residual / norm
+            objectives[k] = float(gradient @ column) ** 2
         matrix[:, k] = rows[k] = column
         eta_hat[0] += column
-        if k == 0:
-            first_objective = float(gradient @ column) ** 2
-    matrix.setflags(write=False)
-    return LtBuild(matrix=matrix, first_objective=first_objective,
-                   fallback_columns=fallback)
+    for table in (matrix, objectives):
+        table.setflags(write=False)
+    return LtBuild(matrix=matrix, objectives=objectives, fallback_columns=fallback)
 
 
 def _basis_completion(done: np.ndarray) -> np.ndarray:

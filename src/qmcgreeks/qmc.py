@@ -7,6 +7,13 @@ blocks, and the inverse normal map. Every stage is deterministic given
 the master seed; replication substreams are derived by counter-based
 key splitting so any replication can be regenerated in isolation.
 
+The direction integers are the Joe & Kuo numbers (SIAM J. Sci. Comput.
+2008), expanded by the Bratley & Fox recurrence (ACM TOMS 1988,
+Algorithm 659). Their primitive polynomials and initial values are read
+from the table that scipy ships for its own Sobol engine,
+scipy/stats/_sobol_direction_numbers.npz; the file is read directly,
+so `scipy.stats` and everything it pulls in are never imported.
+
 The scramble acts on direction integers, not on points. The Sobol
 stream is generated in Gray-code order, each point the previous one
 XOR one direction integer, and the scramble is affine over GF(2), so a
@@ -17,13 +24,13 @@ point bit for bit.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
+import scipy
 from scipy.special import ndtri
-from scipy.stats import qmc as _scipy_qmc
 
 BITS = 32
 MAX_DIMENSION = 21201
@@ -33,6 +40,7 @@ MODES = ("scrambled_sobol", "pseudo_random")
 
 _SCALE = 2.0 ** BITS
 _ONE = np.uint64(1)
+_JOE_KUO_TABLE = Path(scipy.__file__).parent / "stats" / "_sobol_direction_numbers.npz"
 
 # substream purposes; part of the reproducibility contract
 _TAG_PSEUDO = 0
@@ -110,31 +118,60 @@ def _check_dimension(dimension: int) -> None:
             f"({MAX_DIMENSION} dimensions)")
 
 
+@lru_cache(maxsize=1)
+def _joe_kuo() -> tuple[np.ndarray, np.ndarray]:
+    """Primitive polynomials (dims,) and initial direction numbers
+    (dims, max degree) of the Joe-Kuo table, loaded once per process.
+
+    A polynomial is stored with its leading and constant terms, so its
+    degree s is its bit length minus one; row 0 is the first dimension,
+    whose direction numbers are all 1.
+    """
+    with np.load(_JOE_KUO_TABLE) as table:
+        return table["poly"].astype(np.uint64), table["vinit"].astype(np.uint64)
+
+
 @lru_cache(maxsize=8)
 def _gray_code_table(dimension: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     """Direction integers and Gray-code steps of the first `count` stream points.
 
-    scipy emits the Sobol stream in Gray-code order (Antonov & Saleev):
-    with the all-zero origin skipped, stream point 0 is the direction
-    v_0 and stream point i is stream point i-1 XOR v_c(i), where
+    The Sobol stream runs in Gray-code order (Antonov & Saleev): with
+    the all-zero origin skipped, stream point 0 is the direction v_0
+    and stream point i is stream point i-1 XOR v_c(i), where
     c(i) = ctz(i+1). Returns the (c_max+1, dimension) table of the v_c
     as 32-bit integers and the (count,) step index c(i), both cached
     read-only because every replication reuses them under different
     scrambles.
+
+    Only the columns c <= c_max are built. A dimension whose polynomial
+    x^s + a_1 x^(s-1) + ... + a_(s-1) x + 1 has degree s takes its first
+    s odd integers m_c from the table, then
+    m_c = m_(c-s) XOR XOR_(k=1..s) a_k 2^k m_(c-k), with a_s = 1,
+    and v_c = m_c << (31 - c).
     """
     _check_dimension(dimension)
-    engine = _scipy_qmc.Sobol(d=dimension, scramble=False, bits=BITS)
-    engine.fast_forward(1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        points = engine.random(count)
-    raw = np.round(points * _SCALE).astype(np.uint64)
+    columns = int(count).bit_length()
+    poly, vinit = _joe_kuo()
+    poly = poly[1:dimension]
+    degree = np.frexp(poly.astype(np.float64))[1] - 1
+    powers = np.arange(1, degree.max(initial=0) + 1)
+    lag = degree[:, None] - powers
+    # coeff[:, k-1] is a_k, 0 past the degree
+    coeff = (poly[:, None] >> np.maximum(lag, 0).astype(np.uint64)) & _ONE
+    coeff[lag < 0] = 0
+    m = np.ones((dimension, columns), dtype=np.uint64)
+    seeded = min(columns, vinit.shape[1])
+    m[1:, :seeded] = vinit[1:dimension, :seeded]
+    tail = m[1:]
+    for c in range(columns):
+        rows = np.flatnonzero(degree <= c)
+        new = tail[rows, c - degree[rows]]
+        for k in powers[:c]:
+            new ^= coeff[rows, k - 1] * (tail[rows, c - k] << np.uint64(k))
+        tail[rows, c] = new
+    directions = (m << (BITS - 1 - np.arange(columns, dtype=np.uint64))).T.copy()
     stream = np.arange(1, count + 1)
     steps = np.log2(stream & -stream).astype(np.intp)
-    previous = np.vstack((np.zeros_like(raw[:1]), raw[:-1]))
-    # direction c first steps in at stream index 2**c - 1
-    first = 2 ** np.arange(steps.max() + 1) - 1
-    directions = (raw ^ previous)[first]
     for table in (directions, steps):
         table.setflags(write=False)
     return directions, steps

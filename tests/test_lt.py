@@ -30,7 +30,7 @@ def test_build_is_deterministic_and_strike_free():
     a = lt.build_lt_matrix(config, PayoffSpec(kind="call", strike=90.0))
     b = lt.build_lt_matrix(config, PayoffSpec(kind="call", strike=110.0))
     assert np.array_equal(a.matrix, b.matrix)
-    assert a.first_objective == b.first_objective
+    assert np.array_equal(a.objectives, b.objectives)
 
 
 def test_first_column_follows_the_driver_gradient():
@@ -45,6 +45,9 @@ def test_first_column_follows_the_driver_gradient():
     direction = gradient / np.linalg.norm(gradient)
     assert np.abs(build.matrix[:, 0] - direction).max() < 1e-12
     assert build.first_objective == pytest.approx(np.dot(gradient, gradient))
+    assert build.objectives.shape == (d,)
+    assert build.objectives[0] == build.first_objective
+    assert (build.objectives > 0.0).all()
     assert build.fallback_columns == 0
 
 
@@ -79,6 +82,7 @@ def test_zero_volatility_falls_back_to_identity():
     assert build.fallback_columns == d
     assert np.array_equal(build.matrix, np.eye(d))
     assert build.first_objective == 0.0
+    assert np.array_equal(build.objectives, np.zeros(d))
 
 
 def test_best_of_fallbacks_keep_orthonormality():
@@ -88,3 +92,4 @@ def test_best_of_fallbacks_keep_orthonormality():
     build = lt.build_lt_matrix(config, PayoffSpec(kind="best_of", strike=100.0))
     d = config.nominal_dimension
     assert np.abs(build.matrix.T @ build.matrix - np.eye(d)).max() < 1e-12
+    assert (build.objectives == 0.0).sum() == build.fallback_columns

@@ -1,4 +1,8 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -189,14 +193,20 @@ def test_scramble_matrix_draw_matches_per_digit_loop():
             assert np.array_equal(drawn.shift, shift)
 
 
-def test_stream_is_gray_code_ordered():
-    raw = helpers.raw_sobol_block(9, 4096)
-    directions, steps = qmc._gray_code_table(9, 4096)
-    assert directions.shape == (13, 9)
+@pytest.mark.parametrize("dimension,count", [
+    (1, 1), (1, 2), (7, 3), (9, 4096),
+    (50, 2048), (1111, 4096), (3, 100_000),
+    (qmc.MAX_DIMENSION, 16),
+])
+def test_stream_is_gray_code_ordered(dimension, count):
+    raw = helpers.raw_sobol_block(dimension, count)
+    directions, steps = qmc._gray_code_table(dimension, count)
+    assert directions.shape == (count.bit_length(), dimension)
+    assert directions.dtype == raw.dtype
     assert steps.tolist() == [((i + 1) & -(i + 1)).bit_length() - 1
-                              for i in range(4096)]
+                              for i in range(count)]
     # stream point i is stream point i-1 XOR v_ctz(i+1), the origin before 0
-    previous = np.vstack([np.zeros((1, 9), dtype=np.uint64), raw[:-1]])
+    previous = np.vstack([np.zeros((1, dimension), dtype=np.uint64), raw[:-1]])
     assert np.array_equal(raw ^ previous, directions[steps])
 
 
@@ -231,3 +241,16 @@ def test_sobol_table_caps_the_block_not_the_nominal_dimension():
                            replications=2, lss_block_dimension=wide, seed=1,
                            mode="pseudo_random")
     assert qmc.replication_uniforms(pseudo, 0).shape == (4, wide)
+
+
+def test_package_import_leaves_scipy_stats_unloaded():
+    # the direction table is read from scipy's data file, so neither the
+    # package nor its CLI needs scipy.stats and the import cost it brings
+    src = Path(qmc.__file__).resolve().parents[1]
+    probe = ("import sys, qmcgreeks, qmcgreeks.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
