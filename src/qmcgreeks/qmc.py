@@ -10,9 +10,10 @@ key splitting so any replication can be regenerated in isolation.
 The direction integers are the Joe & Kuo numbers (SIAM J. Sci. Comput.
 2008), expanded by the Bratley & Fox recurrence (ACM TOMS 1988,
 Algorithm 659). Their primitive polynomials and initial values are read
-from the table that scipy ships for its own Sobol engine,
-scipy/stats/_sobol_direction_numbers.npz; the file is read directly,
-so `scipy.stats` and everything it pulls in are never imported.
+from the data file that scipy's own Sobol engine reads,
+_sobol_direction_numbers.npz in scipy's statistics subpackage. Only the
+file is read: that subpackage, and the import time and memory of all
+it pulls in, stay out of the process.
 
 The scramble acts on direction integers, not on points. The Sobol
 stream is generated in Gray-code order, each point the previous one
