@@ -60,6 +60,13 @@ def _convert(section: str, key: str, text: str, conv):
             f"invalid value for {key} in [{section}]: {text!r}") from None
 
 
+def _count(field: str, count: int) -> int:
+    """An asset or date count, refused below 1 under its own name."""
+    if count < 1:
+        raise ConfigurationError(f"{field} must be at least 1; got {count}")
+    return count
+
+
 def _market_from_section(sect) -> MarketConfig:
     for name in ("rate", "maturity", "dates", "correlation"):
         if name not in sect:
@@ -71,14 +78,14 @@ def _market_from_section(sect) -> MarketConfig:
         spots = _convert("market", "spots", sect["spots"], _floats)
         vols = _convert("market", "vols", sect["vols"], _floats)
     elif "assets" in sect:
-        count = _convert("market", "assets", sect["assets"], int)
+        count = _count("assets", _convert("market", "assets", sect["assets"], int))
         ladder = ladder_market(count, 1)
         spots, vols = ladder.spots, ladder.vols
     else:
         raise ConfigurationError("missing assets (or spots and vols) entry in [market]")
     rate = _convert("market", "rate", sect["rate"], float)
     maturity = _convert("market", "maturity", sect["maturity"], float)
-    dates = _convert("market", "dates", sect["dates"], int)
+    dates = _count("dates", _convert("market", "dates", sect["dates"], int))
     rho = _convert("market", "correlation", sect["correlation"], float)
     n = len(spots)
     correlation = np.full((n, n), rho)
@@ -162,6 +169,8 @@ def _parse_sweep(text: str) -> np.ndarray:
         low, high, step = (float(part) for part in parts)
     except ValueError:
         raise ConfigurationError(f"sweep must be numeric, got {text!r}") from None
+    if not np.isfinite([low, high, step]).all():
+        raise ConfigurationError("sweep bounds must be finite")
     if step <= 0 or high < low:
         raise ConfigurationError("sweep needs step > 0 and hi >= lo")
     strikes = np.arange(low, high + 0.5 * step, step)
@@ -232,9 +241,9 @@ def _resolve(args) -> dict:
             values[key] = flag
     if args.assets is not None or args.steps is not None:
         if args.assets is not None:
-            assets = args.assets
+            assets = _count("assets", args.assets)
         if args.steps is not None:
-            steps = args.steps
+            steps = _count("steps", args.steps)
         market = None
     if market is None:
         market = ladder_market(assets, steps)
@@ -263,11 +272,10 @@ def _check_run(values: dict) -> None:
         raise ConfigurationError(
             f"replications must be at least 2 for a standard error; "
             f"got {values['reps']}")
-    if values["method"] == "loc" and values["loc_delta"] <= 0.0:
-        raise ConfigurationError(
-            f"loc_delta must be positive; got {values['loc_delta']}")
-    if values["method"] == "fd" and values["fd_bump"] <= 0.0:
-        raise ConfigurationError(f"fd_bump must be positive; got {values['fd_bump']}")
+    for field, method in (("loc_delta", "loc"), ("fd_bump", "fd")):
+        if values["method"] == method and not 0.0 < values[field] < np.inf:
+            raise ConfigurationError(
+                f"{field} must be positive and finite; got {values[field]}")
     if values["method"] == "adaptive" and values["points"] < MIN_ADAPTIVE_POINTS:
         raise ConfigurationError(
             f"points must be at least {MIN_ADAPTIVE_POINTS} for the adaptive "

@@ -158,9 +158,8 @@ def _pilot_widths(run: _Run, qmc: streams.QmcConfig) -> tuple[np.ndarray, int]:
     if spec.family.frame is None:
         normals = streams.replication_normals(qmc, base)
         bundle = simulate_paths(config, run.generator, normals)
-        blocks = wt.fixed_strike_blocks(config, run.loadings, run.weight_matrix,
-                                        bundle)
-        div = wt.reciprocal_divergence(blocks, bundle.w_terminal)
+        jets = wt.basket_jets(config, run.loadings, run.weight_matrix, bundle)
+        div = wt.reciprocal_divergence(jets, bundle.w_terminal)
         widths, paths = wt.adaptive_bandwidth(div), qmc.points_per_replication
     else:
         candidates = spec.width_scale(config) * np.array(wt.WIDTH_SEARCH_FRACTIONS)
@@ -201,10 +200,10 @@ def estimate(config: MarketConfig, spec: PayoffSpec, qmc: streams.QmcConfig,
         raise ValueError(
             f"point dimension {qmc.nominal_dimension} does not match "
             f"assets*dates = {config.nominal_dimension}")
-    if method == "loc" and loc_fraction <= 0.0:
-        raise ValueError("loc_fraction must be positive")
-    if method == "fd" and fd_bump <= 0.0:
-        raise ValueError("fd_bump must be positive")
+    if method == "loc" and not 0.0 < loc_fraction < math.inf:
+        raise ValueError("loc_fraction must be positive and finite")
+    if method == "fd" and not 0.0 < fd_bump < math.inf:
+        raise ValueError("fd_bump must be positive and finite")
     if workers < 1:
         raise ValueError("workers must be at least 1")
     if qmc.replications < 2:

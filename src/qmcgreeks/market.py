@@ -39,7 +39,8 @@ class MarketConfig:
     """Static market description.
 
     monitoring_times are the strictly increasing averaging dates, the
-    last of which must equal the maturity. Volatilities may be zero,
+    last of which must equal the maturity. Every entry must be finite
+    and the correlation positive definite. Volatilities may be zero,
     which degenerates the paths to deterministic forwards.
     """
 
@@ -60,6 +61,10 @@ class MarketConfig:
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "rate", float(self.rate))
         object.__setattr__(self, "maturity", float(self.maturity))
+        for name in ("spots", "rate", "vols", "correlation", "maturity",
+                     "monitoring_times"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
 
         m = spots.shape[0]
         if spots.ndim != 1 or m < 1:
@@ -76,6 +81,10 @@ class MarketConfig:
             raise ValueError("correlation must be symmetric")
         if not np.allclose(np.diag(corr), 1.0, atol=1e-12):
             raise ValueError("correlation must have a unit diagonal")
+        try:
+            cholesky(corr)
+        except ValueError as exc:
+            raise ValueError(f"correlation {exc}") from None
         if self.maturity <= 0:
             raise ValueError("maturity must be positive")
         if times.ndim != 1 or times.shape[0] < 1:

@@ -18,9 +18,13 @@ from which spot deltas follow by dividing out x_k.
 
 Everything else that differs between the kinds sits in one
 `PayoffFamily` record per kind, `FAMILIES`: the payoff from the two
-aggregates, the strike legs, the localization frame, the weight builder
-and the driver of the rotation. The estimator and the rotation read the
-record and never test a kind by name.
+aggregates, the strike legs, the localization frame, the weight and the
+driver of the rotation. Every weight builder reads the bundle's basket
+jets, `weights.basket_jets`, built once per bundle: call and floating
+take the Skorohod integral of one jet ratio, the digital a
+kernel-localized one, best_of its two-variable inversion. The
+estimator and the rotation read the record and never test a kind by
+name.
 """
 from __future__ import annotations
 
@@ -52,6 +56,8 @@ class PayoffSpec:
         if self.kind not in FAMILIES:
             raise ValueError(f"unknown payoff kind {self.kind!r}; expected one of {KINDS}")
         object.__setattr__(self, "strike", float(self.strike))
+        if not math.isfinite(self.strike):
+            raise ValueError("strike must be finite")
         if self.family.fixed_strike and self.strike <= 0:
             raise ValueError("fixed-strike payoffs need a positive strike")
         if self.weights is not None:
@@ -149,7 +155,8 @@ class PayoffFamily:
     # the digital, which localizes through the kernel in its weight
     frame: Callable | None
     # (spec, config, loadings, weight_matrix, bundle, ev, widths) -> every
-    # component's weight, (paths, assets); widths are digital bandwidths
+    # component's weight from the bundle's basket jets, (paths, assets);
+    # widths are digital bandwidths
     weights: Callable[..., wt.PathWeights]
     # (weights, spot) -> coefficients c of the rotation driver
     # sum_ij c_ij S_i(t_j) at the (1, assets, dates) expansion path
@@ -173,23 +180,24 @@ def _best_of_frame(spec, config, ev):
 
 
 def _call_weights(spec, config, loadings, weight_matrix, bundle, ev, widths):
-    blocks = wt.fixed_strike_blocks(config, loadings, weight_matrix, bundle)
-    return wt.skorohod_weight(blocks, bundle.w_terminal)
+    jets = wt.basket_jets(config, loadings, weight_matrix, bundle)
+    return wt.skorohod_weight(jets.avg, jets.int_avg, bundle.w_terminal)
 
 
 def _floating_weights(spec, config, loadings, weight_matrix, bundle, ev, widths):
-    blocks = wt.floating_strike_blocks(config, loadings, weight_matrix, bundle)
-    return wt.skorohod_weight(blocks, bundle.w_terminal)
+    jets = wt.basket_jets(config, loadings, weight_matrix, bundle)
+    return wt.skorohod_weight(jets.avg - jets.term, jets.int_avg - jets.int_term,
+                              bundle.w_terminal)
 
 
 def _digital_weights(spec, config, loadings, weight_matrix, bundle, ev, widths):
-    blocks = wt.fixed_strike_blocks(config, loadings, weight_matrix, bundle)
-    return wt.digital_weight(blocks, bundle.w_terminal, ev.average,
-                             spec.strike, widths)
+    jets = wt.basket_jets(config, loadings, weight_matrix, bundle)
+    return wt.digital_weight(jets, bundle.w_terminal, ev.average, spec.strike, widths)
 
 
 def _best_of_weights(spec, config, loadings, weight_matrix, bundle, ev, widths):
-    return wt.best_of_weight(config, loadings, weight_matrix, bundle)
+    jets = wt.basket_jets(config, loadings, weight_matrix, bundle)
+    return wt.best_of_weight(config, jets, bundle)
 
 
 def _terminal_leg(weights: np.ndarray) -> np.ndarray:

@@ -3,34 +3,44 @@
 A spot delta of E[psi] moves the differentiation off the (possibly
 discontinuous) payoff and onto the path law: the derivative becomes
 E[psi * weight] for a Skorohod-integral weight built from the path.
-Every family here shares one algebraic skeleton. Writing g for the
-pathwise derivative of the averaged quantity, d for the time integral
-of its Malliavin derivative, and gi, di for the corresponding
-time-integrated derivatives of g and d themselves, the weight is
+Every weight here comes from one identity: for an integrand u that is
+constant in time, the Skorohod integral against driver k is
 
-    (g / d) * (W_k(T) + di / d) - gi / d
+    delta(u) = u W_k(T) - int_0^T D_s u ds.
 
-with W_k(T) the terminal value of driver k. Fixed-strike and
-floating-strike averages differ only in which aggregates feed g, d,
-gi, di; the digital replaces the outer payoff factor by a Laplace
-kernel around the strike; the two-variable best_of payoff needs a
-genuine two-dimensional inversion and is assembled from first-order
-jets (value plus Malliavin derivative data) with exact product and
-quotient rules.
+The integrands are built from six linear path functionals per
+component, the basket jets of `basket_jets`: term and avg, asset k's
+own legs of the terminal mean and of the running average, which are
+the pathwise spot derivatives of those two aggregates, and int_term,
+int_avg, s_int_term, s_int_avg, the integrals int_0^T D_s ds and
+int_0^T s D_s ds of the aggregates' Malliavin derivatives. The
+families read them as follows:
 
-Every weight is built for all components at once: blocks, jets and
-weights carry a component axis, shape (paths, assets), so one call per
-path bundle yields every delta's weight. All families start from the
-same per-asset date sums sum_j w_ij S_i(t_j) t_j^r, one matmul over
-the date axis; contracting those with the loading matrix (or its
-square) gives the blocks of every component together.
+* call:     delta(avg / int_avg);
+* floating: delta((avg - term) / (int_avg - int_term));
+* digital:  kernel * delta(avg / int_avg) - kernel' * avg / bandwidth,
+  a Laplace kernel around the strike, with the bandwidth set from the
+  pilot variance of delta(1 / int_avg);
+* best_of:  a genuine two-dimensional inversion over all six jets,
+  the difference of two Skorohod integrals of dual processes.
 
-The best_of weight only ever uses two linear functionals of a jet's
+For a ratio of jets g/d the identity expands to (g/d)(W_k(T) + di/d)
+- gi/d, with gi and di the derivative integrals of g and d; the tests
+keep that closed form as the oracle.
+
+Every weight is built for all components at once: jets and weights
+carry a component axis, shape (paths, assets), so one call per path
+bundle yields every delta's weight. All jets start from the same
+per-asset date sums sum_j w_ij S_i(t_j) t_j^r, one matmul over the
+date axis; contracting those with the loading matrix (or its square)
+gives the jets of every component together.
+
+The weights only ever use two linear functionals of a jet's
 derivative process: int_0^T D_s ds and int_0^T s D_s ds. Product and
-quotient rules are linear in the derivative, so its jets carry just
-those two projections instead of one sample per interval. For a
-linear combination of path values the projections need no suffix sums
-over dates, because for any interval vector v
+quotient rules are linear in the derivative, so jets carry just those
+two projections instead of one sample per interval. For a linear
+combination of path values the projections need no suffix sums over
+dates, because for any interval vector v
 
     sum_l v_l sum_{j >= l} c_j S(t_j) = sum_j c_j S(t_j) cumsum(v)_j,
 
@@ -48,7 +58,7 @@ variance, for every component at once.
 
 Denominators vanish only on a null set, but finite arithmetic can
 realize them. Paths with a tiny denominator are flagged for rejection
-unless the matching numerator blocks vanish too, in which case the
+unless the matching numerator jet vanishes too, in which case the
 weight is an honest zero (a floating strike over a single asset and
 date, say, where the payoff is identically zero).
 """
@@ -56,6 +66,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,8 +87,8 @@ class MalliavinJet:
     derivative with respect to a driver is constant on each monitoring
     interval, so one sample per interval determines it; any fixed
     linear functionals of the derivative can stand in for those
-    samples, since every rule below is linear in them. The best_of
-    weight uses value (paths, assets) and samples (paths, assets, 2).
+    samples, since every rule below is linear in them. The basket jets
+    have value (paths, assets) and samples (paths, assets, 2).
     Arithmetic follows the exact product and quotient rules, which is
     what makes chained expressions like (a*d - b*c) / e differentiable
     without symbolic work.
@@ -92,26 +103,15 @@ class MalliavinJet:
         const = np.broadcast_to(np.asarray(other, dtype=np.float64), self.value.shape)
         return MalliavinJet(value=const, samples=np.zeros_like(self.samples))
 
-    def __add__(self, other) -> "MalliavinJet":
-        o = self._lift(other)
-        return MalliavinJet(self.value + o.value, self.samples + o.samples)
-
-    __radd__ = __add__
-
     def __sub__(self, other) -> "MalliavinJet":
         o = self._lift(other)
         return MalliavinJet(self.value - o.value, self.samples - o.samples)
-
-    def __rsub__(self, other) -> "MalliavinJet":
-        return self._lift(other).__sub__(self)
 
     def __mul__(self, other) -> "MalliavinJet":
         o = self._lift(other)
         return MalliavinJet(self.value * o.value,
                             self.samples * o.value[..., None]
                             + self.value[..., None] * o.samples)
-
-    __rmul__ = __mul__
 
     def __truediv__(self, other) -> "MalliavinJet":
         o = self._lift(other)
@@ -122,29 +122,6 @@ class MalliavinJet:
 
     def __rtruediv__(self, other) -> "MalliavinJet":
         return self._lift(other).__truediv__(self)
-
-    def __neg__(self) -> "MalliavinJet":
-        return MalliavinJet(-self.value, -self.samples)
-
-
-# ---------------------------------------------------------------------------
-# weight blocks shared by the single-variable families
-
-
-@dataclass(frozen=True, eq=False)
-class SkorohodBlocks:
-    """Per-path ingredients of every component's weight, all (paths, assets).
-
-    Column k belongs to the delta in spot k.
-    grad: pathwise spot derivative of the averaged quantity.
-    denom: time integral of its Malliavin derivative.
-    grad_int / denom_int: time-integrated derivatives of those two.
-    """
-
-    grad: np.ndarray
-    denom: np.ndarray
-    grad_int: np.ndarray
-    denom_int: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,12 +135,34 @@ class PathWeights:
     rejected: np.ndarray
 
 
+# positions of the two derivative projections in a basket jet's samples
+_DT, _SDS = 0, 1
+
+
+class BasketJets(NamedTuple):
+    """The six linear path functionals every weight is built from.
+
+    Column k of each value is the functional for driver k; samples
+    hold its projections [int D^k ds, int s D^k ds]. term and avg are
+    asset k's own legs (divided by x_k); the other four weight every
+    asset i by the loading sigma_ik, so their projections carry
+    sigma_ik^2.
+    """
+
+    term: MalliavinJet
+    avg: MalliavinJet
+    int_term: MalliavinJet
+    int_avg: MalliavinJet
+    s_int_term: MalliavinJet
+    s_int_avg: MalliavinJet
+
+
 def _date_sums(spot_grid: np.ndarray, weights: np.ndarray,
                times: np.ndarray, powers: int) -> np.ndarray:
     """sums[r, p, i] = sum_j w_ij S_i(t_j) t_j^r for r < powers.
 
     One (powers, dates) @ (dates, paths*assets) product serves every
-    block of every component.
+    jet of every component.
     """
     p, m, n = spot_grid.shape
     vectors = times[None, :] ** np.arange(powers)[:, None]
@@ -171,31 +170,44 @@ def _date_sums(spot_grid: np.ndarray, weights: np.ndarray,
     return (vectors @ weighted.T).reshape(powers, p, m)
 
 
-def fixed_strike_blocks(config: MarketConfig, loadings: np.ndarray,
-                        weights: np.ndarray, bundle: PathBundle) -> SkorohodBlocks:
-    sums = _date_sums(bundle.spot_grid, weights, config.monitoring_times, 3)
-    x = config.spots
-    return SkorohodBlocks(grad=sums[0] / x,
-                          denom=sums[1] @ loadings,
-                          grad_int=sums[1] * (np.diag(loadings) / x),
-                          denom_int=sums[2] @ (loadings * loadings))
-
-
-def floating_strike_blocks(config: MarketConfig, loadings: np.ndarray,
-                           weights: np.ndarray, bundle: PathBundle) -> SkorohodBlocks:
-    """Fixed-strike blocks minus the terminal-mean strike leg."""
-    base = fixed_strike_blocks(config, loadings, weights, bundle)
-    terminal = bundle.spot_grid[:, :, -1]
-    m = config.n_assets
+def basket_jets(config: MarketConfig, loadings: np.ndarray,
+                weights: np.ndarray, bundle: PathBundle) -> BasketJets:
+    """One bundle's basket jets for every component at once."""
     big_t = config.maturity
+    m = config.n_assets
     x = config.spots
-    grad = terminal / (m * x)
-    denom = terminal @ loadings * (big_t / m)
-    grad_int = terminal * (big_t * np.diag(loadings) / (m * x))
-    denom_int = terminal @ (loadings * loadings) * (big_t * big_t / m)
-    return SkorohodBlocks(grad=base.grad - grad, denom=base.denom - denom,
-                          grad_int=base.grad_int - grad_int,
-                          denom_int=base.denom_int - denom_int)
+    own = np.diag(loadings) / x
+    squared = loadings * loadings
+    # one strided gather; every later use of the last date reads it
+    # contiguously, several times faster
+    terminal = np.ascontiguousarray(bundle.spot_grid[:, :, -1])
+    sums = _date_sums(bundle.spot_grid, weights, config.monitoring_times, 5)
+    squared_sums = [sums[r] @ squared for r in (2, 3, 4)]
+
+    def jet(value, dt, sds):
+        # each projection is formed as a (paths, assets) array and stacked
+        # last: ufuncs over the length-2 trailing axis are several times slower
+        return MalliavinJet(value, np.stack((dt, sds), axis=-1))
+
+    # a terminal leg's projections are its value at the last date times
+    # cumsum of (interval lengths, interval moments), T and T^2/2
+    own_terminal = terminal * own / m
+    term = jet(terminal / (m * x), own_terminal * big_t,
+               own_terminal * (big_t * big_t / 2.0))
+    avg = jet(sums[0] / x, sums[1] * own, sums[2] * own * 0.5)
+    cross_terminal = terminal @ squared * (big_t / m)
+    int_term = jet(terminal @ loadings * (big_t / m), cross_terminal * big_t,
+                   cross_terminal * (big_t * big_t / 2.0))
+    int_avg = jet(sums[1] @ loadings, squared_sums[0], squared_sums[1] * 0.5)
+    s_int_term = MalliavinJet(int_term.value * (big_t / 2.0),
+                              int_term.samples * (big_t / 2.0))
+    s_int_avg = jet(sums[2] @ loadings / 2.0, squared_sums[1] * 0.5,
+                    squared_sums[2] * 0.25)
+    return BasketJets(term, avg, int_term, int_avg, s_int_term, s_int_avg)
+
+
+# ---------------------------------------------------------------------------
+# the Skorohod integral of a ratio and the single-variable weights
 
 
 def _scaled_tolerance(values: np.ndarray) -> np.ndarray:
@@ -203,49 +215,59 @@ def _scaled_tolerance(values: np.ndarray) -> np.ndarray:
     return DEGENERATE_FRACTION * np.mean(np.abs(values), axis=0)
 
 
-def _degenerate_split(blocks: SkorohodBlocks) -> tuple[np.ndarray, np.ndarray]:
+def _degenerate_split(grad: MalliavinJet,
+                      denom: MalliavinJet) -> tuple[np.ndarray, np.ndarray]:
     """Degenerate-denominator mask and its rejected subset.
 
-    A degenerate path is kept (with weight zero) only when grad and
-    grad_int vanish with the denominator, making the true weight zero.
+    A degenerate path is kept (with weight zero) only when grad and the
+    time integral of its derivative vanish with the denominator, making
+    the true weight zero.
     """
-    degenerate = np.abs(blocks.denom) <= _scaled_tolerance(blocks.denom)
+    grad_int = grad.samples[..., _DT]
+    degenerate = np.abs(denom.value) <= _scaled_tolerance(denom.value)
     harmless = (degenerate
-                & (np.abs(blocks.grad) <= _scaled_tolerance(blocks.grad))
-                & (np.abs(blocks.grad_int) <= _scaled_tolerance(blocks.grad_int)))
+                & (np.abs(grad.value) <= _scaled_tolerance(grad.value))
+                & (np.abs(grad_int) <= _scaled_tolerance(grad_int)))
     return degenerate, degenerate & ~harmless
 
 
-def skorohod_weight(blocks: SkorohodBlocks,
-                    terminal_increment: np.ndarray) -> PathWeights:
-    """The shared weight (g/d)(W_k(T) + di/d) - gi/d.
+def _skorohod_integral(numerator, denom: MalliavinJet, w_terminal: np.ndarray,
+                       degenerate: np.ndarray) -> np.ndarray:
+    """delta(u) = u W_k(T) - int_0^T D_s u ds for u = numerator / denom,
+    zero on degenerate paths; numerator is a jet or a constant."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = numerator / denom
+        values = ratio.value * w_terminal - ratio.samples[..., _DT]
+    return np.where(degenerate, 0.0, values)
 
-    terminal_increment holds W_k(T) in column k, like the blocks.
+
+def skorohod_weight(grad: MalliavinJet, denom: MalliavinJet,
+                    w_terminal: np.ndarray) -> PathWeights:
+    """delta(g/d) = (g/d)(W_k(T) + di/d) - gi/d.
+
+    w_terminal holds W_k(T) in column k, like the jets.
     """
-    degenerate, rejected = _degenerate_split(blocks)
-    safe = np.where(degenerate, 1.0, blocks.denom)
-    values = (blocks.grad / safe * (terminal_increment + blocks.denom_int / safe)
-              - blocks.grad_int / safe)
-    return PathWeights(values=np.where(degenerate, 0.0, values), rejected=rejected)
+    degenerate, rejected = _degenerate_split(grad, denom)
+    return PathWeights(_skorohod_integral(grad, denom, w_terminal, degenerate),
+                       rejected)
 
 
-def reciprocal_divergence(blocks: SkorohodBlocks,
-                          terminal_increment: np.ndarray) -> PathWeights:
-    """Skorohod integral of the reciprocal denominator: W_k(T)/d + di/d^2.
+def reciprocal_divergence(jets: BasketJets, w_terminal: np.ndarray) -> PathWeights:
+    """delta(1/int_avg) = W_k(T)/d + di/d^2, with the digital weight's mask.
 
-    Mean zero by duality; its sample variance sets the digital kernel
-    scale.
+    Mean zero by duality; its sample variance over the paths the
+    digital weight keeps sets the digital kernel scale.
     """
-    degenerate, rejected = _degenerate_split(blocks)
-    safe = np.where(degenerate, 1.0, blocks.denom)
-    values = terminal_increment / safe + blocks.denom_int / safe ** 2
-    return PathWeights(values=np.where(degenerate, 0.0, values), rejected=rejected)
+    degenerate, rejected = _degenerate_split(jets.avg, jets.int_avg)
+    return PathWeights(_skorohod_integral(1.0, jets.int_avg, w_terminal, degenerate),
+                       rejected)
 
 
-def digital_weight(blocks: SkorohodBlocks, terminal_increment: np.ndarray,
+def digital_weight(jets: BasketJets, w_terminal: np.ndarray,
                    average: np.ndarray, strike: float,
                    bandwidth: float | np.ndarray) -> PathWeights:
-    """Kernel-localized weight for the cash-or-nothing payoff.
+    """Kernel-localized weight for the cash-or-nothing payoff:
+    kernel * delta(avg/int_avg) - kernel' * avg / bandwidth.
 
     Uses the Laplace kernel phi(z) = exp(-|z|) around the strike with
     scale `bandwidth`, one per component or a shared scalar; the
@@ -256,67 +278,21 @@ def digital_weight(blocks: SkorohodBlocks, terminal_increment: np.ndarray,
     bandwidth = np.asarray(bandwidth, dtype=np.float64)
     if (bandwidth <= 0.0).any():
         raise ValueError("bandwidth must be positive")
-    degenerate, rejected = _degenerate_split(blocks)
-    safe = np.where(degenerate, 1.0, blocks.denom)
+    degenerate, rejected = _degenerate_split(jets.avg, jets.int_avg)
     z = (average[:, None] - strike) / bandwidth
     kernel = np.exp(-np.abs(z))
     kernel_slope = -np.sign(z) * kernel
-    divergence = terminal_increment / safe + blocks.denom_int / safe ** 2
-    values = (kernel * (blocks.grad * divergence - blocks.grad_int / safe)
-              - blocks.grad / bandwidth * kernel_slope)
+    values = (kernel * _skorohod_integral(jets.avg, jets.int_avg, w_terminal, degenerate)
+              - jets.avg.value / bandwidth * kernel_slope)
     return PathWeights(values=np.where(degenerate, 0.0, values), rejected=rejected)
 
 
 # ---------------------------------------------------------------------------
 # two-variable weight for the best_of payoff
 
-# positions of the two derivative projections in a best_of jet's samples
-_DT, _SDS = 0, 1
 
-
-def _best_of_jets(config: MarketConfig, loadings: np.ndarray,
-                  weights: np.ndarray, bundle: PathBundle
-                  ) -> tuple[MalliavinJet, ...]:
-    """The six linear path functionals of the best_of weight, per component.
-
-    In order: term, avg, int_term, int_avg, s_int_term, s_int_avg.
-    Column k of each value is the functional for driver k; samples
-    hold its projections [int D^k ds, int s D^k ds]. term and avg are
-    asset k's own legs (divided by x_k); the other four weight every
-    asset i by the loading sigma_ik, so their projections carry
-    sigma_ik^2.
-    """
-    big_t = config.maturity
-    m = config.n_assets
-    x = config.spots
-    own = np.diag(loadings) / x
-    squared = loadings * loadings
-    terminal = bundle.spot_grid[:, :, -1]
-    sums = _date_sums(bundle.spot_grid, weights, config.monitoring_times, 5)
-    # cumsum of (interval lengths, interval moments) at the last date
-    at_maturity = np.array([big_t, big_t * big_t / 2.0])
-    halves = np.array([1.0, 0.5])
-
-    def pair(first, second):
-        return np.stack((first, second), axis=-1)
-
-    term = MalliavinJet(terminal / (m * x),
-                        (terminal * own / m)[..., None] * at_maturity)
-    avg = MalliavinJet(sums[0] / x, pair(sums[1], sums[2]) * own[:, None] * halves)
-    int_term = MalliavinJet(terminal @ loadings * (big_t / m),
-                            (terminal @ squared * (big_t / m))[..., None]
-                            * at_maturity)
-    int_avg = MalliavinJet(sums[1] @ loadings,
-                           pair(sums[2] @ squared, sums[3] @ squared) * halves)
-    s_int_term = int_term * (big_t / 2.0)
-    s_int_avg = MalliavinJet(sums[2] @ loadings / 2.0,
-                             pair(sums[3] @ squared, sums[4] @ squared)
-                             * (halves / 2.0))
-    return term, avg, int_term, int_avg, s_int_term, s_int_avg
-
-
-def best_of_weight(config: MarketConfig, loadings: np.ndarray,
-                   weights: np.ndarray, bundle: PathBundle) -> PathWeights:
+def best_of_weight(config: MarketConfig, jets: BasketJets,
+                   bundle: PathBundle) -> PathWeights:
     """Weight for payoffs of both the running average and the terminal mean.
 
     Differentiating through max(average, terminal mean) needs a pair of
@@ -331,8 +307,7 @@ def best_of_weight(config: MarketConfig, loadings: np.ndarray,
         raise ValueError(
             "best_of weights need at least two monitoring dates; the "
             "covariation system is singular on a single date")
-    term, avg, int_term, int_avg, s_int_term, s_int_avg = _best_of_jets(
-        config, loadings, weights, bundle)
+    term, avg, int_term, int_avg, s_int_term, s_int_avg = jets
     rejected = ((np.abs(avg.value) <= _scaled_tolerance(avg.value))
                 | (np.abs(term.value) <= _scaled_tolerance(term.value)))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

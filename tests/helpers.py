@@ -153,3 +153,75 @@ def time_integral(jet, interval_lengths: np.ndarray) -> np.ndarray:
 def weighted_time_integral(jet, interval_moments: np.ndarray) -> np.ndarray:
     """int_0^T s D_s f ds; pass (t_l^2 - t_{l-1}^2)/2 per interval."""
     return jet.samples @ interval_moments
+
+
+# ---------------------------------------------------------------------------
+# closed-form single-variable weights
+
+
+def skorohod_blocks(config, loadings: np.ndarray, coeff: np.ndarray, bundle,
+                    floating: bool = False) -> tuple[np.ndarray, ...]:
+    """(g, d, gi, di), each (paths, assets) with column k for driver k.
+
+    g is the pathwise spot derivative of the averaged quantity, d the
+    time integral of its Malliavin derivative, gi and di the time
+    integrals of the derivatives of g and d. floating subtracts the
+    terminal-mean strike leg from all four.
+    """
+    spot = bundle.spot_grid
+    t = config.monitoring_times
+    x = config.spots
+    own = np.diag(loadings) / x
+    squared = loadings * loadings
+    sums = [np.einsum("pij,ij,j->pi", spot, coeff, t ** r) for r in range(3)]
+    g, d, gi, di = sums[0] / x, sums[1] @ loadings, sums[1] * own, sums[2] @ squared
+    if floating:
+        m, big_t = config.n_assets, config.maturity
+        terminal = spot[:, :, -1]
+        g = g - terminal / (m * x)
+        d = d - terminal @ loadings * (big_t / m)
+        gi = gi - terminal * own * (big_t / m)
+        di = di - terminal @ squared * (big_t * big_t / m)
+    return g, d, gi, di
+
+
+def _closed_form_split(g, d, gi):
+    """Degenerate mask, rejected subset and safe denominator: a tiny d
+    is harmless, weight zero, when g and gi vanish with it."""
+    def tiny(values):
+        return np.abs(values) <= (weights.DEGENERATE_FRACTION
+                                  * np.mean(np.abs(values), axis=0))
+
+    degenerate = tiny(d)
+    harmless = degenerate & tiny(g) & tiny(gi)
+    return degenerate, degenerate & ~harmless, np.where(degenerate, 1.0, d)
+
+
+def closed_form_weight(blocks, w_terminal: np.ndarray) -> weights.PathWeights:
+    """(g/d)(W(T) + di/d) - gi/d."""
+    g, d, gi, di = blocks
+    degenerate, rejected, safe = _closed_form_split(g, d, gi)
+    values = g / safe * (w_terminal + di / safe) - gi / safe
+    return weights.PathWeights(np.where(degenerate, 0.0, values), rejected)
+
+
+def closed_form_divergence(blocks, w_terminal: np.ndarray) -> weights.PathWeights:
+    """W(T)/d + di/d^2, with the mask of the blocks' own weight."""
+    g, d, gi, di = blocks
+    degenerate, rejected, safe = _closed_form_split(g, d, gi)
+    values = w_terminal / safe + di / safe ** 2
+    return weights.PathWeights(np.where(degenerate, 0.0, values), rejected)
+
+
+def closed_form_digital(blocks, w_terminal: np.ndarray, average: np.ndarray,
+                        strike: float, bandwidth) -> weights.PathWeights:
+    """Laplace kernel exp(-|z|), z = (average - K)/bandwidth, times the
+    closed-form weight, minus the kernel slope times g/bandwidth."""
+    g, d, gi, di = blocks
+    degenerate, rejected, safe = _closed_form_split(g, d, gi)
+    z = (average[:, None] - strike) / bandwidth
+    kernel = np.exp(-np.abs(z))
+    divergence = w_terminal / safe + di / safe ** 2
+    values = (kernel * (g * divergence - gi / safe)
+              + g / bandwidth * np.sign(z) * kernel)
+    return weights.PathWeights(np.where(degenerate, 0.0, values), rejected)

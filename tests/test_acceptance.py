@@ -145,9 +145,9 @@ def test_criterion_05_single_asset_closed_forms():
     loadings = vol_loadings(config)
     normals = streams.replication_normals(standard_stream(1, 1, 64, 1), 0)
     bundle = simulate_paths(config, path_generator(config, loadings), normals)
-    blocks = wt.fixed_strike_blocks(
+    jets = wt.basket_jets(
         config, loadings, PayoffSpec("call", k).weight_matrix(1, 1), bundle)
-    pw = wt.skorohod_weight(blocks, bundle.w_terminal)
+    pw = wt.skorohod_weight(jets.avg, jets.int_avg, bundle.w_terminal)
     expected = bundle.w_terminal / (x * t * sigma)
     assert not pw.rejected.any()
     assert np.allclose(pw.values, expected, rtol=1e-12, atol=1e-15)
@@ -216,21 +216,19 @@ def test_criterion_07_bare_weights_have_zero_mean():
     bundle = simulate_paths(config, path_generator(config, loadings),
                             streams.replication_normals(qmc, 0))
     families = {
-        "fixed": lambda matrix: wt.skorohod_weight(
-            wt.fixed_strike_blocks(config, loadings, matrix, bundle),
+        "fixed": lambda jets: wt.skorohod_weight(
+            jets.avg, jets.int_avg, bundle.w_terminal),
+        "floating": lambda jets: wt.skorohod_weight(
+            jets.avg - jets.term, jets.int_avg - jets.int_term,
             bundle.w_terminal),
-        "floating": lambda matrix: wt.skorohod_weight(
-            wt.floating_strike_blocks(config, loadings, matrix, bundle),
-            bundle.w_terminal),
-        "reciprocal": lambda matrix: wt.reciprocal_divergence(
-            wt.fixed_strike_blocks(config, loadings, matrix, bundle),
-            bundle.w_terminal),
-        "best_of": lambda matrix: wt.best_of_weight(
-            config, loadings, matrix, bundle),
+        "reciprocal": lambda jets: wt.reciprocal_divergence(
+            jets, bundle.w_terminal),
+        "best_of": lambda jets: wt.best_of_weight(config, jets, bundle),
     }
     matrix = PayoffSpec("call", 100.0).weight_matrix(10, 64)
+    jets = wt.basket_jets(config, loadings, matrix, bundle)
     for name, build in families.items():
-        pw = build(matrix)
+        pw = build(jets)
         for k in range(config.n_assets):
             kept = pw.values[:, k][~pw.rejected[:, k]]
             z = abs(kept.mean()) / (kept.std(ddof=1) / math.sqrt(kept.size))

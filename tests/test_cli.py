@@ -86,6 +86,15 @@ def test_bad_inputs_exit_with_config_code(tmp_path, capsys):
     (["--reps", "1"], "replications"),
     (["--points", "15"], "points"),
     (["--payoff", "digital", "--points", "1"], "points"),
+    # nan fails every ordered comparison, so each check must test finiteness
+    (["--strike", "nan"], "strike"),
+    (["--strike", "inf"], "strike"),
+    (["--method", "loc", "--loc-delta", "nan"], "loc_delta"),
+    (["--method", "loc", "--loc-delta", "inf"], "loc_delta"),
+    (["--method", "fd", "--fd-bump", "nan"], "fd_bump"),
+    (["--assets", "0"], "assets"),
+    (["--steps", "0"], "steps"),
+    (["--sweep", "nan:110:5"], "sweep"),
 ])
 def test_invalid_run_arguments_exit_before_estimation(monkeypatch, capsys,
                                                       flags, field):
@@ -95,6 +104,39 @@ def test_invalid_run_arguments_exit_before_estimation(monkeypatch, capsys,
     monkeypatch.setattr(cli, "estimate", unreachable)
     monkeypatch.setattr(cli, "build_lt_matrix", unreachable)
     assert cli.run(flags) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert field in err
+    assert "Traceback" not in err
+
+
+_MARKET = {"spots": "100 100", "vols": "0.2 0.3", "rate": "0.05",
+           "maturity": "1.0", "dates": "4", "correlation": "0.5"}
+
+
+@pytest.mark.parametrize("entries, field", [
+    ({"correlation": "1.5"}, "correlation"),
+    ({"rate": "nan"}, "rate"),
+    ({"rate": "inf"}, "rate"),
+    ({"maturity": "nan"}, "maturity"),
+    ({"maturity": "inf"}, "maturity"),
+    ({"spots": "100 nan"}, "spots"),
+    ({"vols": "0.2 inf"}, "vols"),
+    ({"dates": "0"}, "dates"),
+    ({"spots": None, "vols": None, "assets": "0"}, "assets"),
+])
+def test_invalid_market_entries_exit_before_estimation(monkeypatch, capsys, tmp_path,
+                                                       entries, field):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("estimation started")
+
+    monkeypatch.setattr(cli, "estimate", unreachable)
+    monkeypatch.setattr(cli, "build_lt_matrix", unreachable)
+    market = {key: text for key, text in {**_MARKET, **entries}.items()
+              if text is not None}
+    config = tmp_path / "market.ini"
+    config.write_text("[market]\n" + "".join(f"{key} = {text}\n"
+                                             for key, text in market.items()))
+    assert cli.run(["--config", str(config)]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert field in err
     assert "Traceback" not in err

@@ -170,6 +170,11 @@ def test_invalid_arguments_are_rejected():
         estimate(config, spec, qmc, method="loc", loc_fraction=0.0)
     with pytest.raises(ValueError, match="fd_bump"):
         estimate(config, spec, qmc, method="fd", fd_bump=-0.1)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="loc_fraction"):
+            estimate(config, spec, qmc, method="loc", loc_fraction=bad)
+        with pytest.raises(ValueError, match="fd_bump"):
+            estimate(config, spec, qmc, method="fd", fd_bump=bad)
     with pytest.raises(ValueError, match="workers"):
         estimate(config, spec, qmc, workers=0)
     # one replication has no spread, so its stderr would be a silent nan
@@ -178,10 +183,11 @@ def test_invalid_arguments_are_rejected():
 
 
 @pytest.mark.parametrize("kind, builder, pilot_bundles", [
-    ("call", "fixed_strike_blocks", est.PILOT_SPLIT),
-    ("digital", "fixed_strike_blocks", 1),
-    ("floating", "floating_strike_blocks", est.PILOT_SPLIT),
+    ("call", "basket_jets", est.PILOT_SPLIT),
+    ("digital", "basket_jets", 1),
+    ("floating", "basket_jets", est.PILOT_SPLIT),
     ("best_of", "best_of_weight", est.PILOT_SPLIT),
+    ("best_of", "basket_jets", est.PILOT_SPLIT),
 ])
 def test_weights_are_built_once_per_bundle(monkeypatch, kind, builder,
                                            pilot_bundles):

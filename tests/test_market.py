@@ -45,6 +45,21 @@ def test_config_validation():
         market.MarketConfig(spots=[100.0], rate=0.05, vols=[0.2],
                             correlation=[[1.0]], maturity=1.0,
                             monitoring_times=[0.5, 0.9])
+    with pytest.raises(ValueError, match="correlation matrix is not positive "
+                                         "definite: leading minor of order 2"):
+        market.MarketConfig(spots=[100.0, 100.0], rate=0.05, vols=[0.2, 0.2],
+                            correlation=[[1.0, 1.5], [1.5, 1.0]], maturity=1.0,
+                            monitoring_times=[1.0])
+    # nan fails every ordered comparison, so each field checks finiteness
+    fields = dict(spots=[100.0, 100.0], rate=0.05, vols=[0.2, 0.2],
+                  correlation=np.eye(2), maturity=1.0, monitoring_times=[0.5, 1.0])
+    for name, bad in (("spots", [100.0, np.nan]), ("rate", np.nan),
+                      ("rate", np.inf), ("vols", [0.2, np.inf]),
+                      ("correlation", [[1.0, np.nan], [np.nan, 1.0]]),
+                      ("maturity", np.nan), ("maturity", np.inf),
+                      ("monitoring_times", [np.nan, 1.0])):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            market.MarketConfig(**{**fields, name: bad})
 
 
 def test_config_arrays_are_read_only():

@@ -35,6 +35,10 @@ def test_spec_validation():
     with pytest.raises(ValueError, match="non-negative"):
         payoffs.PayoffSpec(kind="call", strike=100.0,
                            weights=np.array([[1.5, -0.5], [0.0, 0.0]]))
+    for kind in ("call", "floating"):
+        for strike in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="strike must be finite"):
+                payoffs.PayoffSpec(kind=kind, strike=strike)
     # floating accepts a zero strike; it has no strike level of its own
     payoffs.PayoffSpec(kind="floating", strike=0.0)
 

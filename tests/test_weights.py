@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -62,14 +63,12 @@ def test_jet_product_and_quotient_rules(fv, fs, gv, gs):
 def test_jet_scalar_arithmetic():
     f = wt.MalliavinJet(value=np.array([2.0, 3.0]),
                         samples=np.array([[1.0, 0.5], [0.0, 2.0]]))
-    shifted = f + 5.0
-    assert np.array_equal(shifted.value, [7.0, 8.0])
+    shifted = f - 5.0
+    assert np.array_equal(shifted.value, [-3.0, -2.0])
     assert np.array_equal(shifted.samples, f.samples)
-    scaled = 2.0 * f
+    scaled = f * 2.0
     assert np.array_equal(scaled.value, [4.0, 6.0])
     assert np.array_equal(scaled.samples, 2.0 * f.samples)
-    negated = -(f - 1.0)
-    assert np.array_equal(negated.value, [-1.0, -2.0])
     flipped = 1.0 / f
     assert np.allclose(flipped.value, [0.5, 1.0 / 3.0])
     assert np.allclose(flipped.samples, -f.samples / f.value[:, None] ** 2)
@@ -136,7 +135,7 @@ def test_composite_jet_matches_increment_bumps():
     def build(b):
         f = helpers.lincomb_jet(b.spot_grid, loadings, c1, 0)
         g = helpers.lincomb_jet(b.spot_grid, loadings, c2, 0)
-        return (f * g + 2.0) / (g - f)
+        return (f * g - 2.0) / (g - f)
 
     def functional(b):
         return build(b).value
@@ -149,6 +148,23 @@ def test_composite_jet_matches_increment_bumps():
 
 # ---------------------------------------------------------------------------
 # block construction
+
+
+class _Blocks(NamedTuple):
+    grad: np.ndarray
+    denom: np.ndarray
+    grad_int: np.ndarray
+    denom_int: np.ndarray
+
+
+def _jet_blocks(grad, denom):
+    """The closed-form blocks read off a weight's two jets."""
+    return _Blocks(grad.value, denom.value, grad.samples[..., 0], denom.samples[..., 0])
+
+
+def _fixed_blocks(config, loadings, weights, bundle):
+    jets = wt.basket_jets(config, loadings, weights, bundle)
+    return _jet_blocks(jets.avg, jets.int_avg)
 
 
 def _loop_fixed_blocks(config, loadings, weights, bundle, k):
@@ -175,7 +191,7 @@ def test_fixed_blocks_against_loop_oracle():
     config = _config()
     loadings, bundle = _bundle(config, n_paths=32, seed=4)
     weights = np.random.default_rng(5).dirichlet(np.ones(6)).reshape(2, 3)
-    blocks = wt.fixed_strike_blocks(config, loadings, weights, bundle)
+    blocks = _fixed_blocks(config, loadings, weights, bundle)
     for k in range(2):
         grad, denom, grad_int, denom_int = _loop_fixed_blocks(
             config, loadings, weights, bundle, k)
@@ -192,8 +208,9 @@ def test_floating_blocks_subtract_terminal_leg():
     m = config.n_assets
     big_t = config.maturity
     terminal = bundle.spot_grid[:, :, -1]
-    fixed = wt.fixed_strike_blocks(config, loadings, weights, bundle)
-    floating = wt.floating_strike_blocks(config, loadings, weights, bundle)
+    jets = wt.basket_jets(config, loadings, weights, bundle)
+    fixed = _jet_blocks(jets.avg, jets.int_avg)
+    floating = _jet_blocks(jets.avg - jets.term, jets.int_avg - jets.int_term)
     for k in range(2):
         x_k = config.spots[k]
         assert np.allclose(fixed.grad[:, k] - floating.grad[:, k],
@@ -216,7 +233,7 @@ def test_equal_loadings_single_date_ratio():
     assert loadings[0, 0] == pytest.approx(loadings[1, 0])
     _, bundle = _bundle(config, n_paths=16, seed=7)
     weights = np.array([[0.3], [0.7]])
-    blocks = wt.fixed_strike_blocks(config, loadings, weights, bundle)
+    blocks = _fixed_blocks(config, loadings, weights, bundle)
     ratio = blocks.denom_int[:, 0] / blocks.denom[:, 0]
     assert np.allclose(ratio, config.maturity * loadings[0, 0], rtol=1e-14)
 
@@ -227,20 +244,21 @@ def test_single_asset_single_date_weight_identity():
                           monitoring_times=[1.0])
     loadings, bundle = _bundle(config, n_paths=128, seed=8)
     weights = np.array([[1.0]])
-    blocks = wt.fixed_strike_blocks(config, loadings, weights, bundle)
-    pw = wt.skorohod_weight(blocks, bundle.w_terminal)
+    jets = wt.basket_jets(config, loadings, weights, bundle)
+    pw = wt.skorohod_weight(jets.avg, jets.int_avg, bundle.w_terminal)
     expected = bundle.w_terminal / (100.0 * 1.0 * 0.2)
     assert not pw.rejected.any()
     assert np.abs(pw.values - expected).max() < 1e-12
 
 
 def test_degenerate_paths_are_rejected_unless_harmless():
+    def jet(value, integral):
+        # samples hold [int D ds, int s D ds]; the weight reads the first
+        return wt.MalliavinJet(value, np.stack((integral, np.zeros_like(value)), axis=-1))
+
     ones = np.ones(4)
-    blocks = wt.SkorohodBlocks(grad=np.array([1.0, 0.0, 1.0, 1.0]),
-                               denom=np.array([1.0, 0.0, 0.0, 1.0]),
-                               grad_int=np.array([1.0, 0.0, 1.0, 1.0]),
-                               denom_int=ones)
-    pw = wt.skorohod_weight(blocks, ones)
+    pw = wt.skorohod_weight(jet(np.array([1.0, 0.0, 1.0, 1.0]), np.array([1.0, 0.0, 1.0, 1.0])),
+                            jet(np.array([1.0, 0.0, 0.0, 1.0]), ones), ones)
     assert pw.rejected.tolist() == [False, False, True, False]
     assert pw.values[1] == 0.0
     assert pw.values[2] == 0.0
@@ -248,9 +266,7 @@ def test_degenerate_paths_are_rejected_unless_harmless():
     # each component keeps its own tolerance: a column on a tiny scale is
     # not degenerate because another column is large
     scaled = np.outer(np.ones(4), [1.0, 1e-20])
-    wide = wt.SkorohodBlocks(grad=scaled, denom=scaled, grad_int=scaled,
-                             denom_int=scaled)
-    pw = wt.skorohod_weight(wide, np.ones((4, 2)))
+    pw = wt.skorohod_weight(jet(scaled, scaled), jet(scaled, scaled), np.ones((4, 2)))
     assert not pw.rejected.any()
     assert (pw.values != 0.0).all()
 
@@ -260,13 +276,12 @@ def test_zero_mean_of_bare_weights():
     loadings, bundle = _bundle(config, n_paths=4096, seed=9)
     weights = np.full((2, 2), 0.25)
     terminal = bundle.w_terminal
-    fixed = wt.skorohod_weight(
-        wt.fixed_strike_blocks(config, loadings, weights, bundle), terminal)
-    floating = wt.skorohod_weight(
-        wt.floating_strike_blocks(config, loadings, weights, bundle), terminal)
-    divergence = wt.reciprocal_divergence(
-        wt.fixed_strike_blocks(config, loadings, weights, bundle), terminal)
-    best = wt.best_of_weight(config, loadings, weights, bundle)
+    jets = wt.basket_jets(config, loadings, weights, bundle)
+    fixed = wt.skorohod_weight(jets.avg, jets.int_avg, terminal)
+    floating = wt.skorohod_weight(jets.avg - jets.term,
+                                  jets.int_avg - jets.int_term, terminal)
+    divergence = wt.reciprocal_divergence(jets, terminal)
+    best = wt.best_of_weight(config, jets, bundle)
     for k in range(2):
         for pw in (fixed, floating, divergence, best):
             assert not pw.rejected[:, k].any()
@@ -279,26 +294,28 @@ def test_digital_weight_limits():
     config = _config()
     loadings, bundle = _bundle(config, n_paths=64, seed=10)
     weights = np.full((2, 3), 1.0 / 6.0)
-    blocks = wt.fixed_strike_blocks(config, loadings, weights, bundle)
+    jets = wt.basket_jets(config, loadings, weights, bundle)
+    blocks = _jet_blocks(jets.avg, jets.int_avg)
     terminal = bundle.w_terminal
     average = np.einsum("pij,ij->p", bundle.spot_grid, weights)
     divergence = terminal / blocks.denom + blocks.denom_int / blocks.denom ** 2
     unlocalized = blocks.grad * divergence - blocks.grad_int / blocks.denom
-    wide = wt.digital_weight(blocks, terminal, average, 100.0, bandwidth=1e12)
+    wide = wt.digital_weight(jets, terminal, average, 100.0, bandwidth=1e12)
     assert np.allclose(wide.values, unlocalized, rtol=1e-9, atol=1e-9)
     with pytest.raises(ValueError, match="bandwidth"):
-        wt.digital_weight(blocks, terminal, average, 100.0, bandwidth=0.0)
+        wt.digital_weight(jets, terminal, average, 100.0, bandwidth=0.0)
 
 
 def test_digital_weight_at_exact_tie_uses_zero_slope():
     config = _config()
     loadings, bundle = _bundle(config, n_paths=8, seed=11)
     weights = np.full((2, 3), 1.0 / 6.0)
-    blocks = wt.fixed_strike_blocks(config, loadings, weights, bundle)
+    jets = wt.basket_jets(config, loadings, weights, bundle)
+    blocks = _jet_blocks(jets.avg, jets.int_avg)
     terminal = bundle.w_terminal
     average = np.einsum("pij,ij->p", bundle.spot_grid, weights)
     strike = float(average[3])  # make one path an exact tie
-    pw = wt.digital_weight(blocks, terminal, average, strike, bandwidth=2.0)
+    pw = wt.digital_weight(jets, terminal, average, strike, bandwidth=2.0)
     divergence = (terminal[3, 0] / blocks.denom[3, 0]
                   + blocks.denom_int[3, 0] / blocks.denom[3, 0] ** 2)
     expected = (blocks.grad[3, 0] * divergence
@@ -314,7 +331,9 @@ def test_best_of_needs_two_dates():
     config = _config(n_dates=1)
     loadings, bundle = _bundle(config, n_paths=4, seed=12)
     with pytest.raises(ValueError, match="two monitoring dates"):
-        wt.best_of_weight(config, loadings, np.array([[0.5], [0.5]]), bundle)
+        wt.best_of_weight(config, wt.basket_jets(config, loadings,
+                                                 np.array([[0.5], [0.5]]), bundle),
+                          bundle)
 
 
 def test_best_of_block_jets_match_hand_integrals():
@@ -344,7 +363,8 @@ def test_best_of_weight_is_finite_and_scale_consistent():
     config = _config()
     loadings, bundle = _bundle(config, n_paths=512, seed=14)
     weights = np.full((2, 3), 1.0 / 6.0)
-    pw = wt.best_of_weight(config, loadings, weights, bundle)
+    pw = wt.best_of_weight(config, wt.basket_jets(config, loadings, weights, bundle),
+                           bundle)
     assert not pw.rejected.any()
     assert np.isfinite(pw.values).all()
     # the weight carries dimension 1/spot so that E[payoff * weight] has
@@ -355,7 +375,8 @@ def test_best_of_weight_is_finite_and_scale_consistent():
                            monitoring_times=config.monitoring_times)
     bundle2 = simulate_paths(doubled, path_generator(doubled, loadings),
                              _normals(config, 512, 14))
-    pw2 = wt.best_of_weight(doubled, loadings, weights, bundle2)
+    pw2 = wt.best_of_weight(doubled, wt.basket_jets(doubled, loadings, weights, bundle2),
+                            bundle2)
     assert np.allclose(pw2.values, 0.5 * pw.values, rtol=1e-12)
 
 
@@ -461,17 +482,13 @@ def test_batched_weights_match_per_component_references():
     moments = np.diff(config.grid ** 2) / 2.0
     strike, bandwidths = 100.0, np.array([2.0, 5.0, 9.0])
 
-    fixed = wt.skorohod_weight(
-        wt.fixed_strike_blocks(config, loadings, uniform, bundle), bundle.w_terminal)
-    floating = wt.skorohod_weight(
-        wt.floating_strike_blocks(config, loadings, uniform, bundle),
-        bundle.w_terminal)
+    jets = wt.basket_jets(config, loadings, uniform, bundle)
+    fixed = wt.skorohod_weight(jets.avg, jets.int_avg, bundle.w_terminal)
+    floating = wt.skorohod_weight(jets.avg - jets.term, jets.int_avg - jets.int_term,
+                                  bundle.w_terminal)
     average = np.einsum("pij,ij->p", bundle.spot_grid, uniform)
-    digital = wt.digital_weight(
-        wt.fixed_strike_blocks(config, loadings, uniform, bundle),
-        bundle.w_terminal, average, strike, bandwidths)
-    best = wt.best_of_weight(config, loadings, uniform, bundle)
-    jets = wt._best_of_jets(config, loadings, uniform, bundle)
+    digital = wt.digital_weight(jets, bundle.w_terminal, average, strike, bandwidths)
+    best = wt.best_of_weight(config, jets, bundle)
     assert fixed.rejected[1, 0] and best.rejected[0].all()
 
     for k in range(m):
@@ -497,6 +514,45 @@ def test_batched_weights_match_per_component_references():
         for name, (pw, (values, rejected)) in references.items():
             assert np.array_equal(pw.rejected[:, k], rejected), (name, k)
             _assert_matches(pw.values[:, k], values, f"{name} component {k}")
+
+
+def test_jet_weights_match_the_closed_forms():
+    # the closed forms the jets replaced; path 0 is zeroed, a harmless
+    # degenerate path for every single-variable pair, and path 1 cancels
+    # component 0's fixed-strike denominator while its gradient stays
+    config = _config(n_assets=3, n_dates=4, vols=(0.2, 0.3, 0.4), rho=-0.3)
+    loadings, bundle = _bundle(config, n_paths=64, seed=21)
+    spot = bundle.spot_grid.copy()
+    spot[0] = 0.0
+    profile = 100.0 * np.exp(0.1 * config.monitoring_times)
+    spot[1] = np.outer([1.0, loadings[0, 0] / -loadings[1, 0], 0.0], profile)
+    bundle = replace(bundle, spot_grid=spot)
+    uniform = np.full((3, 4), 1.0 / 12.0)
+    w = bundle.w_terminal
+    average = np.einsum("pij,ij->p", spot, uniform)
+    strike, bandwidths = 100.0, np.array([2.0, 5.0, 9.0])
+    jets = wt.basket_jets(config, loadings, uniform, bundle)
+    fixed = helpers.skorohod_blocks(config, loadings, uniform, bundle)
+    floating = helpers.skorohod_blocks(config, loadings, uniform, bundle, floating=True)
+    pairs = {
+        "call": (wt.skorohod_weight(jets.avg, jets.int_avg, w),
+                 helpers.closed_form_weight(fixed, w)),
+        "floating": (wt.skorohod_weight(jets.avg - jets.term,
+                                        jets.int_avg - jets.int_term, w),
+                     helpers.closed_form_weight(floating, w)),
+        "divergence": (wt.reciprocal_divergence(jets, w),
+                       helpers.closed_form_divergence(fixed, w)),
+        "digital": (wt.digital_weight(jets, w, average, strike, bandwidths),
+                    helpers.closed_form_digital(fixed, w, average, strike,
+                                                bandwidths)),
+    }
+    for name, (jet, closed) in pairs.items():
+        assert np.array_equal(jet.rejected, closed.rejected), name
+        np.testing.assert_allclose(jet.values, closed.values, rtol=1e-12, atol=0,
+                                   err_msg=name)
+        assert not jet.rejected[0].any() and (jet.values[0] == 0.0).all(), name
+        if name != "floating":
+            assert jet.rejected[1, 0] and jet.values[1, 0] == 0.0, name
 
 
 # ---------------------------------------------------------------------------
