@@ -255,11 +255,13 @@ def _resolve(args) -> dict:
                                     values["points"], values["reps"],
                                     values["lss_block"], values["seed"],
                                     values["mode"])
-    values["strikes"] = _parse_sweep(args.sweep) if args.sweep else None
+    strikes = values["strikes"] = _parse_sweep(args.sweep) if args.sweep else None
     # constructing one spec up front surfaces strike/kind mismatches early
-    PayoffSpec(kind=values["kind"],
-               strike=float(values["strikes"][0]) if values["strikes"] is not None
-               else values["strike"])
+    spec = PayoffSpec(kind=values["kind"],
+                      strike=values["strike"] if strikes is None else float(strikes[0]))
+    if strikes is not None and not spec.family.fixed_strike:
+        raise ConfigurationError(
+            f"sweep needs a fixed-strike payoff; {spec.kind} has no strike")
     return values
 
 

@@ -10,11 +10,12 @@ deviation over sqrt(R), the usual randomized-QMC construction.
 Three methods share one replication kernel, `_replication_means`,
 which returns discounted means for a table of localization widths.
 "adaptive" and "loc" use the integration-by-parts weights with a
-localized payoff split, the former choosing the localization scale per
-component in a pilot phase, the latter taking it from a caller-supplied
-fraction. The pilot race runs the same kernel over the whole candidate
-grid on PILOT_SPLIT sub-replications of P / PILOT_SPLIT points each, so
-"adaptive" needs at least 2 * PILOT_SPLIT points per replication.
+localized payoff split, one expression for every payoff kind, the
+former choosing the localization scale per component in a pilot phase,
+the latter taking it from a caller-supplied fraction. The pilot race
+runs the same kernel over the whole candidate grid on PILOT_SPLIT
+sub-replications of P / PILOT_SPLIT points each, so "adaptive" needs at
+least 2 * PILOT_SPLIT points per replication.
 "fd" is the central finite-difference baseline with common random
 numbers, included for cost and accuracy comparisons. What differs
 between payoff kinds comes from `payoffs.FAMILIES`.
@@ -101,11 +102,13 @@ def _replication_means(run: _Run, stream: streams.QmcConfig, index: int,
     """Discounted means of one replication's kept paths, (candidates,
     assets), and its rejection counts per component, (assets,).
 
-    widths broadcasts against (candidates, assets): (1, assets) for the
-    main run's per-component widths or digital bandwidths, (candidates,
-    1) for the pilot race's shared grid; "fd" ignores it. Rejected paths
-    contribute exact zeros, which the compensated sum ignores; a
-    component that lost every path gets nan.
+    A path contributes smooth(z) * slope + remainder(z) * weight from
+    its family's frame, pair and strike-free weight. widths broadcasts
+    against (candidates, assets): (1, assets) for the main run's widths
+    or digital bandwidths, (candidates, 1) for the pilot race's shared
+    grid; "fd" ignores it. Rejected paths contribute exact zeros, which
+    the compensated sum ignores; a component that lost every path gets
+    nan.
     """
     config, spec = run.config, run.spec
     normals = streams.replication_normals(stream, index)
@@ -116,18 +119,14 @@ def _replication_means(run: _Run, stream: streams.QmcConfig, index: int,
         rejected = np.zeros((ev.value.shape[0], config.n_assets), dtype=bool)
     else:
         family = spec.family
-        pw = family.weights(spec, config, run.loadings, run.weight_matrix,
-                            bundle, ev, widths)
+        jets = wt.basket_jets(config, run.loadings, run.weight_matrix, bundle)
+        pw = family.weights(config, jets, bundle)
         rejected = pw.rejected
-        if family.frame is None:
-            contributions = (ev.value[:, None] * pw.values)[:, None, :]
-        else:
-            variable, center, slope = family.frame(spec, config, ev)
-            z = variable[:, None, None]
-            contributions = (wt.smoothed_indicator(z, center, widths)
-                             * slope[:, None, :]
-                             + wt.localization_remainder(z, center, widths)
-                             * pw.values[:, None, :])
+        variable, center, slope = family.frame(spec, config, ev)
+        smooth, remainder = family.split
+        z = variable[:, None, None]
+        contributions = (smooth(z, center, widths) * slope[:, None, :]
+                         + remainder(z, center, widths) * pw.values[:, None, :])
         contributions = np.where(rejected[:, None, :], 0.0, contributions)
     paths = contributions.shape[0]
     sums = np.array([math.fsum(column) for column in
@@ -155,7 +154,7 @@ def _pilot_widths(run: _Run, qmc: streams.QmcConfig) -> tuple[np.ndarray, int]:
     """
     config, spec = run.config, run.spec
     base = qmc.replications
-    if spec.family.frame is None:
+    if spec.family.laplace:
         normals = streams.replication_normals(qmc, base)
         bundle = simulate_paths(config, run.generator, normals)
         jets = wt.basket_jets(config, run.loadings, run.weight_matrix, bundle)

@@ -18,19 +18,21 @@ from which spot deltas follow by dividing out x_k.
 
 Everything else that differs between the kinds sits in one
 `PayoffFamily` record per kind, `FAMILIES`: the payoff from the two
-aggregates, the strike legs, the localization frame, the weight and the
-driver of the rotation. Every weight builder reads the bundle's basket
-jets, `weights.basket_jets`, built once per bundle: call and floating
-take the Skorohod integral of one jet ratio, the digital a
-kernel-localized one, best_of its two-variable inversion. The
-estimator and the rotation read the record and never test a kind by
-name.
+aggregates, the strike legs, the localization frame and pair, the
+weight and the driver of the rotation. Every weight builder reads the
+bundle's basket jets, `weights.basket_jets`, built once per bundle, and
+none reads the strike: call and floating take the Skorohod integral of
+one jet ratio, best_of its two-variable inversion. The digital is the
+call with a step for a payoff: it shares the call's frame, weight and
+driver and localizes with the Laplace pair instead of the ramp pair.
+The estimator and the rotation read the record and never test a kind
+by name.
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -140,9 +142,9 @@ def discount(config: MarketConfig) -> float:
 
 @dataclass(frozen=True, eq=False)
 class PayoffFamily:
-    """What sets one payoff kind apart; the builders look up the
-    `weights` functions when they run, so a wrapper installed on that
-    module sees every call."""
+    """What sets one payoff kind apart; the weight builders and the
+    localization pair look up their `weights` functions when they run,
+    so a wrapper installed on that module sees every call."""
 
     # payoff from (strike, average, floating_strike)
     value: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
@@ -150,17 +152,26 @@ class PayoffFamily:
     floating_leg: bool
     # pays against a positive strike, which also sets the width scale
     fixed_strike: bool
-    # (spec, config, ev) -> smoothing variable (paths,), its kink and the
-    # pathwise slopes (paths, assets) of the ramp localization; None for
-    # the digital, which localizes through the kernel in its weight
-    frame: Callable | None
-    # (spec, config, loadings, weight_matrix, bundle, ev, widths) -> every
-    # component's weight from the bundle's basket jets, (paths, assets);
-    # widths are digital bandwidths
+    # localizes a step with the Laplace pair, whose bandwidth comes from
+    # the divergence variance, instead of a kink with the ramp pair
+    laplace: bool
+    # (spec, config, ev) -> localization variable (paths,), its kink and
+    # the pathwise slopes (paths, assets) of the variable
+    frame: Callable
+    # (config, jets, bundle) -> every component's weight, (paths, assets),
+    # from the bundle's basket jets
     weights: Callable[..., wt.PathWeights]
     # (weights, spot) -> coefficients c of the rotation driver
     # sum_ij c_ij S_i(t_j) at the (1, assets, dates) expansion path
     driver: Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+    @property
+    def split(self) -> tuple[Callable, Callable]:
+        """(pathwise factor, weight factor) of the localization, each
+        called as (variable, kink, widths)."""
+        if self.laplace:
+            return wt.laplace_slope, wt.laplace_remainder
+        return wt.smoothed_indicator, wt.localization_remainder
 
 
 def _average_frame(spec, config, ev):
@@ -179,27 +190,6 @@ def _best_of_frame(spec, config, ev):
     return np.maximum(ev.average, ev.floating_strike), spec.strike, slope
 
 
-def _call_weights(spec, config, loadings, weight_matrix, bundle, ev, widths):
-    jets = wt.basket_jets(config, loadings, weight_matrix, bundle)
-    return wt.skorohod_weight(jets.avg, jets.int_avg, bundle.w_terminal)
-
-
-def _floating_weights(spec, config, loadings, weight_matrix, bundle, ev, widths):
-    jets = wt.basket_jets(config, loadings, weight_matrix, bundle)
-    return wt.skorohod_weight(jets.avg - jets.term, jets.int_avg - jets.int_term,
-                              bundle.w_terminal)
-
-
-def _digital_weights(spec, config, loadings, weight_matrix, bundle, ev, widths):
-    jets = wt.basket_jets(config, loadings, weight_matrix, bundle)
-    return wt.digital_weight(jets, bundle.w_terminal, ev.average, spec.strike, widths)
-
-
-def _best_of_weights(spec, config, loadings, weight_matrix, bundle, ev, widths):
-    jets = wt.basket_jets(config, loadings, weight_matrix, bundle)
-    return wt.best_of_weight(config, jets, bundle)
-
-
 def _terminal_leg(weights: np.ndarray) -> np.ndarray:
     """Coefficients of the equally weighted terminal spot mean."""
     m, n = weights.shape
@@ -215,24 +205,29 @@ def _best_of_driver(weights: np.ndarray, spot: np.ndarray) -> np.ndarray:
     return weights if average >= terminal_mean else _terminal_leg(weights)
 
 
+_CALL = PayoffFamily(
+    value=lambda strike, average, leg: np.maximum(average - strike, 0.0),
+    floating_leg=False, fixed_strike=True, laplace=False, frame=_average_frame,
+    weights=lambda config, jets, bundle: wt.skorohod_weight(
+        jets.avg, jets.int_avg, bundle.w_terminal),
+    driver=lambda weights, spot: weights)
+
 FAMILIES = {
-    "call": PayoffFamily(
-        value=lambda strike, average, leg: np.maximum(average - strike, 0.0),
-        floating_leg=False, fixed_strike=True, frame=_average_frame,
-        weights=_call_weights, driver=lambda weights, spot: weights),
+    "call": _CALL,
     "floating": PayoffFamily(
         value=lambda strike, average, leg: np.maximum(average - leg, 0.0),
-        floating_leg=True, fixed_strike=False, frame=_floating_frame,
-        weights=_floating_weights,
+        floating_leg=True, fixed_strike=False, laplace=False, frame=_floating_frame,
+        weights=lambda config, jets, bundle: wt.skorohod_weight(
+            jets.avg - jets.term, jets.int_avg - jets.int_term, bundle.w_terminal),
         driver=lambda weights, spot: weights - _terminal_leg(weights)),
-    "digital": PayoffFamily(
-        value=lambda strike, average, leg: (average >= strike).astype(np.float64),
-        floating_leg=False, fixed_strike=True, frame=None,
-        weights=_digital_weights, driver=lambda weights, spot: weights),
+    "digital": replace(
+        _CALL, value=lambda strike, average, leg: (average >= strike).astype(np.float64),
+        laplace=True),
     "best_of": PayoffFamily(
         value=lambda strike, average, leg: np.maximum(np.maximum(average, leg)
                                                       - strike, 0.0),
-        floating_leg=True, fixed_strike=True, frame=_best_of_frame,
-        weights=_best_of_weights, driver=_best_of_driver),
+        floating_leg=True, fixed_strike=True, laplace=False, frame=_best_of_frame,
+        weights=lambda config, jets, bundle: wt.best_of_weight(config, jets, bundle),
+        driver=_best_of_driver),
 }
 KINDS = tuple(FAMILIES)

@@ -16,11 +16,8 @@ int_avg, s_int_term, s_int_avg, the integrals int_0^T D_s ds and
 int_0^T s D_s ds of the aggregates' Malliavin derivatives. The
 families read them as follows:
 
-* call:     delta(avg / int_avg);
+* call:     delta(avg / int_avg), which the digital shares;
 * floating: delta((avg - term) / (int_avg - int_term));
-* digital:  kernel * delta(avg / int_avg) - kernel' * avg / bandwidth,
-  a Laplace kernel around the strike, with the bandwidth set from the
-  pilot variance of delta(1 / int_avg);
 * best_of:  a genuine two-dimensional inversion over all six jets,
   the difference of two Skorohod integrals of dual processes.
 
@@ -49,12 +46,15 @@ and cumsum of the interval lengths is t_j, of the interval moments
 against a per-interval reference jet with one suffix-sum sample per
 monitoring interval.
 
-Localization splits a kinked payoff into a smooth pathwise part and a
-remainder handled by the weight, which is where most of the variance
-reduction comes from; the split is exact in expectation for any
-half-width. Adaptive rules pick the half-width from the spread of pilot
-sub-replication means and the digital kernel scale from a pilot
-variance, for every component at once.
+Localization splits a payoff of z into a part differentiated pathwise
+and a remainder the weight carries, smooth(z) * slope + remainder(z) *
+weight, which is where most of the variance reduction comes from; the
+split is exact in expectation for any scale. The ramp pair
+(`smoothed_indicator`, `localization_remainder`) serves the kinks, the
+Laplace pair (`laplace_slope`, `laplace_remainder`) the digital's step.
+Adaptive rules pick the ramp half-width from the spread of pilot
+sub-replication means and the Laplace bandwidth from the pilot variance
+of delta(1 / int_avg), for every component at once.
 
 Denominators vanish only on a null set, but finite arithmetic can
 realize them. Paths with a tiny denominator are flagged for rejection
@@ -165,7 +165,9 @@ def _date_sums(spot_grid: np.ndarray, weights: np.ndarray,
     jet of every component.
     """
     p, m, n = spot_grid.shape
-    vectors = times[None, :] ** np.arange(powers)[:, None]
+    # vander builds t^r by repeated products; numpy's SIMD array power
+    # rounds non-dyadic dates differently from machine to machine
+    vectors = np.ascontiguousarray(np.vander(times, powers, increasing=True).T)
     weighted = (spot_grid * weights).reshape(p * m, n)
     return (vectors @ weighted.T).reshape(powers, p, m)
 
@@ -253,38 +255,14 @@ def skorohod_weight(grad: MalliavinJet, denom: MalliavinJet,
 
 
 def reciprocal_divergence(jets: BasketJets, w_terminal: np.ndarray) -> PathWeights:
-    """delta(1/int_avg) = W_k(T)/d + di/d^2, with the digital weight's mask.
+    """delta(1/int_avg) = W_k(T)/d + di/d^2, with the call weight's mask.
 
-    Mean zero by duality; its sample variance over the paths the
-    digital weight keeps sets the digital kernel scale.
+    Mean zero by duality; its sample variance over the paths the call
+    weight keeps sets the digital bandwidth.
     """
     degenerate, rejected = _degenerate_split(jets.avg, jets.int_avg)
     return PathWeights(_skorohod_integral(1.0, jets.int_avg, w_terminal, degenerate),
                        rejected)
-
-
-def digital_weight(jets: BasketJets, w_terminal: np.ndarray,
-                   average: np.ndarray, strike: float,
-                   bandwidth: float | np.ndarray) -> PathWeights:
-    """Kernel-localized weight for the cash-or-nothing payoff:
-    kernel * delta(avg/int_avg) - kernel' * avg / bandwidth.
-
-    Uses the Laplace kernel phi(z) = exp(-|z|) around the strike with
-    scale `bandwidth`, one per component or a shared scalar; the
-    derivative at the tie point is taken as 0. average is the
-    (paths,) running average every component shares. The estimator
-    multiplies these values by the digital payoff.
-    """
-    bandwidth = np.asarray(bandwidth, dtype=np.float64)
-    if (bandwidth <= 0.0).any():
-        raise ValueError("bandwidth must be positive")
-    degenerate, rejected = _degenerate_split(jets.avg, jets.int_avg)
-    z = (average[:, None] - strike) / bandwidth
-    kernel = np.exp(-np.abs(z))
-    kernel_slope = -np.sign(z) * kernel
-    values = (kernel * _skorohod_integral(jets.avg, jets.int_avg, w_terminal, degenerate)
-              - jets.avg.value / bandwidth * kernel_slope)
-    return PathWeights(values=np.where(degenerate, 0.0, values), rejected=rejected)
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +334,26 @@ def localization_remainder(values: np.ndarray, strike: float,
     """
     return (np.maximum(values - strike, 0.0)
             - ramp_antiderivative(values, strike, half_width))
+
+
+def _laplace_kernel(values: np.ndarray, strike: float, bandwidth) -> np.ndarray:
+    """exp(-|values - strike| / bandwidth) for a positive bandwidth."""
+    if (np.asarray(bandwidth) <= 0.0).any():
+        raise ValueError("bandwidth must be positive")
+    return np.exp(-np.abs((values - strike) / bandwidth))
+
+
+def laplace_slope(values: np.ndarray, strike: float, bandwidth) -> np.ndarray:
+    """1{z > strike} exp(-(z - strike)/b) / b, the derivative of the step
+    minus its Laplace remainder; 0 at the tie."""
+    kernel = _laplace_kernel(values, strike, bandwidth)
+    return np.where(values > strike, kernel / bandwidth, 0.0)
+
+
+def laplace_remainder(values: np.ndarray, strike: float, bandwidth) -> np.ndarray:
+    """1{z >= strike} exp(-(z - strike)/b), the part of the step the
+    weight carries; 1 at the tie, which pays."""
+    return np.where(values >= strike, _laplace_kernel(values, strike, bandwidth), 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,8 @@ def test_bad_inputs_exit_with_config_code(tmp_path, capsys):
     (["--assets", "0"], "assets"),
     (["--steps", "0"], "steps"),
     (["--sweep", "nan:110:5"], "sweep"),
+    # the floating payoff has no strike, so every sweep row would repeat one run
+    (["--payoff", "asian-floating", "--sweep", "90:100:5"], "sweep"),
 ])
 def test_invalid_run_arguments_exit_before_estimation(monkeypatch, capsys,
                                                       flags, field):

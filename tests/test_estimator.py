@@ -212,9 +212,8 @@ def test_rejection_limit_aborts_the_run(monkeypatch):
     qmc = _stream(config, points=256, replications=4)
     original = payoffs.FAMILIES["call"].weights
 
-    def leaky(spec_, config_, loadings, weight_matrix, bundle, ev, bandwidths):
-        pw = original(spec_, config_, loadings, weight_matrix, bundle, ev,
-                      bandwidths)
+    def leaky(config_, jets, bundle):
+        pw = original(config_, jets, bundle)
         rejected = pw.rejected.copy()
         rejected[:4, 0] = True
         return wt.PathWeights(values=pw.values, rejected=rejected)

@@ -1,7 +1,10 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from qmcgreeks import payoffs
+from qmcgreeks import estimator, lt, payoffs
 from qmcgreeks.market import MarketConfig, PathBundle
 
 
@@ -131,3 +134,12 @@ def test_value_from_aggregates_matches_evaluate():
 
 def test_discount_factor():
     assert payoffs.discount(_config()) == pytest.approx(np.exp(-0.05), rel=1e-15)
+
+
+@pytest.mark.parametrize("module", [estimator, lt])
+def test_kind_dispatch_lives_in_the_family_records(module):
+    # the estimator and the rotation read PayoffFamily fields; a kind
+    # comparison or a missing-frame branch would split the dispatch again
+    source = Path(module.__file__).read_text(encoding="utf-8")
+    assert not re.search(r"\.kind *(==|!=|in )", source)
+    assert "frame is None" not in source

@@ -290,6 +290,16 @@ def test_zero_mean_of_bare_weights():
             assert abs(values.mean()) < 3.0 * stderr
 
 
+def _digital_split(jets, w_terminal, average, strike, bandwidth):
+    """The digital's localized contribution, P * slope + R * delta(avg/int_avg),
+    zero on rejected paths as in the estimator."""
+    pw = wt.skorohod_weight(jets.avg, jets.int_avg, w_terminal)
+    z = average[:, None]
+    values = (wt.laplace_slope(z, strike, bandwidth) * jets.avg.value
+              + wt.laplace_remainder(z, strike, bandwidth) * pw.values)
+    return wt.PathWeights(np.where(pw.rejected, 0.0, values), pw.rejected)
+
+
 def test_digital_weight_limits():
     config = _config()
     loadings, bundle = _bundle(config, n_paths=64, seed=10)
@@ -300,10 +310,13 @@ def test_digital_weight_limits():
     average = np.einsum("pij,ij->p", bundle.spot_grid, weights)
     divergence = terminal / blocks.denom + blocks.denom_int / blocks.denom ** 2
     unlocalized = blocks.grad * divergence - blocks.grad_int / blocks.denom
-    wide = wt.digital_weight(jets, terminal, average, 100.0, bandwidth=1e12)
-    assert np.allclose(wide.values, unlocalized, rtol=1e-9, atol=1e-9)
-    with pytest.raises(ValueError, match="bandwidth"):
-        wt.digital_weight(jets, terminal, average, 100.0, bandwidth=0.0)
+    wide = _digital_split(jets, terminal, average, 100.0, 1e12)
+    paying = (average >= 100.0)[:, None]
+    assert 0 < paying.sum() < paying.size
+    assert np.allclose(wide.values, paying * unlocalized, rtol=1e-9, atol=1e-9)
+    for factor in (wt.laplace_slope, wt.laplace_remainder):
+        with pytest.raises(ValueError, match="bandwidth"):
+            factor(average, 100.0, 0.0)
 
 
 def test_digital_weight_at_exact_tie_uses_zero_slope():
@@ -315,12 +328,24 @@ def test_digital_weight_at_exact_tie_uses_zero_slope():
     terminal = bundle.w_terminal
     average = np.einsum("pij,ij->p", bundle.spot_grid, weights)
     strike = float(average[3])  # make one path an exact tie
-    pw = wt.digital_weight(jets, terminal, average, strike, bandwidth=2.0)
+    pw = _digital_split(jets, terminal, average, strike, 2.0)
     divergence = (terminal[3, 0] / blocks.denom[3, 0]
                   + blocks.denom_int[3, 0] / blocks.denom[3, 0] ** 2)
     expected = (blocks.grad[3, 0] * divergence
                 - blocks.grad_int[3, 0] / blocks.denom[3, 0])
     assert pw.values[3, 0] == pytest.approx(expected, rel=1e-12)
+
+
+def test_date_sums_are_repeated_products():
+    # 1/3 and 2/3 are not dyadic; numpy's SIMD array power rounds some
+    # of their powers differently from repeated multiplication
+    times = np.array([1.0 / 3.0, 2.0 / 3.0, 1.0])
+    spot = 100.0 * np.exp(0.1 * np.random.default_rng(23).standard_normal((5, 2, 3)))
+    weights = np.full((2, 3), 1.0 / 6.0)
+    powers = np.array([np.ones(3), times, times * times, times * times * times,
+                       times * times * times * times])
+    expected = (powers @ (spot * weights).reshape(10, 3).T).reshape(5, 5, 2)
+    assert np.array_equal(wt._date_sums(spot, weights, times, 5), expected)
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +512,7 @@ def test_batched_weights_match_per_component_references():
     floating = wt.skorohod_weight(jets.avg - jets.term, jets.int_avg - jets.int_term,
                                   bundle.w_terminal)
     average = np.einsum("pij,ij->p", bundle.spot_grid, uniform)
-    digital = wt.digital_weight(jets, bundle.w_terminal, average, strike, bandwidths)
+    digital = _digital_split(jets, bundle.w_terminal, average, strike, bandwidths)
     best = wt.best_of_weight(config, jets, bundle)
     assert fixed.rejected[1, 0] and best.rejected[0].all()
 
@@ -500,14 +525,15 @@ def test_batched_weights_match_per_component_references():
             _assert_matches(jet.samples[:, k, 1],
                             helpers.weighted_time_integral(reference, moments),
                             f"weighted time integral {k}")
+        digital_values, digital_rejected = _reference_single_variable(
+            config, loadings, uniform, bundle, k, "digital", strike, bandwidths[k])
         references = {
             "fixed": (fixed, _reference_single_variable(
                 config, loadings, uniform, bundle, k, "fixed")),
             "floating": (floating, _reference_single_variable(
                 config, loadings, uniform, bundle, k, "floating")),
-            "digital": (digital, _reference_single_variable(
-                config, loadings, uniform, bundle, k, "digital",
-                strike, bandwidths[k])),
+            "digital": (digital, ((average >= strike) * digital_values,
+                                  digital_rejected)),
             "best_of": (best, _reference_best_of(config, loadings, uniform,
                                                  bundle, k)),
         }
@@ -534,6 +560,7 @@ def test_jet_weights_match_the_closed_forms():
     jets = wt.basket_jets(config, loadings, uniform, bundle)
     fixed = helpers.skorohod_blocks(config, loadings, uniform, bundle)
     floating = helpers.skorohod_blocks(config, loadings, uniform, bundle, floating=True)
+    closed_digital = helpers.closed_form_digital(fixed, w, average, strike, bandwidths)
     pairs = {
         "call": (wt.skorohod_weight(jets.avg, jets.int_avg, w),
                  helpers.closed_form_weight(fixed, w)),
@@ -542,9 +569,9 @@ def test_jet_weights_match_the_closed_forms():
                      helpers.closed_form_weight(floating, w)),
         "divergence": (wt.reciprocal_divergence(jets, w),
                        helpers.closed_form_divergence(fixed, w)),
-        "digital": (wt.digital_weight(jets, w, average, strike, bandwidths),
-                    helpers.closed_form_digital(fixed, w, average, strike,
-                                                bandwidths)),
+        "digital": (_digital_split(jets, w, average, strike, bandwidths),
+                    wt.PathWeights((average >= strike)[:, None] * closed_digital.values,
+                                   closed_digital.rejected)),
     }
     for name, (jet, closed) in pairs.items():
         assert np.array_equal(jet.rejected, closed.rejected), name
@@ -593,6 +620,22 @@ def test_ramp_antiderivative_integrates_the_ramp():
     numeric = np.concatenate([[0.0], np.cumsum((ramp[1:] + ramp[:-1]) * 0.5
                                                * np.diff(z))])
     assert np.abs(anti - (anti[0] + numeric)).max() < 1e-4
+
+
+def test_laplace_pair_splits_the_step_exactly():
+    # the step 1{z >= K} is (1{z >= K} - R) + R and P is the slope of the
+    # first part, so R plus the integral of P is the step; K sits on the
+    # grid, so the trapezoid misses only half a cell at the jump of P
+    strike, bandwidth, step = 100.0, 2.0, 2.0 ** -10
+    z = strike + step * np.arange(-10240, 10241)
+    slope = wt.laplace_slope(z, strike, bandwidth)
+    remainder = wt.laplace_remainder(z, strike, bandwidth)
+    indicator = (z >= strike).astype(np.float64)
+    integral = np.concatenate([[0.0], np.cumsum((slope[1:] + slope[:-1]) * 0.5 * step)])
+    assert np.abs(remainder + integral - indicator).max() < step / bandwidth
+    tie = np.array([strike])
+    assert wt.laplace_slope(tie, strike, bandwidth)[0] == 0.0
+    assert wt.laplace_remainder(tie, strike, bandwidth)[0] == 1.0
 
 
 # ---------------------------------------------------------------------------
