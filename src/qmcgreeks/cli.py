@@ -2,6 +2,7 @@
 
 Configuration comes from three layers, each overriding the previous:
 a named preset, an INI-style config file, and command-line flags.
+`_SETTINGS` holds each run setting's default, file key and parser.
 Results go to a CSV with one row per component (per strike when
 sweeping), serialized at full double precision so parsing the file
 recovers the report exactly.
@@ -35,9 +36,27 @@ EXIT_ESTIMATION = 3
 
 _MARKET_KEYS = ("assets", "spots", "vols", "rate", "maturity", "dates",
                 "correlation")
-_PAYOFF_KEYS = ("kind", "strike")
-_QMC_KEYS = ("points", "replications", "block", "seed", "mode")
-_RUN_KEYS = ("method", "lt", "loc_delta", "fd_bump", "workers", "output")
+
+# run field -> (default, INI section, INI key, text parser); a flag sets the
+# field of the same name, and a choice flag's text parses like the file's
+_SETTINGS = {
+    "kind": ("call", "payoff", "kind", PAYOFF_NAMES.__getitem__),
+    "strike": (100.0, "payoff", "strike", float),
+    "points": (2048, "qmc", "points", int),
+    "reps": (32, "qmc", "replications", int),
+    "lss_block": (50, "qmc", "block", int),
+    "seed": (DEFAULT_SEED, "qmc", "seed", int),
+    "mode": ("scrambled_sobol", "qmc", "mode", dict(zip(MODES, MODES)).__getitem__),
+    "method": ("adaptive", "run", "method", dict(zip(METHODS, METHODS)).__getitem__),
+    "lt": (True, "run", "lt", {"on": True, "off": False}.__getitem__),
+    "loc_delta": (0.01, "run", "loc_delta", float),
+    "fd_bump": (0.01, "run", "fd_bump", float),
+    "workers": (1, "run", "workers", int),
+    "output": (None, "run", "output", str),
+}
+# every (section, key) a config file may set
+_FILE_KEYS = ({("market", key) for key in _MARKET_KEYS}
+              | {(section, key) for _, section, key, _ in _SETTINGS.values()})
 
 
 class ConfigurationError(Exception):
@@ -55,7 +74,7 @@ def _floats(text: str) -> list[float]:
 def _convert(section: str, key: str, text: str, conv):
     try:
         return conv(text)
-    except ValueError:
+    except (KeyError, ValueError):
         raise ConfigurationError(
             f"invalid value for {key} in [{section}]: {text!r}") from None
 
@@ -106,58 +125,17 @@ def _load_file(path: str) -> tuple[MarketConfig | None, dict]:
     except configparser.Error as exc:
         raise ConfigurationError(f"config file parse error: {exc}") from None
 
-    known = {"market": _MARKET_KEYS, "payoff": _PAYOFF_KEYS,
-             "qmc": _QMC_KEYS, "run": _RUN_KEYS}
     for section in parser.sections():
-        if section not in known:
+        if section not in {known_section for known_section, _ in _FILE_KEYS}:
             raise ConfigurationError(f"unknown section [{section}]")
         for key in parser[section]:
-            if key not in known[section]:
+            if (section, key) not in _FILE_KEYS:
                 raise ConfigurationError(f"unknown key {key!r} in [{section}]")
 
     market = _market_from_section(parser["market"]) if parser.has_section("market") else None
-    updates: dict = {}
-    if parser.has_section("payoff"):
-        sect = parser["payoff"]
-        if "kind" in sect:
-            name = sect["kind"]
-            if name not in PAYOFF_NAMES:
-                raise ConfigurationError(
-                    f"invalid value for kind in [payoff]: {name!r}")
-            updates["kind"] = PAYOFF_NAMES[name]
-        if "strike" in sect:
-            updates["strike"] = _convert("payoff", "strike", sect["strike"], float)
-    if parser.has_section("qmc"):
-        sect = parser["qmc"]
-        for key, target, conv in (("points", "points", int),
-                                  ("replications", "reps", int),
-                                  ("block", "lss_block", int),
-                                  ("seed", "seed", int)):
-            if key in sect:
-                updates[target] = _convert("qmc", key, sect[key], conv)
-        if "mode" in sect:
-            mode = sect["mode"]
-            if mode not in MODES:
-                raise ConfigurationError(f"invalid value for mode in [qmc]: {mode!r}")
-            updates["mode"] = mode
-    if parser.has_section("run"):
-        sect = parser["run"]
-        if "method" in sect:
-            if sect["method"] not in METHODS:
-                raise ConfigurationError(
-                    f"invalid value for method in [run]: {sect['method']!r}")
-            updates["method"] = sect["method"]
-        if "lt" in sect:
-            if sect["lt"] not in ("on", "off"):
-                raise ConfigurationError(
-                    f"invalid value for lt in [run]: {sect['lt']!r}")
-            updates["lt"] = sect["lt"] == "on"
-        for key, conv in (("loc_delta", float), ("fd_bump", float),
-                          ("workers", int)):
-            if key in sect:
-                updates[key] = _convert("run", key, sect[key], conv)
-        if "output" in sect:
-            updates["output"] = sect["output"]
+    updates = {field: _convert(section, key, parser[section][key], parse)
+               for field, (_, section, key, parse) in _SETTINGS.items()
+               if parser.has_option(section, key)}
     return market, updates
 
 
@@ -185,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Estimate per-asset deltas of path-average basket options.")
     parser.add_argument("--config", help="INI config file (market/payoff/qmc/run sections)")
     parser.add_argument("--preset", choices=PRESETS, help="named benchmark run")
-    parser.add_argument("--payoff", choices=sorted(PAYOFF_NAMES))
+    parser.add_argument("--payoff", choices=sorted(PAYOFF_NAMES), dest="kind")
     parser.add_argument("--strike", type=float)
     parser.add_argument("--method", choices=METHODS)
     parser.add_argument("--loc-delta", type=float, dest="loc_delta",
@@ -210,12 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve(args) -> dict:
-    values = {
-        "kind": "call", "strike": 100.0, "method": "adaptive",
-        "loc_delta": 0.01, "fd_bump": 0.01, "points": 2048, "reps": 32,
-        "lt": True, "lss_block": 50, "seed": DEFAULT_SEED,
-        "mode": "scrambled_sobol", "workers": 1, "output": None,
-    }
+    values = {field: default for field, (default, *_) in _SETTINGS.items()}
     market: MarketConfig | None = None
     assets, steps = 10, 64
 
@@ -229,16 +202,14 @@ def _resolve(args) -> dict:
         if file_market is not None:
             market = file_market
         values.update(updates)
+    if args.sweep and args.strike is not None:
+        raise ConfigurationError(
+            "--strike cannot be combined with --sweep, which sets every strike")
 
-    if args.payoff is not None:
-        values["kind"] = PAYOFF_NAMES[args.payoff]
-    if args.lt is not None:
-        values["lt"] = args.lt == "on"
-    for key in ("strike", "method", "loc_delta", "fd_bump", "points", "reps",
-                "lss_block", "seed", "workers", "output"):
-        flag = getattr(args, key)
+    for field, (*_, parse) in _SETTINGS.items():
+        flag = getattr(args, field, None)
         if flag is not None:
-            values[key] = flag
+            values[field] = parse(flag)
     if args.assets is not None or args.steps is not None:
         if args.assets is not None:
             assets = _count("assets", args.assets)
@@ -256,12 +227,11 @@ def _resolve(args) -> dict:
                                     values["lss_block"], values["seed"],
                                     values["mode"])
     strikes = values["strikes"] = _parse_sweep(args.sweep) if args.sweep else None
-    # constructing one spec up front surfaces strike/kind mismatches early
-    spec = PayoffSpec(kind=values["kind"],
-                      strike=values["strike"] if strikes is None else float(strikes[0]))
-    if strikes is not None and not spec.family.fixed_strike:
+    values["specs"] = [PayoffSpec(kind=values["kind"], strike=float(strike))
+                       for strike in ([values["strike"]] if strikes is None else strikes)]
+    if strikes is not None and not values["specs"][0].family.fixed_strike:
         raise ConfigurationError(
-            f"sweep needs a fixed-strike payoff; {spec.kind} has no strike")
+            f"sweep needs a fixed-strike payoff; {values['kind']} has no strike")
     return values
 
 
@@ -297,26 +267,20 @@ def _check_run(values: dict) -> None:
 def _execute(values: dict) -> tuple[list[list], list[list]]:
     market = values["market"]
     qmc = values["qmc"]
-    method = values["method"]
+    specs = values["specs"]
     sweeping = values["strikes"] is not None
-    strikes = values["strikes"] if sweeping else [values["strike"]]
 
-    lt_build = None
-    if values["lt"]:
-        lt_build = build_lt_matrix(market,
-                                   PayoffSpec(kind=values["kind"],
-                                              strike=float(strikes[0])))
+    lt_build = build_lt_matrix(market, specs[0]) if values["lt"] else None
     rows: list[list] = []
     replication_rows: list[list] = []
-    for strike in strikes:
-        spec = PayoffSpec(kind=values["kind"], strike=float(strike))
-        report = estimate(market, spec, qmc, method,
+    for spec in specs:
+        report = estimate(market, spec, qmc, values["method"],
                           use_lt=values["lt"],
                           loc_fraction=values["loc_delta"],
                           fd_bump=values["fd_bump"],
                           workers=values["workers"],
                           lt_build=lt_build)
-        prefix = [_fmt(strike)] if sweeping else []
+        prefix = [_fmt(spec.strike)] if sweeping else []
         for k in range(market.n_assets):
             rows.append(prefix + [k + 1, _fmt(report.deltas[k]),
                                   _fmt(report.stderrs[k]), report.method,

@@ -116,7 +116,7 @@ def _replication_means(run: _Run, stream: streams.QmcConfig, index: int,
     ev = evaluate(spec, config, bundle)
     if run.fd_bump is not None:
         contributions = _bump_contrast(spec, config, ev, run.fd_bump)[:, None, :]
-        rejected = np.zeros((ev.value.shape[0], config.n_assets), dtype=bool)
+        rejected = np.zeros((ev.average.shape[0], config.n_assets), dtype=bool)
     else:
         family = spec.family
         jets = wt.basket_jets(config, run.loadings, run.weight_matrix, bundle)
@@ -199,6 +199,10 @@ def estimate(config: MarketConfig, spec: PayoffSpec, qmc: streams.QmcConfig,
         raise ValueError(
             f"point dimension {qmc.nominal_dimension} does not match "
             f"assets*dates = {config.nominal_dimension}")
+    d = config.nominal_dimension
+    if use_lt and lt_build is not None and lt_build.matrix.shape != (d, d):
+        raise ValueError(f"lt_build rotation has shape {lt_build.matrix.shape}; "
+                         f"the market needs ({d}, {d})")
     if method == "loc" and not 0.0 < loc_fraction < math.inf:
         raise ValueError("loc_fraction must be positive and finite")
     if method == "fd" and not 0.0 < fd_bump < math.inf:

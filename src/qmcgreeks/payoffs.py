@@ -99,7 +99,7 @@ class PayoffSpec:
 
 @dataclass(frozen=True, eq=False)
 class PayoffEval:
-    """Per-path aggregates for one replication.
+    """Per-path aggregates for one replication; none reads the strike.
 
     average_grad[p, k] = x_k * d(average)/d(x_k), the part of the
     average carried by asset k; likewise strike_grad for the floating
@@ -108,7 +108,6 @@ class PayoffEval:
     re-simulating paths.
     """
 
-    value: np.ndarray
     average: np.ndarray
     floating_strike: np.ndarray
     average_grad: np.ndarray
@@ -127,8 +126,7 @@ def evaluate(spec: PayoffSpec, config: MarketConfig, bundle: PathBundle) -> Payo
     else:
         floating_strike = np.zeros(average.shape[0])
         strike_grad = np.zeros_like(average_grad)
-    value = spec.family.value(spec.strike, average, floating_strike)
-    return PayoffEval(value=value, average=average, floating_strike=floating_strike,
+    return PayoffEval(average=average, floating_strike=floating_strike,
                       average_grad=average_grad, strike_grad=strike_grad)
 
 

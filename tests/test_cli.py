@@ -1,4 +1,6 @@
 import csv
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,6 +99,9 @@ def test_bad_inputs_exit_with_config_code(tmp_path, capsys):
     (["--sweep", "nan:110:5"], "sweep"),
     # the floating payoff has no strike, so every sweep row would repeat one run
     (["--payoff", "asian-floating", "--sweep", "90:100:5"], "sweep"),
+    # the sweep sets every strike, so an explicit strike would be dropped
+    (["--sweep", "90:110:5", "--strike", "120", "--assets", "2", "--steps", "2",
+      "--points", "32", "--reps", "2", "--method", "loc"], "strike"),
 ])
 def test_invalid_run_arguments_exit_before_estimation(monkeypatch, capsys,
                                                       flags, field):
@@ -176,6 +181,48 @@ def test_estimation_failure_exits_with_run_code(monkeypatch, capsys):
     monkeypatch.setattr(cli, "estimate", explode)
     assert cli.run(FAST) == cli.EXIT_ESTIMATION
     assert "too many degenerate paths" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key, text, field, expected, flag, bad", [
+    ("payoff", "kind", "exotic", "kind", "best_of", ["--payoff", "exotic"], "asian"),
+    ("payoff", "strike", "95.5", "strike", 95.5, ["--strike", "95.5"], "abc"),
+    ("qmc", "points", "512", "points", 512, ["--points", "512"], "1.5"),
+    ("qmc", "replications", "5", "reps", 5, ["--reps", "5"], "many"),
+    ("qmc", "block", "20", "lss_block", 20, ["--lss-block", "20"], "x"),
+    ("qmc", "seed", "7", "seed", 7, ["--seed", "7"], "4e2"),
+    ("qmc", "mode", "pseudo_random", "mode", "pseudo_random", None, "sobol"),
+    ("run", "method", "fd", "method", "fd", ["--method", "fd"], "quadrature"),
+    ("run", "lt", "off", "lt", False, ["--lt", "off"], "yes"),
+    ("run", "loc_delta", "0.05", "loc_delta", 0.05, ["--loc-delta", "0.05"], "wide"),
+    ("run", "fd_bump", "0.002", "fd_bump", 0.002, ["--fd-bump", "0.002"], "small"),
+    ("run", "workers", "3", "workers", 3, ["--workers", "3"], "two"),
+    # every text is a path, so only a missing directory is refused
+    ("run", "output", "out.csv", "output", "out.csv", ["--output", "out.csv"], None),
+])
+def test_every_config_key_round_trips(monkeypatch, capsys, tmp_path, section, key,
+                                      text, field, expected, flag, bad):
+    ini = tmp_path / "one.ini"
+    ini.write_text(f"[{section}]\n{key} = {text}\n")
+    values = cli._resolve(cli.build_parser().parse_args(["--config", str(ini)]))
+    assert values[field] == expected
+    assert type(values[field]) is type(expected)
+    if flag is not None:
+        assert cli._resolve(cli.build_parser().parse_args(flag))[field] == expected
+    if bad is not None:
+        def unreachable(*args, **kwargs):
+            raise AssertionError("estimation started")
+
+        monkeypatch.setattr(cli, "estimate", unreachable)
+        ini.write_text(f"[{section}]\n{key} = {bad}\n")
+        assert cli.run(["--config", str(ini)]) == cli.EXIT_CONFIG
+        assert f"invalid value for {key} in [{section}]" in capsys.readouterr().err
+
+
+def test_readme_lists_every_config_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = re.findall(r"^\| `\[(\w+)\] (\w+)` \|", readme, flags=re.MULTILINE)
+    assert len(listed) == len(set(listed))
+    assert set(listed) == cli._FILE_KEYS
 
 
 def test_flags_override_config_file_and_preset(tmp_path):

@@ -182,6 +182,23 @@ def test_invalid_arguments_are_rejected():
         estimate(config, spec, _stream(config, replications=1), method="loc")
 
 
+def test_prebuilt_rotation_must_match_the_market(monkeypatch):
+    config = _market(n_assets=2, n_dates=2)
+    spec = PayoffSpec(kind="call", strike=100.0)
+    wrong = est.build_lt_matrix(_market(n_assets=3, n_dates=2), spec)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("path simulation started")
+
+    monkeypatch.setattr(est, "path_generator", unreachable)
+    with pytest.raises(ValueError, match=r"lt_build.*\(6, 6\).*\(4, 4\)"):
+        estimate(config, spec, _stream(config), lt_build=wrong)
+    # without the rotation the prebuilt one is never read
+    monkeypatch.undo()
+    estimate(config, spec, _stream(config, points=32, replications=2),
+             method="loc", use_lt=False, lt_build=wrong)
+
+
 @pytest.mark.parametrize("kind, builder, pilot_bundles", [
     ("call", "basket_jets", est.PILOT_SPLIT),
     ("digital", "basket_jets", 1),

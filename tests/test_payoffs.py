@@ -63,7 +63,8 @@ def test_fixed_strike_evaluation():
             [[80.0, 80.0], [90.0, 90.0]]]
     ev = payoffs.evaluate(spec, config, _bundle(grid))
     assert np.allclose(ev.average, [105.0, 85.0])
-    assert np.allclose(ev.value, [5.0, 0.0])
+    assert np.allclose(payoffs.FAMILIES["call"].value(100.0, ev.average,
+                                                      ev.floating_strike), [5.0, 0.0])
     assert np.allclose(ev.average_grad, [[50.0, 55.0], [40.0, 45.0]])
     assert np.abs(ev.strike_grad).max() == 0.0
     assert np.abs(ev.floating_strike).max() == 0.0
@@ -91,11 +92,13 @@ def test_floating_and_best_of_values():
                                 config, bundle)
     # terminal mean (110+120)/2 = 115 vs average 105; (130+140)/2 = 135 vs 110
     assert np.allclose(floating.floating_strike, [115.0, 135.0])
-    assert np.allclose(floating.value, [0.0, 0.0])
+    assert np.allclose(payoffs.FAMILIES["floating"].value(
+        0.0, floating.average, floating.floating_strike), [0.0, 0.0])
     assert np.allclose(floating.strike_grad, [[55.0, 60.0], [65.0, 70.0]])
     best = payoffs.evaluate(payoffs.PayoffSpec(kind="best_of", strike=100.0),
                             config, bundle)
-    assert np.allclose(best.value, [15.0, 35.0])
+    assert np.allclose(payoffs.FAMILIES["best_of"].value(
+        100.0, best.average, best.floating_strike), [15.0, 35.0])
 
 
 def test_digital_tie_pays_one():
@@ -105,8 +108,9 @@ def test_digital_tie_pays_one():
     ev = payoffs.evaluate(payoffs.PayoffSpec(kind="digital", strike=100.0),
                           config, _bundle(grid))
     assert ev.average[0] == 100.0
-    assert np.array_equal(ev.value, [1.0, 0.0])
-    assert set(np.unique(ev.value)) <= {0.0, 1.0}
+    value = payoffs.FAMILIES["digital"].value(100.0, ev.average, ev.floating_strike)
+    assert np.array_equal(value, [1.0, 0.0])
+    assert set(np.unique(value)) <= {0.0, 1.0}
 
 
 def test_value_monotone_in_average():
@@ -116,20 +120,6 @@ def test_value_monotone_in_average():
         high = value(100.0, np.array([105.0]), np.zeros(1))
         assert high[0] >= low[0]
         assert high[0] > 0.0
-
-
-def test_value_from_aggregates_matches_evaluate():
-    config = _config()
-    rng = np.random.default_rng(1)
-    grid = 100.0 * np.exp(rng.normal(0, 0.3, size=(25, 2, 2)))
-    bundle = _bundle(grid)
-    for kind, strike in (("call", 100.0), ("floating", 0.0),
-                         ("digital", 100.0), ("best_of", 100.0)):
-        spec = payoffs.PayoffSpec(kind=kind, strike=strike)
-        ev = payoffs.evaluate(spec, config, bundle)
-        direct = payoffs.FAMILIES[kind].value(strike, ev.average,
-                                              ev.floating_strike)
-        assert np.array_equal(ev.value, direct)
 
 
 def test_discount_factor():
