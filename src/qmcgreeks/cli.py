@@ -20,7 +20,7 @@ import numpy as np
 from .estimator import METHODS, MIN_ADAPTIVE_POINTS, EstimationError, estimate
 from .lt import build_lt_matrix
 from .market import MarketConfig
-from .payoffs import PayoffSpec
+from .payoffs import FAMILIES, PayoffSpec
 from .presets import DEFAULT_SEED, PRESETS, ladder_market, preset, standard_stream
 from .qmc import MODES
 
@@ -116,7 +116,7 @@ def _market_from_section(sect) -> MarketConfig:
 
 
 def _load_file(path: str) -> tuple[MarketConfig | None, dict]:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         with open(path, encoding="utf-8") as handle:
             parser.read_file(handle)
@@ -257,10 +257,11 @@ def _check_run(values: dict) -> None:
         if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
             raise ConfigurationError(
                 f"{field}: directory of {path!r} does not exist")
-    dates = values["market"].n_dates
-    if values["kind"] == "best_of" and dates < 2:
+    dates, needed = values["market"].n_dates, FAMILIES[values["kind"]].min_dates
+    if dates < needed:
+        name = {kind: name for name, kind in PAYOFF_NAMES.items()}[values["kind"]]
         raise ConfigurationError(
-            f"steps (monitoring dates) must be at least 2 for the exotic "
+            f"steps (monitoring dates) must be at least {needed} for the {name} "
             f"payoff; got {dates}")
 
 

@@ -190,7 +190,7 @@ def estimate(config: MarketConfig, spec: PayoffSpec, qmc: streams.QmcConfig,
     differences (method "fd"). A prebuilt rotation can be passed to
     amortize its construction over a strike sweep. Method "adaptive"
     needs at least MIN_ADAPTIVE_POINTS points per replication for its
-    pilot race.
+    pilot race; the Malliavin methods need the family's min_dates.
     """
     start = time.perf_counter()
     if method not in METHODS:
@@ -203,6 +203,9 @@ def estimate(config: MarketConfig, spec: PayoffSpec, qmc: streams.QmcConfig,
     if use_lt and lt_build is not None and lt_build.matrix.shape != (d, d):
         raise ValueError(f"lt_build rotation has shape {lt_build.matrix.shape}; "
                          f"the market needs ({d}, {d})")
+    if method != "fd" and config.n_dates < spec.family.min_dates:
+        raise ValueError(f"{spec.kind} weights need at least {spec.family.min_dates} "
+                         f"monitoring dates; the market has {config.n_dates}")
     if method == "loc" and not 0.0 < loc_fraction < math.inf:
         raise ValueError("loc_fraction must be positive and finite")
     if method == "fd" and not 0.0 < fd_bump < math.inf:

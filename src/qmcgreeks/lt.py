@@ -10,17 +10,18 @@ gradient onto the complement of those columns.
 
 The driver is the running average for fixed-strike payoffs (including
 the digital, whose indicator is driven by the same variable), the
-average minus the terminal basket mean for the floating strike, and the
-active branch of max(average, terminal mean) for best_of; each payoff
-family in `payoffs.FAMILIES` supplies its own. Gradients are
-taken at an expansion path: the one generated by setting each already
-transformed coordinate to one and the rest to zero. None of this
-depends on the strike level, so one rotation serves a whole strike
-sweep of the same payoff kind.
+average minus the terminal basket mean for the floating strike, and
+max(average, terminal mean) for best_of; each payoff family in
+`payoffs.FAMILIES` supplies the driver's branches, the active one
+first, and a column follows the first branch whose projected gradient
+does not vanish. Gradients are taken at an expansion path: the one
+generated by setting each already transformed coordinate to one and the
+rest to zero. None of this depends on the strike level, so one rotation
+serves a whole strike sweep of the same payoff kind.
 
-Columns whose projected gradient vanishes, which happens when the
-volatility is degenerate, fall back to completing the basis from
-coordinate vectors; the build reports how many did.
+Once every branch vanishes, as under degenerate volatility, one QR
+factorization completes the basis; the build reports how many columns
+it supplied.
 """
 from __future__ import annotations
 
@@ -39,9 +40,8 @@ class LtBuild:
     """Orthogonal rotation with build diagnostics.
 
     objectives[k] is the squared directional derivative (gradient @
-    column)^2 that greedy step k captured, 0 for a column completed
-    from coordinate vectors instead of gradients; fallback_columns
-    counts those columns.
+    column)^2 that greedy step k captured, 0 for a column of the QR
+    completion; fallback_columns counts those, the trailing columns.
     """
 
     matrix: np.ndarray
@@ -70,17 +70,16 @@ def driver_gradient(config: MarketConfig, loadings: np.ndarray,
 
 def build_lt_matrix(config: MarketConfig, spec: PayoffSpec,
                     loadings: np.ndarray | None = None) -> LtBuild:
-    """Greedy column-by-column construction of the rotation. The
-    projections read the finished columns as contiguous rows; basis
-    completion reads the column layout, whose per-coordinate sums break
-    exact ties between equally covered coordinates."""
+    """Greedy column-by-column construction of the rotation, from the
+    first driver branch whose projected gradient does not vanish; once
+    none is left, one QR factorization completes the basis, each column
+    signed so that its largest-magnitude entry is positive."""
     if loadings is None:
         loadings = vol_loadings(config)
     m, n = config.n_assets, config.n_dates
     d = m * n
     weights = spec.weight_matrix(m, n)
     generator = path_generator(config, loadings)
-    matrix = np.zeros((d, d))
     rows = np.zeros((d, d))
     eta_hat = np.zeros((1, d))
     objectives = np.zeros(d)
@@ -88,31 +87,24 @@ def build_lt_matrix(config: MarketConfig, spec: PayoffSpec,
     for k in range(d):
         done = rows[:k]
         bundle = simulate_paths(config, generator, eta_hat)
-        coeff = spec.family.driver(weights, bundle.spot_grid)
-        gradient = driver_gradient(config, loadings, coeff, bundle.spot_grid)
-        # two projection passes keep the columns orthonormal at scale
-        residual = gradient - done.T @ (done @ gradient)
-        residual -= done.T @ (done @ residual)
-        norm = float(np.linalg.norm(residual))
-        if norm <= _DEGENERATE_FRACTION * max(1.0, float(np.linalg.norm(gradient))):
-            column = _basis_completion(matrix[:, :k])
-            fallback += 1
+        for coeff in spec.family.driver(weights, bundle.spot_grid):
+            gradient = driver_gradient(config, loadings, coeff, bundle.spot_grid)
+            # two projection passes keep the columns orthonormal at scale
+            residual = gradient - done.T @ (done @ gradient)
+            residual -= done.T @ (done @ residual)
+            norm = float(np.linalg.norm(residual))
+            if norm > _DEGENERATE_FRACTION * max(1.0, float(np.linalg.norm(gradient))):
+                break
         else:
-            column = residual / norm
-            objectives[k] = float(gradient @ column) ** 2
-        matrix[:, k] = rows[k] = column
+            complement = np.linalg.qr(done.T, mode="complete")[0][:, k:]
+            peaks = complement[np.abs(complement).argmax(axis=0), np.arange(d - k)]
+            rows[k:] = (complement * np.sign(peaks)).T
+            fallback = d - k
+            break
+        rows[k] = column = residual / norm
+        objectives[k] = float(gradient @ column) ** 2
         eta_hat[0] += column
+    matrix = np.ascontiguousarray(rows.T)
     for table in (matrix, objectives):
         table.setflags(write=False)
     return LtBuild(matrix=matrix, objectives=objectives, fallback_columns=fallback)
-
-
-def _basis_completion(done: np.ndarray) -> np.ndarray:
-    """Unit vector orthogonal to the fixed columns, from the coordinate
-    direction they cover least."""
-    leftover = 1.0 - (done ** 2).sum(axis=1)
-    pick = int(np.argmax(leftover))
-    column = -done @ done[pick]
-    column[pick] += 1.0
-    column -= done @ (done.T @ column)
-    return column / np.linalg.norm(column)

@@ -159,9 +159,10 @@ class PayoffFamily:
     # (config, jets, bundle) -> every component's weight, (paths, assets),
     # from the bundle's basket jets
     weights: Callable[..., wt.PathWeights]
-    # (weights, spot) -> coefficients c of the rotation driver
-    # sum_ij c_ij S_i(t_j) at the (1, assets, dates) expansion path
-    driver: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    # (weights, spot) -> each branch's coefficients c of the rotation driver
+    # sum_ij c_ij S_i(t_j) at the (1, assets, dates) expansion path, active first
+    driver: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, ...]]
+    min_dates: int = 1  # monitoring dates the Malliavin weight needs
 
     @property
     def split(self) -> tuple[Callable, Callable]:
@@ -196,11 +197,12 @@ def _terminal_leg(weights: np.ndarray) -> np.ndarray:
     return leg
 
 
-def _best_of_driver(weights: np.ndarray, spot: np.ndarray) -> np.ndarray:
-    """The active branch of max(average, terminal mean)."""
+def _best_of_driver(weights: np.ndarray, spot: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Both branches of max(average, terminal mean), the active one first."""
     average = float(np.einsum("ij,ij->", spot[0], weights))
     terminal_mean = float(spot[0, :, -1].mean())
-    return weights if average >= terminal_mean else _terminal_leg(weights)
+    branches = (weights, _terminal_leg(weights))
+    return branches if average >= terminal_mean else branches[::-1]
 
 
 _CALL = PayoffFamily(
@@ -208,7 +210,7 @@ _CALL = PayoffFamily(
     floating_leg=False, fixed_strike=True, laplace=False, frame=_average_frame,
     weights=lambda config, jets, bundle: wt.skorohod_weight(
         jets.avg, jets.int_avg, bundle.w_terminal),
-    driver=lambda weights, spot: weights)
+    driver=lambda weights, spot: (weights,))
 
 FAMILIES = {
     "call": _CALL,
@@ -217,7 +219,7 @@ FAMILIES = {
         floating_leg=True, fixed_strike=False, laplace=False, frame=_floating_frame,
         weights=lambda config, jets, bundle: wt.skorohod_weight(
             jets.avg - jets.term, jets.int_avg - jets.int_term, bundle.w_terminal),
-        driver=lambda weights, spot: weights - _terminal_leg(weights)),
+        driver=lambda weights, spot: (weights - _terminal_leg(weights),)),
     "digital": replace(
         _CALL, value=lambda strike, average, leg: (average >= strike).astype(np.float64),
         laplace=True),
@@ -226,6 +228,6 @@ FAMILIES = {
                                                       - strike, 0.0),
         floating_leg=True, fixed_strike=True, laplace=False, frame=_best_of_frame,
         weights=lambda config, jets, bundle: wt.best_of_weight(config, jets, bundle),
-        driver=_best_of_driver),
+        driver=_best_of_driver, min_dates=2),
 }
 KINDS = tuple(FAMILIES)

@@ -79,6 +79,14 @@ def test_bad_inputs_exit_with_config_code(tmp_path, capsys):
     assert cli.run(["--payoff", "digital", "--strike", "-5"]) == cli.EXIT_CONFIG
     assert "positive strike" in capsys.readouterr().err
 
+    # values are read literally, so a % is just a bad number
+    percent = tmp_path / "percent.ini"
+    percent.write_text("[run]\nloc_delta = 1%\n")
+    assert cli.run(["--config", str(percent)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "invalid value for loc_delta in [run]" in err
+    assert "Traceback" not in err
+
 
 @pytest.mark.parametrize("flags, field", [
     (["--workers", "0"], "workers"),
@@ -198,6 +206,8 @@ def test_estimation_failure_exits_with_run_code(monkeypatch, capsys):
     ("run", "workers", "3", "workers", 3, ["--workers", "3"], "two"),
     # every text is a path, so only a missing directory is refused
     ("run", "output", "out.csv", "output", "out.csv", ["--output", "out.csv"], None),
+    # no % interpolation: the file's text is the path
+    ("run", "output", "100%.csv", "output", "100%.csv", ["--output", "100%.csv"], None),
 ])
 def test_every_config_key_round_trips(monkeypatch, capsys, tmp_path, section, key,
                                       text, field, expected, flag, bad):

@@ -158,7 +158,7 @@ def test_other_payoff_kinds_run_end_to_end(kind):
     assert (report.localization_widths > 0.0).all()
 
 
-def test_invalid_arguments_are_rejected():
+def test_invalid_arguments_are_rejected(monkeypatch):
     config = _market()
     spec = PayoffSpec(kind="call", strike=100.0)
     qmc = _stream(config)
@@ -180,6 +180,22 @@ def test_invalid_arguments_are_rejected():
     # one replication has no spread, so its stderr would be a silent nan
     with pytest.raises(ValueError, match="replications"):
         estimate(config, spec, _stream(config, replications=1), method="loc")
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("rotation build started")
+
+    # the best_of weight needs two dates, so no work may start on one
+    one_date = _market(n_assets=3, n_dates=1)
+    best_of = PayoffSpec(kind="best_of", strike=100.0)
+    monkeypatch.setattr(est, "build_lt_matrix", unreachable)
+    for method in ("adaptive", "loc"):
+        with pytest.raises(ValueError, match="2 monitoring dates; the market has 1"):
+            estimate(one_date, best_of, _stream(one_date), method=method)
+    # finite differences need no weight
+    monkeypatch.undo()
+    report = estimate(one_date, best_of, _stream(one_date, points=32, replications=2),
+                      method="fd")
+    assert np.isfinite(report.deltas).all()
 
 
 def test_prebuilt_rotation_must_match_the_market(monkeypatch):
@@ -258,8 +274,10 @@ def test_degenerate_pilot_falls_back_with_warning(monkeypatch, caplog):
     ("call", 11, [10.0, 2.0, 2.0]),
     ("floating", 7, [1.0, 5.0, 2.0]),
     ("floating", 11, [10.0, 1.0, 1.0]),
-    ("best_of", 7, [10.0, 10.0, 10.0]),
-    ("best_of", 11, [10.0, 10.0, 5.0]),
+    # re-frozen when the best_of rotation stopped completing its basis
+    # column by column from rounding-noise picks
+    ("best_of", 7, [5.0, 2.0, 5.0]),
+    ("best_of", 11, [5.0, 2.0, 20.0]),
 ])
 def test_pilot_race_widths_are_pinned(kind, seed, widths):
     config = _market(n_assets=3, n_dates=4)

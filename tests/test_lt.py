@@ -1,9 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from qmcgreeks import lt
 from qmcgreeks.market import MarketConfig, path_generator, simulate_paths, vol_loadings
 from qmcgreeks.payoffs import PayoffSpec
+
+
+_KINDS = [("call", 100.0), ("floating", 0.0), ("digital", 100.0), ("best_of", 100.0)]
 
 
 def _config(n_assets=2, n_dates=3, vols=(0.2, 0.4)):
@@ -15,13 +20,13 @@ def _config(n_assets=2, n_dates=3, vols=(0.2, 0.4)):
                         monitoring_times=np.arange(1, n_dates + 1) / n_dates)
 
 
-@pytest.mark.parametrize("kind,strike", [("call", 100.0), ("floating", 0.0),
-                                         ("digital", 100.0), ("best_of", 100.0)])
+@pytest.mark.parametrize("kind,strike", _KINDS)
 def test_columns_are_orthonormal(kind, strike):
     config = _config()
     build = lt.build_lt_matrix(config, PayoffSpec(kind=kind, strike=strike))
     d = config.nominal_dimension
     assert build.matrix.shape == (d, d)
+    assert build.matrix.flags.c_contiguous
     assert np.abs(build.matrix.T @ build.matrix - np.eye(d)).max() < 1e-12
 
 
@@ -86,10 +91,44 @@ def test_zero_volatility_falls_back_to_identity():
 
 
 def test_best_of_fallbacks_keep_orthonormality():
-    # the terminal-mean branch spans only an assets-sized subspace, so
-    # late columns can need basis completion; the matrix must stay clean
+    # the terminal-mean branch spans only an assets-sized subspace; once
+    # it is exhausted the columns follow the average branch, so on this
+    # market no column is left to the basis completion
     config = _config(n_assets=3, n_dates=4, vols=(0.1, 0.25, 0.4))
     build = lt.build_lt_matrix(config, PayoffSpec(kind="best_of", strike=100.0))
     d = config.nominal_dimension
     assert np.abs(build.matrix.T @ build.matrix - np.eye(d)).max() < 1e-12
-    assert (build.objectives == 0.0).sum() == build.fallback_columns
+    assert build.fallback_columns == 0
+    assert (build.objectives > 0.0).all()
+
+
+@pytest.mark.parametrize("kind,strike", _KINDS)
+def test_completion_follows_the_greedy_columns(kind, strike):
+    # the second asset has no volatility, so the driver gradients span
+    # only the first driver's three increments
+    config = _config(vols=(0.2, 0.0))
+    build = lt.build_lt_matrix(config, PayoffSpec(kind=kind, strike=strike))
+    d = config.nominal_dimension
+    assert build.fallback_columns == 3
+    assert (build.objectives[:3] > 0.0).all()
+    assert np.array_equal(build.objectives[3:], np.zeros(3))
+    assert np.abs(build.matrix.T @ build.matrix - np.eye(d)).max() < 1e-12
+    completed = build.matrix[:, 3:]
+    peaks = completed[np.abs(completed).argmax(axis=0), np.arange(3)]
+    assert (peaks > 0.0).all()
+
+
+@pytest.mark.parametrize("kind,strike", _KINDS)
+def test_rotation_is_stable_under_rounding(kind, strike, monkeypatch):
+    config = _config(n_assets=3, n_dates=4, vols=(0.1, 0.25, 0.4))
+    spec = PayoffSpec(kind=kind, strike=strike)
+    build = lt.build_lt_matrix(config, spec)
+    original = lt.simulate_paths
+
+    def nudged(*args):
+        bundle = original(*args)
+        return replace(bundle, spot_grid=np.nextafter(bundle.spot_grid, np.inf))
+
+    monkeypatch.setattr(lt, "simulate_paths", nudged)
+    moved = lt.build_lt_matrix(config, spec)
+    assert np.abs(moved.matrix - build.matrix).max() <= 1e-9
