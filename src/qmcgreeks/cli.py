@@ -94,6 +94,9 @@ def _market_from_section(sect) -> MarketConfig:
         for name in ("spots", "vols"):
             if name not in sect:
                 raise ConfigurationError(f"missing {name} entry in [market]")
+        if "assets" in sect:
+            raise ConfigurationError(
+                "assets cannot be combined with spots and vols in [market]")
         spots = _convert("market", "spots", sect["spots"], _floats)
         vols = _convert("market", "vols", sect["vols"], _floats)
     elif "assets" in sect:
@@ -257,6 +260,11 @@ def _check_run(values: dict) -> None:
         if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
             raise ConfigurationError(
                 f"{field}: directory of {path!r} does not exist")
+    dump = values["debug_replications"]
+    if (values["output"] is not None and dump is not None
+            and os.path.realpath(values["output"]) == os.path.realpath(dump)):
+        raise ConfigurationError(
+            f"debug_replications: {dump!r} would overwrite the output file")
     dates, needed = values["market"].n_dates, FAMILIES[values["kind"]].min_dates
     if dates < needed:
         name = {kind: name for name, kind in PAYOFF_NAMES.items()}[values["kind"]]

@@ -8,18 +8,19 @@ k-th transformed coordinate, subject to orthonormality with the columns
 already fixed; the optimum is the normalized projection of the driver
 gradient onto the complement of those columns.
 
-The driver is the running average for fixed-strike payoffs (including
-the digital, whose indicator is driven by the same variable), the
-average minus the terminal basket mean for the floating strike, and
-max(average, terminal mean) for best_of; each payoff family in
-`payoffs.FAMILIES` supplies the driver's branches, the active one
-first, and a column follows the first branch whose projected gradient
-does not vanish. Gradients are taken at an expansion path: the one
-generated by setting each already transformed coordinate to one and the
-rest to zero. None of this depends on the strike level, so one rotation
-serves a whole strike sweep of the same payoff kind.
+The driver is the largest of the legs sum_ij c_ij S_i(t_j) that a
+payoff family in `payoffs.FAMILIES` lists: the running average for
+fixed-strike payoffs (including the digital, whose indicator is driven
+by the same variable), the average minus the terminal basket mean for
+the floating strike, and both for best_of, max(average, terminal
+mean). A column follows the first leg, largest first, whose projected
+gradient does not vanish. Leg values and gradients are taken at an
+expansion path: the one generated by setting each already transformed
+coordinate to one and the rest to zero. None of this depends on the
+strike level, so one rotation serves a whole strike sweep of the same
+payoff kind.
 
-Once every branch vanishes, as under degenerate volatility, one QR
+Once every leg vanishes, as under degenerate volatility, one QR
 factorization completes the basis; the build reports how many columns
 it supplied.
 """
@@ -71,14 +72,14 @@ def driver_gradient(config: MarketConfig, loadings: np.ndarray,
 def build_lt_matrix(config: MarketConfig, spec: PayoffSpec,
                     loadings: np.ndarray | None = None) -> LtBuild:
     """Greedy column-by-column construction of the rotation, from the
-    first driver branch whose projected gradient does not vanish; once
-    none is left, one QR factorization completes the basis, each column
-    signed so that its largest-magnitude entry is positive."""
+    largest leg whose projected gradient does not vanish; once none is
+    left, one QR factorization completes the basis, each column signed
+    so that its largest-magnitude entry is positive."""
     if loadings is None:
         loadings = vol_loadings(config)
     m, n = config.n_assets, config.n_dates
     d = m * n
-    weights = spec.weight_matrix(m, n)
+    legs = spec.family.legs(spec.weight_matrix(m, n))
     generator = path_generator(config, loadings)
     rows = np.zeros((d, d))
     eta_hat = np.zeros((1, d))
@@ -86,9 +87,11 @@ def build_lt_matrix(config: MarketConfig, spec: PayoffSpec,
     fallback = 0
     for k in range(d):
         done = rows[:k]
-        bundle = simulate_paths(config, generator, eta_hat)
-        for coeff in spec.family.driver(weights, bundle.spot_grid):
-            gradient = driver_gradient(config, loadings, coeff, bundle.spot_grid)
+        spot = simulate_paths(config, generator, eta_hat).spot_grid
+        # largest first; sorted() is stable, so a tie keeps leg order
+        ordered = sorted(legs, key=lambda leg: -np.einsum("ij,ij->", spot[0], leg))
+        for tried, coeff in enumerate(ordered):
+            gradient = driver_gradient(config, loadings, coeff, spot)
             # two projection passes keep the columns orthonormal at scale
             residual = gradient - done.T @ (done @ gradient)
             residual -= done.T @ (done @ residual)
@@ -101,6 +104,10 @@ def build_lt_matrix(config: MarketConfig, spec: PayoffSpec,
             rows[k:] = (complement * np.sign(peaks)).T
             fallback = d - k
             break
+        # retire the legs tried first, whose projected gradient vanished: the
+        # terminal mean's gradients all lie in sqrt(dt) (x) range(L^T), at most
+        # `assets` dimensions, so once the columns span it, it stays spent
+        legs = [leg for leg in legs if not any(leg is gone for gone in ordered[:tried])]
         rows[k] = column = residual / norm
         objectives[k] = float(gradient @ column) ** 2
         eta_hat[0] += column

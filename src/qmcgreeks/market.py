@@ -66,9 +66,9 @@ class MarketConfig:
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} must be finite")
 
-        m = spots.shape[0]
-        if spots.ndim != 1 or m < 1:
+        if spots.ndim != 1 or spots.shape[0] < 1:
             raise ValueError("spots must be a non-empty vector")
+        m = spots.shape[0]
         if (spots <= 0).any():
             raise ValueError("spots must be strictly positive")
         if vols.shape != (m,):

@@ -19,12 +19,12 @@ from which spot deltas follow by dividing out x_k.
 Everything else that differs between the kinds sits in one
 `PayoffFamily` record per kind, `FAMILIES`: the payoff from the two
 aggregates, the strike legs, the localization frame and pair, the
-weight and the driver of the rotation. Every weight builder reads the
+weight and the rotation driver's legs. Every weight builder reads the
 bundle's basket jets, `weights.basket_jets`, built once per bundle, and
 none reads the strike: call and floating take the Skorohod integral of
 one jet ratio, best_of its two-variable inversion. The digital is the
 call with a step for a payoff: it shares the call's frame, weight and
-driver and localizes with the Laplace pair instead of the ramp pair.
+legs and localizes with the Laplace pair instead of the ramp pair.
 The estimator and the rotation read the record and never test a kind
 by name.
 """
@@ -159,9 +159,9 @@ class PayoffFamily:
     # (config, jets, bundle) -> every component's weight, (paths, assets),
     # from the bundle's basket jets
     weights: Callable[..., wt.PathWeights]
-    # (weights, spot) -> each branch's coefficients c of the rotation driver
-    # sum_ij c_ij S_i(t_j) at the (1, assets, dates) expansion path, active first
-    driver: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, ...]]
+    # averaging weights -> coefficients c of each leg sum_ij c_ij S_i(t_j)
+    # of the rotation driver, which is the largest leg
+    legs: Callable[[np.ndarray], tuple[np.ndarray, ...]]
     min_dates: int = 1  # monitoring dates the Malliavin weight needs
 
     @property
@@ -197,20 +197,12 @@ def _terminal_leg(weights: np.ndarray) -> np.ndarray:
     return leg
 
 
-def _best_of_driver(weights: np.ndarray, spot: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Both branches of max(average, terminal mean), the active one first."""
-    average = float(np.einsum("ij,ij->", spot[0], weights))
-    terminal_mean = float(spot[0, :, -1].mean())
-    branches = (weights, _terminal_leg(weights))
-    return branches if average >= terminal_mean else branches[::-1]
-
-
 _CALL = PayoffFamily(
     value=lambda strike, average, leg: np.maximum(average - strike, 0.0),
     floating_leg=False, fixed_strike=True, laplace=False, frame=_average_frame,
     weights=lambda config, jets, bundle: wt.skorohod_weight(
         jets.avg, jets.int_avg, bundle.w_terminal),
-    driver=lambda weights, spot: (weights,))
+    legs=lambda weights: (weights,))
 
 FAMILIES = {
     "call": _CALL,
@@ -219,7 +211,7 @@ FAMILIES = {
         floating_leg=True, fixed_strike=False, laplace=False, frame=_floating_frame,
         weights=lambda config, jets, bundle: wt.skorohod_weight(
             jets.avg - jets.term, jets.int_avg - jets.int_term, bundle.w_terminal),
-        driver=lambda weights, spot: (weights - _terminal_leg(weights),)),
+        legs=lambda weights: (weights - _terminal_leg(weights),)),
     "digital": replace(
         _CALL, value=lambda strike, average, leg: (average >= strike).astype(np.float64),
         laplace=True),
@@ -228,6 +220,6 @@ FAMILIES = {
                                                       - strike, 0.0),
         floating_leg=True, fixed_strike=True, laplace=False, frame=_best_of_frame,
         weights=lambda config, jets, bundle: wt.best_of_weight(config, jets, bundle),
-        driver=_best_of_driver, min_dates=2),
+        legs=lambda weights: (weights, _terminal_leg(weights)), min_dates=2),
 }
 KINDS = tuple(FAMILIES)

@@ -83,12 +83,12 @@ DEGENERATE_FRACTION = 1e-12
 class MalliavinJet:
     """Path functional with its Malliavin derivative samples.
 
-    samples has the shape of value plus one trailing axis. The
+    samples has the shape of value plus one leading axis. The
     derivative with respect to a driver is constant on each monitoring
     interval, so one sample per interval determines it; any fixed
     linear functionals of the derivative can stand in for those
     samples, since every rule below is linear in them. The basket jets
-    have value (paths, assets) and samples (paths, assets, 2).
+    have value (paths, assets) and samples (2, paths, assets).
     Arithmetic follows the exact product and quotient rules, which is
     what makes chained expressions like (a*d - b*c) / e differentiable
     without symbolic work.
@@ -110,15 +110,13 @@ class MalliavinJet:
     def __mul__(self, other) -> "MalliavinJet":
         o = self._lift(other)
         return MalliavinJet(self.value * o.value,
-                            self.samples * o.value[..., None]
-                            + self.value[..., None] * o.samples)
+                            self.samples * o.value + self.value * o.samples)
 
     def __truediv__(self, other) -> "MalliavinJet":
         o = self._lift(other)
         return MalliavinJet(self.value / o.value,
-                            (self.samples * o.value[..., None]
-                             - self.value[..., None] * o.samples)
-                            / o.value[..., None] ** 2)
+                            (self.samples * o.value - self.value * o.samples)
+                            / o.value ** 2)
 
     def __rtruediv__(self, other) -> "MalliavinJet":
         return self._lift(other).__truediv__(self)
@@ -142,11 +140,11 @@ _DT, _SDS = 0, 1
 class BasketJets(NamedTuple):
     """The six linear path functionals every weight is built from.
 
-    Column k of each value is the functional for driver k; samples
-    hold its projections [int D^k ds, int s D^k ds]. term and avg are
-    asset k's own legs (divided by x_k); the other four weight every
-    asset i by the loading sigma_ik, so their projections carry
-    sigma_ik^2.
+    Column k of each value is the functional for driver k; samples[_DT]
+    and samples[_SDS] hold its projections int D^k ds and int s D^k ds.
+    term and avg are asset k's own legs (divided by x_k); the other four
+    weight every asset i by the loading sigma_ik, so their projections
+    carry sigma_ik^2.
     """
 
     term: MalliavinJet
@@ -184,27 +182,20 @@ def basket_jets(config: MarketConfig, loadings: np.ndarray,
     # contiguously, several times faster
     terminal = np.ascontiguousarray(bundle.spot_grid[:, :, -1])
     sums = _date_sums(bundle.spot_grid, weights, config.monitoring_times, 5)
-    squared_sums = [sums[r] @ squared for r in (2, 3, 4)]
-
-    def jet(value, dt, sds):
-        # each projection is formed as a (paths, assets) array and stacked
-        # last: ufuncs over the length-2 trailing axis are several times slower
-        return MalliavinJet(value, np.stack((dt, sds), axis=-1))
-
-    # a terminal leg's projections are its value at the last date times
-    # cumsum of (interval lengths, interval moments), T and T^2/2
-    own_terminal = terminal * own / m
-    term = jet(terminal / (m * x), own_terminal * big_t,
-               own_terminal * (big_t * big_t / 2.0))
-    avg = jet(sums[0] / x, sums[1] * own, sums[2] * own * 0.5)
+    squared_sums = sums[2:] @ squared
+    # the projections of a date sum over t_j^r are the sums over t_j^(r+1)
+    # and half t_j^(r+2); a terminal leg's are its last-date value times the
+    # cumsums of (interval lengths, interval moments), T and T^2/2
+    halves = np.array([1.0, 0.5])[:, None, None]
+    ends = np.array([big_t, big_t * big_t / 2.0])[:, None, None]
+    term = MalliavinJet(terminal / (m * x), terminal * own / m * ends)
+    avg = MalliavinJet(sums[0] / x, sums[1:3] * own * halves)
     cross_terminal = terminal @ squared * (big_t / m)
-    int_term = jet(terminal @ loadings * (big_t / m), cross_terminal * big_t,
-                   cross_terminal * (big_t * big_t / 2.0))
-    int_avg = jet(sums[1] @ loadings, squared_sums[0], squared_sums[1] * 0.5)
+    int_term = MalliavinJet(terminal @ loadings * (big_t / m), cross_terminal * ends)
+    int_avg = MalliavinJet(sums[1] @ loadings, squared_sums[:2] * halves)
     s_int_term = MalliavinJet(int_term.value * (big_t / 2.0),
                               int_term.samples * (big_t / 2.0))
-    s_int_avg = jet(sums[2] @ loadings / 2.0, squared_sums[1] * 0.5,
-                    squared_sums[2] * 0.25)
+    s_int_avg = MalliavinJet(sums[2] @ loadings / 2.0, squared_sums[1:] * (halves / 2.0))
     return BasketJets(term, avg, int_term, int_avg, s_int_term, s_int_avg)
 
 
@@ -225,7 +216,7 @@ def _degenerate_split(grad: MalliavinJet,
     time integral of its derivative vanish with the denominator, making
     the true weight zero.
     """
-    grad_int = grad.samples[..., _DT]
+    grad_int = grad.samples[_DT]
     degenerate = np.abs(denom.value) <= _scaled_tolerance(denom.value)
     harmless = (degenerate
                 & (np.abs(grad.value) <= _scaled_tolerance(grad.value))
@@ -239,7 +230,7 @@ def _skorohod_integral(numerator, denom: MalliavinJet, w_terminal: np.ndarray,
     zero on degenerate paths; numerator is a jet or a constant."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratio = numerator / denom
-        values = ratio.value * w_terminal - ratio.samples[..., _DT]
+        values = ratio.value * w_terminal - ratio.samples[_DT]
     return np.where(degenerate, 0.0, values)
 
 
@@ -296,12 +287,12 @@ def best_of_weight(config: MarketConfig, jets: BasketJets,
 
         w = bundle.w_terminal
         first = (dual_term.value * term.value * w
-                 - dual_term.value * term.samples[..., _DT]
-                 - term.value * dual_term.samples[..., _DT])
+                 - dual_term.value * term.samples[_DT]
+                 - term.value * dual_term.samples[_DT])
         s_increment = config.maturity * w - bundle.w_time_integral
         second = (dual_avg.value * avg.value * s_increment
-                  - avg.value * dual_avg.samples[..., _SDS]
-                  - dual_avg.value * avg.samples[..., _SDS])
+                  - avg.value * dual_avg.samples[_SDS]
+                  - dual_avg.value * avg.samples[_SDS])
         values = first - second
     return PathWeights(values=np.where(rejected, 0.0, values), rejected=rejected)
 

@@ -133,26 +133,26 @@ def lincomb_jet(spot_grid: np.ndarray, loadings: np.ndarray,
                 coeff: np.ndarray, component: int) -> weights.MalliavinJet:
     """Jet of sum_ij c_ij S_i(t_j) with respect to driver `component`.
 
-    value is (paths,) and samples (paths, intervals): the derivative
+    value is (paths,) and samples (intervals, paths): the derivative
     sample on interval l collects every observation at or after t_l,
-    samples[:, l] = sum_i sigma_ik sum_{j >= l} c_ij S_i(t_j), a suffix
+    samples[l] = sum_i sigma_ik sum_{j >= l} c_ij S_i(t_j), a suffix
     sum over dates.
     """
     weighted = coeff[None, :, :] * spot_grid
     value = weighted.sum(axis=(1, 2))
     suffix = np.cumsum(weighted[:, :, ::-1], axis=2)[:, :, ::-1]
-    samples = np.einsum("i,pij->pj", loadings[:, component], suffix)
+    samples = np.einsum("i,pij->jp", loadings[:, component], suffix)
     return weights.MalliavinJet(value=value, samples=samples)
 
 
 def time_integral(jet, interval_lengths: np.ndarray) -> np.ndarray:
     """int_0^T D_s f ds for per-interval samples."""
-    return jet.samples @ interval_lengths
+    return interval_lengths @ jet.samples
 
 
 def weighted_time_integral(jet, interval_moments: np.ndarray) -> np.ndarray:
     """int_0^T s D_s f ds; pass (t_l^2 - t_{l-1}^2)/2 per interval."""
-    return jet.samples @ interval_moments
+    return interval_moments @ jet.samples
 
 
 # ---------------------------------------------------------------------------

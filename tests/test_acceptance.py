@@ -204,7 +204,7 @@ def test_criterion_06_estimates_agree_with_bump_baseline():
                           * helpers.paths_from_increments(config, loadings, down).spot_grid
                           ).sum(axis=(1, 2))
                 bumped = (f_up - f_down) / (2.0 * h)
-                assert np.allclose(jet.samples[:, interval], bumped, rtol=1e-4), (
+                assert np.allclose(jet.samples[interval], bumped, rtol=1e-4), (
                     f"jet derivative samples off for component {component}, "
                     f"interval {interval}")
 

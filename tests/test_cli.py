@@ -110,6 +110,9 @@ def test_bad_inputs_exit_with_config_code(tmp_path, capsys):
     # the sweep sets every strike, so an explicit strike would be dropped
     (["--sweep", "90:110:5", "--strike", "120", "--assets", "2", "--steps", "2",
       "--points", "32", "--reps", "2", "--method", "loc"], "strike"),
+    # two spellings of one file: the dump would overwrite the deltas
+    (["--output", "deltas.csv", "--debug-replications", "./deltas.csv"],
+     "debug_replications"),
 ])
 def test_invalid_run_arguments_exit_before_estimation(monkeypatch, capsys,
                                                       flags, field):
@@ -138,6 +141,8 @@ _MARKET = {"spots": "100 100", "vols": "0.2 0.3", "rate": "0.05",
     ({"vols": "0.2 inf"}, "vols"),
     ({"dates": "0"}, "dates"),
     ({"spots": None, "vols": None, "assets": "0"}, "assets"),
+    # spots and vols set the asset count, so a count next to them is ambiguous
+    ({"assets": "3"}, "assets"),
 ])
 def test_invalid_market_entries_exit_before_estimation(monkeypatch, capsys, tmp_path,
                                                        entries, field):

@@ -6,6 +6,7 @@ import pytest
 from qmcgreeks import lt
 from qmcgreeks.market import MarketConfig, path_generator, simulate_paths, vol_loadings
 from qmcgreeks.payoffs import PayoffSpec
+from qmcgreeks.presets import ladder_market
 
 
 _KINDS = [("call", 100.0), ("floating", 0.0), ("digital", 100.0), ("best_of", 100.0)]
@@ -100,6 +101,22 @@ def test_best_of_fallbacks_keep_orthonormality():
     assert np.abs(build.matrix.T @ build.matrix - np.eye(d)).max() < 1e-12
     assert build.fallback_columns == 0
     assert (build.objectives > 0.0).all()
+
+
+def test_best_of_build_retires_spent_legs(monkeypatch):
+    # one gradient per column plus one per retired leg: a leg whose
+    # projected gradient vanished is not evaluated again
+    config = ladder_market(3, 4)
+    calls = []
+    original = lt.driver_gradient
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(lt, "driver_gradient", counted)
+    lt.build_lt_matrix(config, PayoffSpec(kind="best_of", strike=100.0))
+    assert len(calls) <= config.nominal_dimension + 2
 
 
 @pytest.mark.parametrize("kind,strike", _KINDS)

@@ -25,6 +25,10 @@ def test_config_validation():
         market.MarketConfig(spots=[-1.0], rate=0.05, vols=[0.2],
                             correlation=[[1.0]], maturity=1.0,
                             monitoring_times=[1.0])
+    with pytest.raises(ValueError, match="spots must be a non-empty vector"):
+        market.MarketConfig(spots=100.0, rate=0.05, vols=[0.2],
+                            correlation=[[1.0]], maturity=1.0,
+                            monitoring_times=[1.0])
     with pytest.raises(ValueError, match="vols"):
         market.MarketConfig(spots=[100.0, 100.0], rate=0.05, vols=[0.2],
                             correlation=np.eye(2), maturity=1.0,

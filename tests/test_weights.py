@@ -49,11 +49,11 @@ _away_from_zero = st.floats(min_value=0.5, max_value=10.0).map(
        arrays(np.float64, (3, 4), elements=_finite))
 @settings(max_examples=60, deadline=None)
 def test_jet_product_and_quotient_rules(fv, fs, gv, gs):
-    f = wt.MalliavinJet(value=fv[:, 0], samples=fs)
-    g = wt.MalliavinJet(value=gv[:, 0], samples=gs)
+    f = wt.MalliavinJet(value=fv[:, 0], samples=fs.T)
+    g = wt.MalliavinJet(value=gv[:, 0], samples=gs.T)
     product = f * g
     assert np.allclose(product.samples,
-                       fs * gv[:, :1] + fv[:, :1] * gs, rtol=1e-12, atol=1e-12)
+                       (fs * gv[:, :1] + fv[:, :1] * gs).T, rtol=1e-12, atol=1e-12)
     quotient = f / g
     back = quotient * g
     assert np.allclose(back.value, f.value, rtol=1e-9, atol=1e-9)
@@ -71,7 +71,7 @@ def test_jet_scalar_arithmetic():
     assert np.array_equal(scaled.samples, 2.0 * f.samples)
     flipped = 1.0 / f
     assert np.allclose(flipped.value, [0.5, 1.0 / 3.0])
-    assert np.allclose(flipped.samples, -f.samples / f.value[:, None] ** 2)
+    assert np.allclose(flipped.samples, -f.samples / f.value ** 2)
 
 
 def test_lincomb_jet_value_and_integrals():
@@ -84,13 +84,13 @@ def test_lincomb_jet_value_and_integrals():
     # suffix structure: sample on the last interval only sees the last date
     last = np.einsum("pi,i->p", bundle.spot_grid[:, :, -1] * coeff[:, -1],
                      loadings[:, 0])
-    assert np.allclose(jet.samples[:, -1], last, rtol=1e-14)
+    assert np.allclose(jet.samples[-1], last, rtol=1e-14)
     # integrals are plain quadratures of the samples
     dt = config.interval_lengths
-    assert np.allclose(helpers.time_integral(jet, dt), jet.samples @ dt)
+    assert np.allclose(helpers.time_integral(jet, dt), dt @ jet.samples)
     moments = np.diff(config.grid ** 2) / 2.0
     assert np.allclose(helpers.weighted_time_integral(jet, moments),
-                       jet.samples @ moments)
+                       moments @ jet.samples)
 
 
 def _increment_bump_derivative(config, loadings, normals, functional,
@@ -107,7 +107,7 @@ def _increment_bump_derivative(config, loadings, normals, functional,
         f_up = functional(helpers.paths_from_increments(config, loadings, up))
         f_down = functional(helpers.paths_from_increments(config, loadings, down))
         out.append((f_up - f_down) / (2.0 * h))
-    return np.stack(out, axis=1)
+    return np.stack(out)
 
 
 def test_lincomb_jet_samples_match_increment_bumps():
@@ -159,7 +159,7 @@ class _Blocks(NamedTuple):
 
 def _jet_blocks(grad, denom):
     """The closed-form blocks read off a weight's two jets."""
-    return _Blocks(grad.value, denom.value, grad.samples[..., 0], denom.samples[..., 0])
+    return _Blocks(grad.value, denom.value, grad.samples[0], denom.samples[0])
 
 
 def _fixed_blocks(config, loadings, weights, bundle):
@@ -254,7 +254,7 @@ def test_single_asset_single_date_weight_identity():
 def test_degenerate_paths_are_rejected_unless_harmless():
     def jet(value, integral):
         # samples hold [int D ds, int s D ds]; the weight reads the first
-        return wt.MalliavinJet(value, np.stack((integral, np.zeros_like(value)), axis=-1))
+        return wt.MalliavinJet(value, np.stack((integral, np.zeros_like(value))))
 
     ones = np.ones(4)
     pw = wt.skorohod_weight(jet(np.array([1.0, 0.0, 1.0, 1.0]), np.array([1.0, 0.0, 1.0, 1.0])),
@@ -520,9 +520,9 @@ def test_batched_weights_match_per_component_references():
         for jet, reference in zip(jets, _reference_best_of_jets(
                 config, loadings, uniform, bundle, k)):
             _assert_matches(jet.value[:, k], reference.value, f"value {k}")
-            _assert_matches(jet.samples[:, k, 0], helpers.time_integral(reference, dt),
+            _assert_matches(jet.samples[0, :, k], helpers.time_integral(reference, dt),
                             f"time integral {k}")
-            _assert_matches(jet.samples[:, k, 1],
+            _assert_matches(jet.samples[1, :, k],
                             helpers.weighted_time_integral(reference, moments),
                             f"weighted time integral {k}")
         digital_values, digital_rejected = _reference_single_variable(
