@@ -154,7 +154,8 @@ def _parse_sweep(text: str) -> np.ndarray:
         raise ConfigurationError("sweep bounds must be finite")
     if step <= 0 or high < low:
         raise ConfigurationError("sweep needs step > 0 and hi >= lo")
-    strikes = np.arange(low, high + 0.5 * step, step)
+    # hi stays in when whole steps reach it up to rounding; a partial step adds none
+    strikes = np.arange(low, high + 1e-9 * step, step)
     if (strikes <= 0).any():
         raise ConfigurationError("sweep strikes must be positive")
     return strikes
@@ -225,10 +226,9 @@ def _resolve(args) -> dict:
     values["market"] = market
     values["debug_replications"] = args.debug_replications
     _check_run(values)
-    values["qmc"] = standard_stream(market.n_assets, market.n_dates,
-                                    values["points"], values["reps"],
-                                    values["lss_block"], values["seed"],
-                                    values["mode"])
+    values["qmc"] = standard_stream(points=values["points"], replications=values["reps"],
+                                    block=values["lss_block"], seed=values["seed"],
+                                    mode=values["mode"])
     strikes = values["strikes"] = _parse_sweep(args.sweep) if args.sweep else None
     values["specs"] = [PayoffSpec(kind=values["kind"], strike=float(strike))
                        for strike in ([values["strike"]] if strikes is None else strikes)]
@@ -266,7 +266,7 @@ def _check_run(values: dict) -> None:
         raise ConfigurationError(
             f"debug_replications: {dump!r} would overwrite the output file")
     dates, needed = values["market"].n_dates, FAMILIES[values["kind"]].min_dates
-    if dates < needed:
+    if values["method"] != "fd" and dates < needed:
         name = {kind: name for name, kind in PAYOFF_NAMES.items()}[values["kind"]]
         raise ConfigurationError(
             f"steps (monitoring dates) must be at least {needed} for the {name} "

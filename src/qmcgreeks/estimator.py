@@ -20,10 +20,10 @@ least 2 * PILOT_SPLIT points per replication.
 numbers, included for cost and accuracy comparisons. What differs
 between payoff kinds comes from `payoffs.FAMILIES`.
 
-Replications are independent tasks; results land in preallocated
-slots and are combined in replication order with compensated
-summation, so reports are bit-identical for a fixed seed regardless
-of the worker count.
+Replications are independent tasks. Each sums its paths by `math.fsum`;
+the replication means come back in order from `map` or the pool's `map`
+and are stacked and averaged by `np.mean`, so reports are bit-identical
+for a fixed seed regardless of the worker count.
 """
 from __future__ import annotations
 
@@ -64,7 +64,7 @@ class EstimateReport:
     across every scenario the method needed (bump runs included), the
     quantity cost comparisons should use. localization_widths echoes
     the per-component scale actually used, None for the
-    finite-difference method.
+    finite-difference method, and lt_build the rotation, None without.
     """
 
     deltas: np.ndarray
@@ -76,8 +76,7 @@ class EstimateReport:
     method: str
     settings: dict
     localization_widths: np.ndarray | None
-    lt_first_objective: float | None
-    lt_fallback_columns: int | None
+    lt_build: LtBuild | None
 
     @property
     def rejected_paths(self) -> int:
@@ -111,7 +110,7 @@ def _replication_means(run: _Run, stream: streams.QmcConfig, index: int,
     nan.
     """
     config, spec = run.config, run.spec
-    normals = streams.replication_normals(stream, index)
+    normals = streams.replication_normals(stream, index, config.nominal_dimension)
     bundle = simulate_paths(config, run.generator, normals)
     ev = evaluate(spec, config, bundle)
     if run.fd_bump is not None:
@@ -155,7 +154,7 @@ def _pilot_widths(run: _Run, qmc: streams.QmcConfig) -> tuple[np.ndarray, int]:
     config, spec = run.config, run.spec
     base = qmc.replications
     if spec.family.laplace:
-        normals = streams.replication_normals(qmc, base)
+        normals = streams.replication_normals(qmc, base, config.nominal_dimension)
         bundle = simulate_paths(config, run.generator, normals)
         jets = wt.basket_jets(config, run.loadings, run.weight_matrix, bundle)
         div = wt.reciprocal_divergence(jets, bundle.w_terminal)
@@ -195,10 +194,6 @@ def estimate(config: MarketConfig, spec: PayoffSpec, qmc: streams.QmcConfig,
     start = time.perf_counter()
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    if qmc.nominal_dimension != config.nominal_dimension:
-        raise ValueError(
-            f"point dimension {qmc.nominal_dimension} does not match "
-            f"assets*dates = {config.nominal_dimension}")
     d = config.nominal_dimension
     if use_lt and lt_build is not None and lt_build.matrix.shape != (d, d):
         raise ValueError(f"lt_build rotation has shape {lt_build.matrix.shape}; "
@@ -274,7 +269,7 @@ def estimate(config: MarketConfig, spec: PayoffSpec, qmc: streams.QmcConfig,
         "replications": qmc.replications,
         "seed": qmc.seed,
         "sampler": qmc.mode,
-        "lss_block": qmc.lss_block_dimension,
+        "lss_block": qmc.block_sizes(d)[0],
         "use_lt": use_lt,
     }
     if method == "loc":
@@ -291,8 +286,7 @@ def estimate(config: MarketConfig, spec: PayoffSpec, qmc: streams.QmcConfig,
         method=method,
         settings=settings,
         localization_widths=widths,
-        lt_first_objective=None if lt_build is None else lt_build.first_objective,
-        lt_fallback_columns=None if lt_build is None else lt_build.fallback_columns,
+        lt_build=lt_build,
     )
 
 

@@ -43,15 +43,12 @@ def ladder_market(n_assets: int = 10, n_dates: int = 64,
                         monitoring_times=times)
 
 
-def standard_stream(n_assets: int = 10, n_dates: int = 64,
-                    points: int = 2048, replications: int = 32,
+def standard_stream(*, points: int = 2048, replications: int = 32,
                     block: int = 50, seed: int = DEFAULT_SEED,
                     mode: str = "scrambled_sobol") -> QmcConfig:
-    dimension = n_assets * n_dates
-    return QmcConfig(nominal_dimension=dimension,
-                     points_per_replication=points,
+    return QmcConfig(points_per_replication=points,
                      replications=replications,
-                     lss_block_dimension=min(block, dimension),
+                     lss_block_dimension=block,
                      seed=seed,
                      mode=mode)
 

@@ -55,20 +55,18 @@ class DimensionError(ValueError):
 
 @dataclass(frozen=True)
 class QmcConfig:
-    """Sampling plan for one estimation run.
+    """Sampling plan for one estimation run, independent of the market.
 
-    nominal_dimension is the dimension consumed by the integrand,
-    points_per_replication the number of points per randomization and
+    points_per_replication is the number of points per randomization and
     replications the number of independent randomizations feeding the
-    error estimate. When the nominal dimension exceeds
-    lss_block_dimension, points are assembled from scrambled Sobol
-    blocks of that size whose run orders are permuted independently
-    (Latin supercube sampling); the final block is truncated to the
-    leftover dimensions. Only a block draws Sobol columns, so the
-    Sobol table caps lss_block_dimension, not the nominal dimension.
+    error estimate; the draws take their dimension d from the market.
+    When d exceeds lss_block_dimension, points are assembled from
+    scrambled Sobol blocks of that size whose run orders are permuted
+    independently (Latin supercube sampling); the final block is
+    truncated to the leftover dimensions. Only a block draws Sobol
+    columns, so the Sobol table caps lss_block_dimension, not d.
     """
 
-    nominal_dimension: int
     points_per_replication: int
     replications: int
     lss_block_dimension: int
@@ -76,17 +74,12 @@ class QmcConfig:
     mode: str = "scrambled_sobol"
 
     def __post_init__(self) -> None:
-        if self.nominal_dimension < 1:
-            raise ValueError("nominal_dimension must be at least 1")
         if self.points_per_replication < 1:
             raise ValueError("points_per_replication must be at least 1")
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
-        if not 1 <= self.lss_block_dimension <= self.nominal_dimension:
-            raise ValueError(
-                "lss_block_dimension must lie in [1, nominal_dimension], "
-                f"got {self.lss_block_dimension} for nominal dimension "
-                f"{self.nominal_dimension}")
+        if self.lss_block_dimension < 1:
+            raise ValueError("lss_block_dimension must be at least 1")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.mode == "scrambled_sobol" and self.lss_block_dimension > MAX_DIMENSION:
@@ -96,11 +89,10 @@ class QmcConfig:
         if not 0 <= int(self.seed) < 2 ** 63:
             raise ValueError("seed must be a non-negative integer below 2**63")
 
-    @property
-    def block_sizes(self) -> tuple[int, ...]:
-        """Dimensions of the supercube blocks, last one possibly truncated."""
-        d, b = self.nominal_dimension, self.lss_block_dimension
-        full, rest = divmod(d, b)
+    def block_sizes(self, dimension: int) -> tuple[int, ...]:
+        """Supercube block dimensions covering `dimension`, the last possibly truncated."""
+        b = min(self.lss_block_dimension, dimension)
+        full, rest = divmod(dimension, b)
         return (b,) * full + ((rest,) if rest else ())
 
 
@@ -224,7 +216,7 @@ def to_normal(unit: np.ndarray) -> np.ndarray:
     return ndtri(unit)
 
 
-def lss_assemble(config: QmcConfig, replication: int) -> np.ndarray:
+def lss_assemble(config: QmcConfig, replication: int, dimension: int) -> np.ndarray:
     """Uniform points for one replication of the scrambled Sobol plan.
 
     Every block reuses the same Sobol net, scrambled with a substream
@@ -238,10 +230,11 @@ def lss_assemble(config: QmcConfig, replication: int) -> np.ndarray:
     few directions of a block are scrambled, not its points.
     """
     n = config.points_per_replication
-    directions, steps = _gray_code_table(config.lss_block_dimension, n)
-    out = np.empty((n, config.nominal_dimension))
+    widths = config.block_sizes(dimension)
+    directions, steps = _gray_code_table(widths[0], n)
+    out = np.empty((n, dimension))
     start = 0
-    for block, width in enumerate(config.block_sizes):
+    for block, width in enumerate(widths):
         rng = _substream(config.seed, replication, _TAG_SCRAMBLE, block)
         scramble = DigitalScramble.random(width, rng)
         linear = scramble.apply(directions[:, :width]) ^ scramble.shift
@@ -253,15 +246,15 @@ def lss_assemble(config: QmcConfig, replication: int) -> np.ndarray:
     return out
 
 
-def replication_uniforms(config: QmcConfig, replication: int) -> np.ndarray:
+def replication_uniforms(config: QmcConfig, replication: int, dimension: int) -> np.ndarray:
     """Uniform (points, dimension) draws for one replication."""
     if config.mode == "pseudo_random":
         rng = _substream(config.seed, replication, _TAG_PSEUDO)
-        u = rng.random((config.points_per_replication, config.nominal_dimension))
+        u = rng.random((config.points_per_replication, dimension))
         return np.clip(u, UNIT_LOW, UNIT_HIGH)
-    return lss_assemble(config, replication)
+    return lss_assemble(config, replication, dimension)
 
 
-def replication_normals(config: QmcConfig, replication: int) -> np.ndarray:
+def replication_normals(config: QmcConfig, replication: int, dimension: int) -> np.ndarray:
     """Standard normal (points, dimension) draws for one replication."""
-    return to_normal(replication_uniforms(config, replication))
+    return to_normal(replication_uniforms(config, replication, dimension))

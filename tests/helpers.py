@@ -44,13 +44,15 @@ def scramble(raw: np.ndarray, seed) -> np.ndarray:
     return qmc.DigitalScramble.random(raw.shape[1], rng).apply(raw)
 
 
-def per_point_uniforms(config: qmc.QmcConfig, replication: int) -> np.ndarray:
+def per_point_uniforms(config: qmc.QmcConfig, replication: int,
+                       dimension: int) -> np.ndarray:
     """lss_assemble with every raw point of every block scrambled."""
     n = config.points_per_replication
-    raw = raw_sobol_block(config.lss_block_dimension, n)
-    out = np.empty((n, config.nominal_dimension))
+    widths = config.block_sizes(dimension)
+    raw = raw_sobol_block(widths[0], n)
+    out = np.empty((n, dimension))
     start = 0
-    for block, width in enumerate(config.block_sizes):
+    for block, width in enumerate(widths):
         rng = qmc._substream(config.seed, replication, qmc._TAG_SCRAMBLE, block)
         ints = qmc.DigitalScramble.random(width, rng).apply(raw[:, :width])
         order = qmc._substream(config.seed, replication, qmc._TAG_ORDER,

@@ -119,7 +119,7 @@ def test_criterion_04_best_of_deltas_match_reference():
 
 def test_criterion_05_single_asset_closed_forms():
     config = ladder_market(1, 1)
-    qmc = standard_stream(1, 1)
+    qmc = standard_stream()
     x = float(config.spots[0])
     k = 100.0
     sigma = float(config.vols[0])
@@ -143,7 +143,8 @@ def test_criterion_05_single_asset_closed_forms():
 
     # pathwise identity: with one asset and one date the weight is W(T)/(x T sigma)
     loadings = vol_loadings(config)
-    normals = streams.replication_normals(standard_stream(1, 1, 64, 1), 0)
+    normals = streams.replication_normals(standard_stream(points=64, replications=1), 0,
+                                          config.nominal_dimension)
     bundle = simulate_paths(config, path_generator(config, loadings), normals)
     jets = wt.basket_jets(
         config, loadings, PayoffSpec("call", k).weight_matrix(1, 1), bundle)
@@ -155,7 +156,7 @@ def test_criterion_05_single_asset_closed_forms():
 
 def test_criterion_06_estimates_agree_with_bump_baseline():
     config = ladder_market(3, 4)
-    qmc = standard_stream(3, 4, 1024, 16)
+    qmc = standard_stream(points=1024, replications=16)
     for kind, strike in (("call", 100.0), ("floating", 0.0),
                          ("digital", 100.0), ("best_of", 100.0)):
         spec = PayoffSpec(kind, strike)
@@ -169,7 +170,8 @@ def test_criterion_06_estimates_agree_with_bump_baseline():
     # every jet the best-of weight builds must match bumping the
     # underlying increments
     loadings = vol_loadings(config)
-    normals = streams.replication_normals(standard_stream(3, 4, 32, 1, seed=9), 0)
+    normals = streams.replication_normals(standard_stream(points=32, replications=1, seed=9),
+                                          0, config.nominal_dimension)
     bundle = simulate_paths(config, path_generator(config, loadings), normals)
     increments = helpers.driver_increments(config, normals)
     m, n = 3, 4
@@ -212,9 +214,9 @@ def test_criterion_06_estimates_agree_with_bump_baseline():
 def test_criterion_07_bare_weights_have_zero_mean():
     config = ladder_market(10, 64)
     loadings = vol_loadings(config)
-    qmc = standard_stream(10, 64, 8192, 1, seed=11, mode="pseudo_random")
+    qmc = standard_stream(points=8192, replications=1, seed=11, mode="pseudo_random")
     bundle = simulate_paths(config, path_generator(config, loadings),
-                            streams.replication_normals(qmc, 0))
+                            streams.replication_normals(qmc, 0, config.nominal_dimension))
     families = {
         "fixed": lambda jets: wt.skorohod_weight(
             jets.avg, jets.int_avg, bundle.w_terminal),
@@ -265,7 +267,7 @@ def test_criterion_09_structural_reproducibility():
     assert np.allclose(chol @ chol.T, config.correlation, atol=1e-12)
     prefix = [sobol_point(i, 1)[0] for i in range(3)]
     assert prefix == [0.5, 0.75, 0.25]
-    qmc = standard_stream(10, 64, 256, 8)
+    qmc = standard_stream(points=256, replications=8)
     lone = estimate(config, spec, qmc, "adaptive", workers=1)
     pooled = estimate(config, spec, qmc, "adaptive", workers=3)
     assert np.array_equal(lone.deltas, pooled.deltas)
@@ -276,7 +278,7 @@ def test_criterion_09_structural_reproducibility():
 def test_criterion_10_bump_baseline_costs_at_least_double():
     config = ladder_market(10, 64)
     spec = PayoffSpec("call", 100.0)
-    qmc = standard_stream(10, 64, 256, 8)
+    qmc = standard_stream(points=256, replications=8)
     mall = estimate(config, spec, qmc, "adaptive", workers=WORKERS)
     fd = estimate(config, spec, qmc, "fd", workers=WORKERS)
     ratio = fd.simulated_paths / mall.simulated_paths

@@ -28,7 +28,7 @@ def test_run_writes_csv_that_round_trips_exactly(tmp_path):
 
     market = ladder_market(2, 2)
     report = estimate(market, PayoffSpec(kind="call", strike=100.0),
-                      standard_stream(2, 2, 64, 4), method="loc")
+                      standard_stream(points=64, replications=4), method="loc")
     for k, row in enumerate(rows):
         assert float(row["delta"]) == report.deltas[k]
         assert float(row["stderr"]) == report.stderrs[k]
@@ -47,6 +47,35 @@ def test_sweep_emits_one_row_per_strike_and_component(tmp_path):
     assert strikes == [80.0 + 5.0 * i for i in range(9)]
     assert list(rows[0]) == ["strike", "component", "delta", "stderr",
                              "method", "rejected_paths"]
+
+
+@pytest.mark.parametrize("text, strikes", [
+    ("90:110:5", [90.0, 95.0, 100.0, 105.0, 110.0]),
+    # a partial last step adds no strike past hi
+    ("90:110:7", [90.0, 97.0, 104.0]),
+    # hi is kept when whole steps reach it up to rounding
+    ("0.1:0.3:0.1", [0.1, 0.2, 0.3]),
+])
+def test_sweep_strikes_stay_inside_their_bounds(text, strikes):
+    assert cli._parse_sweep(text).tolist() == pytest.approx(strikes, rel=1e-12)
+
+
+def test_fd_runs_the_exotic_payoff_on_one_date(tmp_path):
+    # the one-date refusal belongs to the Malliavin weights, not the bump contrast
+    out = tmp_path / "fd.csv"
+    assert cli.run(["--payoff", "exotic", "--assets", "2", "--steps", "1",
+                    "--points", "32", "--reps", "2", "--method", "fd",
+                    "--output", str(out)]) == 0
+    rows = _read(out)
+    assert [row["component"] for row in rows] == ["1", "2"]
+    assert all(np.isfinite(float(row["delta"])) for row in rows)
+
+
+def test_lss_block_wider_than_the_market_is_one_block(tmp_path):
+    wide, exact = tmp_path / "wide.csv", tmp_path / "exact.csv"
+    assert cli.run(FAST + ["--lss-block", "21201", "--output", str(wide)]) == 0
+    assert cli.run(FAST + ["--lss-block", "4", "--output", str(exact)]) == 0
+    assert wide.read_bytes() == exact.read_bytes()
 
 
 def test_debug_replication_dump(tmp_path):
@@ -113,6 +142,8 @@ def test_bad_inputs_exit_with_config_code(tmp_path, capsys):
     # two spellings of one file: the dump would overwrite the deltas
     (["--output", "deltas.csv", "--debug-replications", "./deltas.csv"],
      "debug_replications"),
+    # the Sobol table caps the configured block, not only the one the market uses
+    (["--lss-block", "21202"], "lss_block_dimension"),
 ])
 def test_invalid_run_arguments_exit_before_estimation(monkeypatch, capsys,
                                                       flags, field):
@@ -240,6 +271,17 @@ def test_readme_lists_every_config_key():
     assert set(listed) == cli._FILE_KEYS
 
 
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    code = re.search(r"^## Library use\n\n```python\n(.*?)^```", readme,
+                     flags=re.MULTILINE | re.DOTALL).group(1)
+    namespace = {}
+    exec(code, namespace)
+    report = namespace["report"]
+    assert report.deltas.shape == (4,)
+    assert np.isfinite(report.deltas).all() and np.isfinite(report.stderrs).all()
+
+
 def test_flags_override_config_file_and_preset(tmp_path):
     ini = tmp_path / "run.ini"
     ini.write_text("\n".join([
@@ -305,8 +347,6 @@ def test_presets_are_complete_and_consistent():
         assert chosen.payoff.kind == kinds[name]
         assert chosen.market.n_assets == 10
         assert chosen.market.n_dates == 64
-        assert (chosen.qmc.nominal_dimension
-                == chosen.market.nominal_dimension)
         assert chosen.method == "adaptive"
     with pytest.raises(ValueError, match="unknown preset"):
         preset("table9")

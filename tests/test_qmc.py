@@ -85,9 +85,9 @@ def test_scrambling_preserves_net_property():
 
 
 def test_stream_uniformity():
-    config = qmc.QmcConfig(nominal_dimension=12, points_per_replication=2048,
+    config = qmc.QmcConfig(points_per_replication=2048,
                            replications=1, lss_block_dimension=5, seed=3)
-    u = qmc.replication_uniforms(config, 0)
+    u = qmc.replication_uniforms(config, 0, 12)
     bound = 3.0 / np.sqrt(12.0 * 2048)
     assert np.abs(u.mean(axis=0) - 0.5).max() < bound
 
@@ -121,12 +121,12 @@ def test_inverse_normal_domain():
 
 
 def test_config_validation():
-    good = dict(nominal_dimension=10, points_per_replication=8,
+    good = dict(points_per_replication=8,
                 replications=2, lss_block_dimension=5, seed=1)
     qmc.QmcConfig(**good)
-    for field, bad in (("nominal_dimension", 0), ("points_per_replication", 0),
+    for field, bad in (("points_per_replication", 0),
                        ("replications", 0), ("lss_block_dimension", 0),
-                       ("lss_block_dimension", 11), ("seed", -1)):
+                       ("seed", -1)):
         with pytest.raises(ValueError):
             qmc.QmcConfig(**{**good, field: bad})
     with pytest.raises(ValueError):
@@ -134,20 +134,29 @@ def test_config_validation():
 
 
 def test_block_sizes_with_truncated_tail():
-    config = qmc.QmcConfig(nominal_dimension=640, points_per_replication=8,
+    config = qmc.QmcConfig(points_per_replication=8,
                            replications=1, lss_block_dimension=50, seed=0)
-    assert config.block_sizes == (50,) * 12 + (40,)
-    single = qmc.QmcConfig(nominal_dimension=50, points_per_replication=8,
+    assert config.block_sizes(640) == (50,) * 12 + (40,)
+    single = qmc.QmcConfig(points_per_replication=8,
                            replications=1, lss_block_dimension=50, seed=0)
-    assert single.block_sizes == (50,)
+    assert single.block_sizes(50) == (50,)
+
+
+def test_a_block_wider_than_the_draws_is_one_block():
+    wide = qmc.QmcConfig(points_per_replication=64, replications=1,
+                         lss_block_dimension=50, seed=5)
+    exact = qmc.QmcConfig(points_per_replication=64, replications=1,
+                          lss_block_dimension=7, seed=5)
+    assert wide.block_sizes(7) == (7,)
+    assert np.array_equal(qmc.lss_assemble(wide, 0, 7), qmc.lss_assemble(exact, 0, 7))
 
 
 def test_supercube_columns_are_block_permutations():
-    config = qmc.QmcConfig(nominal_dimension=7, points_per_replication=64,
+    config = qmc.QmcConfig(points_per_replication=64,
                            replications=2, lss_block_dimension=4, seed=5)
-    u = qmc.replication_uniforms(config, 1)
+    u = qmc.replication_uniforms(config, 1, 7)
     raw = helpers.raw_sobol_block(4, 64)
-    for block, width in enumerate(config.block_sizes):
+    for block, width in enumerate(config.block_sizes(7)):
         rng = qmc._substream(config.seed, 1, qmc._TAG_SCRAMBLE, block)
         ints = qmc.DigitalScramble.random(width, rng).apply(raw[:, :width])
         expected = qmc.to_unit(ints)
@@ -158,24 +167,40 @@ def test_supercube_columns_are_block_permutations():
 
 
 def test_replications_are_reproducible_and_distinct():
-    config = qmc.QmcConfig(nominal_dimension=6, points_per_replication=32,
+    config = qmc.QmcConfig(points_per_replication=32,
                            replications=3, lss_block_dimension=3, seed=9)
-    first = qmc.replication_uniforms(config, 0)
-    assert np.array_equal(first, qmc.replication_uniforms(config, 0))
-    assert not np.array_equal(first, qmc.replication_uniforms(config, 1))
+    first = qmc.replication_uniforms(config, 0, 6)
+    assert np.array_equal(first, qmc.replication_uniforms(config, 0, 6))
+    assert not np.array_equal(first, qmc.replication_uniforms(config, 1, 6))
 
 
 def test_pseudo_random_mode():
-    config = qmc.QmcConfig(nominal_dimension=6, points_per_replication=128,
+    config = qmc.QmcConfig(points_per_replication=128,
                            replications=2, lss_block_dimension=3, seed=9,
                            mode="pseudo_random")
-    u = qmc.replication_uniforms(config, 0)
+    u = qmc.replication_uniforms(config, 0, 6)
     assert u.shape == (128, 6)
     assert ((u > 0.0) & (u < 1.0)).all()
-    assert np.array_equal(u, qmc.replication_uniforms(config, 0))
-    z = qmc.replication_normals(config, 1)
+    assert np.array_equal(u, qmc.replication_uniforms(config, 0, 6))
+    z = qmc.replication_normals(config, 1, 6)
     assert z.shape == (128, 6)
     assert np.isfinite(z).all()
+
+
+def test_every_uniform_source_clips_inside_the_open_interval(monkeypatch):
+    # to_normal refuses 0 and 1, so every uniform source must clip inside
+    # (0, 1): to_unit's clip is pinned above, the pseudo-random clip here on
+    # the generator's extreme outputs
+    class Extremes:
+        def random(self, shape):
+            return np.resize([0.0, np.nextafter(1.0, 0.0)], shape)
+
+    config = qmc.QmcConfig(points_per_replication=4, replications=1,
+                           lss_block_dimension=1, seed=0, mode="pseudo_random")
+    monkeypatch.setattr(qmc, "_substream", lambda *key: Extremes())
+    u = qmc.replication_uniforms(config, 0, 3)
+    assert ((u > 0.0) & (u < 1.0)).all()
+    assert np.isfinite(qmc.replication_normals(config, 0, 3)).all()
 
 
 def test_scramble_matrix_draw_matches_per_digit_loop():
@@ -213,18 +238,18 @@ def test_stream_is_gray_code_ordered(dimension, count):
 @pytest.mark.parametrize("points", [1, 2, 256, 1000])
 @pytest.mark.parametrize("nominal, block", [(1, 1), (7, 3), (50, 50), (107, 50)])
 def test_lss_assemble_matches_per_point_scramble(points, nominal, block):
-    config = qmc.QmcConfig(nominal_dimension=nominal, points_per_replication=points,
+    config = qmc.QmcConfig(points_per_replication=points,
                            replications=2, lss_block_dimension=block, seed=77)
     for replication in (0, 1):
-        assert np.array_equal(qmc.lss_assemble(config, replication),
-                              helpers.per_point_uniforms(config, replication))
+        assert np.array_equal(qmc.lss_assemble(config, replication, nominal),
+                              helpers.per_point_uniforms(config, replication, nominal))
 
 
 def test_replication_uniforms_frozen_digest():
     # digest recorded from the per-point scramble before the direction-table form
-    config = qmc.QmcConfig(nominal_dimension=7, points_per_replication=100,
+    config = qmc.QmcConfig(points_per_replication=100,
                            replications=2, lss_block_dimension=3, seed=2024)
-    u = qmc.replication_uniforms(config, 1)
+    u = qmc.replication_uniforms(config, 1, 7)
     assert u.dtype == np.float64 and u.shape == (100, 7)
     assert hashlib.sha256(u.tobytes()).hexdigest() == (
         "2008840b1fff7e2dfc5d993bae9054b5e87e078e9a18bdb2a6a3a74df9670858")
@@ -232,15 +257,15 @@ def test_replication_uniforms_frozen_digest():
 
 def test_sobol_table_caps_the_block_not_the_nominal_dimension():
     wide = qmc.MAX_DIMENSION + 1
-    qmc.QmcConfig(nominal_dimension=wide, points_per_replication=4,
+    qmc.QmcConfig(points_per_replication=4,
                   replications=2, lss_block_dimension=50, seed=1)
     with pytest.raises(qmc.DimensionError, match="lss_block_dimension"):
-        qmc.QmcConfig(nominal_dimension=wide, points_per_replication=4,
+        qmc.QmcConfig(points_per_replication=4,
                       replications=2, lss_block_dimension=wide, seed=1)
-    pseudo = qmc.QmcConfig(nominal_dimension=wide, points_per_replication=4,
+    pseudo = qmc.QmcConfig(points_per_replication=4,
                            replications=2, lss_block_dimension=wide, seed=1,
                            mode="pseudo_random")
-    assert qmc.replication_uniforms(pseudo, 0).shape == (4, wide)
+    assert qmc.replication_uniforms(pseudo, 0, wide).shape == (4, wide)
 
 
 def test_package_import_leaves_scipy_stats_unloaded():
