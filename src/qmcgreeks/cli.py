@@ -247,10 +247,10 @@ def _check_run(values: dict) -> None:
         raise ConfigurationError(
             f"replications must be at least 2 for a standard error; "
             f"got {values['reps']}")
-    for field, method in (("loc_delta", "loc"), ("fd_bump", "fd")):
-        if values["method"] == method and not 0.0 < values[field] < np.inf:
+    for field, method, upper in (("loc_delta", "loc", np.inf), ("fd_bump", "fd", 1.0)):
+        if values["method"] == method and not 0.0 < values[field] < upper:
             raise ConfigurationError(
-                f"{field} must be positive and finite; got {values[field]}")
+                f"{field} must lie in (0, {upper:g}); got {values[field]}")
     if values["method"] == "adaptive" and values["points"] < MIN_ADAPTIVE_POINTS:
         raise ConfigurationError(
             f"points must be at least {MIN_ADAPTIVE_POINTS} for the adaptive "

@@ -7,15 +7,17 @@ delta contribution. The reported estimate is the mean of the R
 replication means; the standard error is their sample standard
 deviation over sqrt(R), the usual randomized-QMC construction.
 
-Three methods share one replication kernel, `_replication_means`,
-which returns discounted means for a table of localization widths.
-"adaptive" and "loc" use the integration-by-parts weights with a
-localized payoff split, one expression for every payoff kind, the
-former choosing the localization scale per component in a pilot phase,
-the latter taking it from a caller-supplied fraction. The pilot race
-runs the same kernel over the whole candidate grid on PILOT_SPLIT
-sub-replications of P / PILOT_SPLIT points each, so "adaptive" needs at
-least 2 * PILOT_SPLIT points per replication.
+Three methods share one replication kernel: `_replication_sample`
+builds the strike-free draws, paths, aggregates and weights, and
+`_replication_means` reduces them through the family's kink to
+discounted means for a table of localization widths. "adaptive" and
+"loc" use the integration-by-parts weights with a localized payoff
+split, one expression for every payoff kind, the former choosing the
+localization scale per component in a pilot phase, the latter taking it
+from a caller-supplied fraction. The pilot race runs the same kernel
+over the whole candidate grid on PILOT_SPLIT sub-replications of P /
+PILOT_SPLIT points each, so "adaptive" needs at least 2 * PILOT_SPLIT
+points per replication.
 "fd" is the central finite-difference baseline with common random
 numbers, included for cost and accuracy comparisons. What differs
 between payoff kinds comes from `payoffs.FAMILIES`.
@@ -96,40 +98,50 @@ class _Run:
     fd_bump: float | None
 
 
+def _replication_sample(run: _Run, stream: streams.QmcConfig, index: int):
+    """One replication's strike-free (bundle, ev, jets, weights); "fd"
+    needs no weight, so its jets and weights are None."""
+    config = run.config
+    normals = streams.replication_normals(stream, index, config.nominal_dimension)
+    bundle = simulate_paths(config, run.generator, normals)
+    ev = evaluate(run.spec, config, bundle)
+    if run.fd_bump is not None:
+        return bundle, ev, None, None
+    jets = wt.basket_jets(config, run.loadings, run.weight_matrix, bundle)
+    return bundle, ev, jets, run.spec.family.weights(config, jets, bundle)
+
+
 def _replication_means(run: _Run, stream: streams.QmcConfig, index: int,
                        widths: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """Discounted means of one replication's kept paths, (candidates,
     assets), and its rejection counts per component, (assets,).
 
     A path contributes smooth(z) * slope + remainder(z) * weight from
-    its family's frame, pair and strike-free weight. widths broadcasts
-    against (candidates, assets): (1, assets) for the main run's widths
-    or digital bandwidths, (candidates, 1) for the pilot race's shared
-    grid; "fd" ignores it. Rejected paths contribute exact zeros, which
-    the compensated sum ignores; a component that lost every path gets
-    nan.
+    its family's variable z, kink, slopes, pair and weight. widths
+    broadcasts against (candidates, assets): (1, assets) for the main
+    run's widths or digital bandwidths, (candidates, 1) for the pilot
+    race's shared grid; "fd" ignores it. Rejected paths contribute exact
+    zeros, which the compensated sum ignores; a component that lost
+    every path, or whose contributions overflowed, gets nan.
     """
     config, spec = run.config, run.spec
-    normals = streams.replication_normals(stream, index, config.nominal_dimension)
-    bundle = simulate_paths(config, run.generator, normals)
-    ev = evaluate(spec, config, bundle)
-    if run.fd_bump is not None:
+    _, ev, _, pw = _replication_sample(run, stream, index)
+    if pw is None:
         contributions = _bump_contrast(spec, config, ev, run.fd_bump)[:, None, :]
         rejected = np.zeros((ev.average.shape[0], config.n_assets), dtype=bool)
     else:
-        family = spec.family
-        jets = wt.basket_jets(config, run.loadings, run.weight_matrix, bundle)
-        pw = family.weights(config, jets, bundle)
-        rejected = pw.rejected
-        variable, center, slope = family.frame(spec, config, ev)
-        smooth, remainder = family.split
-        z = variable[:, None, None]
-        contributions = (smooth(z, center, widths) * slope[:, None, :]
-                         + remainder(z, center, widths) * pw.values[:, None, :])
+        family, rejected = spec.family, pw.rejected
+        kink, (smooth, remainder) = family.kink(spec.strike), family.split
+        z = family.variable(ev.average, ev.floating_strike)[:, None, None]
+        slope = family.slope(ev) / config.spots
+        contributions = (smooth(z, kink, widths) * slope[:, None, :]
+                         + remainder(z, kink, widths) * pw.values[:, None, :])
         contributions = np.where(rejected[:, None, :], 0.0, contributions)
     paths = contributions.shape[0]
-    sums = np.array([math.fsum(column) for column in
-                     contributions.reshape(paths, -1).T.tolist()])
+    columns = contributions.reshape(paths, -1).T
+    # fsum raises on inf - inf, so a column that overflowed is a nan mean
+    sums = np.array([math.fsum(column) if finite else math.nan for column, finite
+                     in zip(columns.tolist(), np.isfinite(columns).all(axis=1))])
     counts = rejected.sum(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         means = (discount(config) * sums.reshape(contributions.shape[1:])
@@ -154,9 +166,7 @@ def _pilot_widths(run: _Run, qmc: streams.QmcConfig) -> tuple[np.ndarray, int]:
     config, spec = run.config, run.spec
     base = qmc.replications
     if spec.family.laplace:
-        normals = streams.replication_normals(qmc, base, config.nominal_dimension)
-        bundle = simulate_paths(config, run.generator, normals)
-        jets = wt.basket_jets(config, run.loadings, run.weight_matrix, bundle)
+        bundle, _, jets, _ = _replication_sample(run, qmc, base)
         div = wt.reciprocal_divergence(jets, bundle.w_terminal)
         widths, paths = wt.adaptive_bandwidth(div), qmc.points_per_replication
     else:
@@ -185,7 +195,7 @@ def estimate(config: MarketConfig, spec: PayoffSpec, qmc: streams.QmcConfig,
 
     loc_fraction scales the fixed localization width (method "loc") as
     a fraction of the strike, or of the mean spot for the floating
-    strike; fd_bump is the relative spot bump of the central
+    strike; fd_bump, in (0, 1), is the relative spot bump of the central
     differences (method "fd"). A prebuilt rotation can be passed to
     amortize its construction over a strike sweep. Method "adaptive"
     needs at least MIN_ADAPTIVE_POINTS points per replication for its
@@ -203,8 +213,8 @@ def estimate(config: MarketConfig, spec: PayoffSpec, qmc: streams.QmcConfig,
                          f"monitoring dates; the market has {config.n_dates}")
     if method == "loc" and not 0.0 < loc_fraction < math.inf:
         raise ValueError("loc_fraction must be positive and finite")
-    if method == "fd" and not 0.0 < fd_bump < math.inf:
-        raise ValueError("fd_bump must be positive and finite")
+    if method == "fd" and not 0.0 < fd_bump < 1.0:
+        raise ValueError("fd_bump must lie in (0, 1)")
     if workers < 1:
         raise ValueError("workers must be at least 1")
     if qmc.replications < 2:
@@ -254,7 +264,11 @@ def estimate(config: MarketConfig, spec: PayoffSpec, qmc: streams.QmcConfig,
         raise EstimationError(
             f"degenerate-path rejections exceed {REJECTION_LIMIT:.2%} ({detail})")
     if np.isnan(replication_means).any():
-        raise EstimationError("a replication lost every path to rejection")
+        if any((counts == points).any() for _, counts in results):
+            raise EstimationError("a replication lost every path to rejection")
+        overflowed = np.flatnonzero(np.isnan(replication_means).any(axis=0))
+        raise EstimationError("path contributions overflowed for component(s) "
+                              + ", ".join(str(k + 1) for k in overflowed))
 
     deltas = replication_means.mean(axis=0)
     stderrs = replication_means.std(axis=0, ddof=1) / math.sqrt(qmc.replications)

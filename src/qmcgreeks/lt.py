@@ -49,11 +49,6 @@ class LtBuild:
     objectives: np.ndarray
     fallback_columns: int
 
-    @property
-    def first_objective(self) -> float:
-        """Squared gradient norm captured by the first column."""
-        return float(self.objectives[0])
-
 
 def driver_gradient(config: MarketConfig, loadings: np.ndarray,
                     coeff: np.ndarray, spot: np.ndarray) -> np.ndarray:

@@ -17,16 +17,15 @@ per-component gradients d(average)/d(log x_k) and d(strike)/d(log x_k),
 from which spot deltas follow by dividing out x_k.
 
 Everything else that differs between the kinds sits in one
-`PayoffFamily` record per kind, `FAMILIES`: the payoff from the two
-aggregates, the strike legs, the localization frame and pair, the
-weight and the rotation driver's legs. Every weight builder reads the
-bundle's basket jets, `weights.basket_jets`, built once per bundle, and
-none reads the strike: call and floating take the Skorohod integral of
-one jet ratio, best_of its two-variable inversion. The digital is the
-call with a step for a payoff: it shares the call's frame, weight and
-legs and localizes with the Laplace pair instead of the ramp pair.
-The estimator and the rotation read the record and never test a kind
-by name.
+`PayoffFamily` record per kind, `FAMILIES`: the strike-free variable z
+the payoff pays on and its pathwise slopes, the strike legs, the
+localization pair, the weight and the rotation driver's legs. The
+strike enters only through `kink`: each payoff is (z - kink)^+ but the
+digital's step 1{z >= kink}, the call's record with the Laplace pair in
+place of the ramp pair. No weight builder reads the strike: each reads
+the bundle's basket jets, `weights.basket_jets`; call and floating take
+the Skorohod integral of one jet ratio, best_of its two-variable
+inversion. The estimator and the rotation never test a kind by name.
 """
 from __future__ import annotations
 
@@ -144,18 +143,17 @@ class PayoffFamily:
     localization pair look up their `weights` functions when they run,
     so a wrapper installed on that module sees every call."""
 
-    # payoff from (strike, average, floating_strike)
-    value: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
+    # (average, floating_strike) -> the strike-free variable z paid on
+    variable: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    # ev -> pathwise x_k * dz/dx_k, (paths, assets)
+    slope: Callable[[PayoffEval], np.ndarray]
     # strike leg on the equally weighted terminal mean; uniform weights only
     floating_leg: bool
     # pays against a positive strike, which also sets the width scale
     fixed_strike: bool
-    # localizes a step with the Laplace pair, whose bandwidth comes from
-    # the divergence variance, instead of a kink with the ramp pair
+    # pays the step 1{z >= kink} with the Laplace pair, whose bandwidth
+    # comes from the divergence variance, not (z - kink)^+ with the ramp
     laplace: bool
-    # (spec, config, ev) -> localization variable (paths,), its kink and
-    # the pathwise slopes (paths, assets) of the variable
-    frame: Callable
     # (config, jets, bundle) -> every component's weight, (paths, assets),
     # from the bundle's basket jets
     weights: Callable[..., wt.PathWeights]
@@ -164,6 +162,17 @@ class PayoffFamily:
     legs: Callable[[np.ndarray], tuple[np.ndarray, ...]]
     min_dates: int = 1  # monitoring dates the Malliavin weight needs
 
+    def kink(self, strike: float) -> float:
+        """Where z is localized: the strike, or 0 for the floating kind."""
+        return strike if self.fixed_strike else 0.0
+
+    def value(self, strike: float, average: np.ndarray, leg: np.ndarray) -> np.ndarray:
+        """The payoff of the aggregates: (z - kink)^+, or the step."""
+        excess = self.variable(average, leg) - self.kink(strike)
+        if self.laplace:
+            return (excess >= 0.0).astype(np.float64)
+        return np.maximum(excess, 0.0)
+
     @property
     def split(self) -> tuple[Callable, Callable]:
         """(pathwise factor, weight factor) of the localization, each
@@ -171,22 +180,6 @@ class PayoffFamily:
         if self.laplace:
             return wt.laplace_slope, wt.laplace_remainder
         return wt.smoothed_indicator, wt.localization_remainder
-
-
-def _average_frame(spec, config, ev):
-    return ev.average, spec.strike, ev.average_grad / config.spots
-
-
-def _floating_frame(spec, config, ev):
-    slope = (ev.average_grad - ev.strike_grad) / config.spots
-    return ev.average - ev.floating_strike, 0.0, slope
-
-
-def _best_of_frame(spec, config, ev):
-    on_average = ev.average >= ev.floating_strike
-    slope = np.where(on_average[:, None], ev.average_grad,
-                     ev.strike_grad) / config.spots
-    return np.maximum(ev.average, ev.floating_strike), spec.strike, slope
 
 
 def _terminal_leg(weights: np.ndarray) -> np.ndarray:
@@ -198,8 +191,8 @@ def _terminal_leg(weights: np.ndarray) -> np.ndarray:
 
 
 _CALL = PayoffFamily(
-    value=lambda strike, average, leg: np.maximum(average - strike, 0.0),
-    floating_leg=False, fixed_strike=True, laplace=False, frame=_average_frame,
+    variable=lambda average, leg: average, slope=lambda ev: ev.average_grad,
+    floating_leg=False, fixed_strike=True, laplace=False,
     weights=lambda config, jets, bundle: wt.skorohod_weight(
         jets.avg, jets.int_avg, bundle.w_terminal),
     legs=lambda weights: (weights,))
@@ -207,18 +200,16 @@ _CALL = PayoffFamily(
 FAMILIES = {
     "call": _CALL,
     "floating": PayoffFamily(
-        value=lambda strike, average, leg: np.maximum(average - leg, 0.0),
-        floating_leg=True, fixed_strike=False, laplace=False, frame=_floating_frame,
+        variable=np.subtract, slope=lambda ev: ev.average_grad - ev.strike_grad,
+        floating_leg=True, fixed_strike=False, laplace=False,
         weights=lambda config, jets, bundle: wt.skorohod_weight(
             jets.avg - jets.term, jets.int_avg - jets.int_term, bundle.w_terminal),
         legs=lambda weights: (weights - _terminal_leg(weights),)),
-    "digital": replace(
-        _CALL, value=lambda strike, average, leg: (average >= strike).astype(np.float64),
-        laplace=True),
+    "digital": replace(_CALL, laplace=True),
     "best_of": PayoffFamily(
-        value=lambda strike, average, leg: np.maximum(np.maximum(average, leg)
-                                                      - strike, 0.0),
-        floating_leg=True, fixed_strike=True, laplace=False, frame=_best_of_frame,
+        variable=np.maximum, slope=lambda ev: np.where(
+            (ev.average >= ev.floating_strike)[:, None], ev.average_grad, ev.strike_grad),
+        floating_leg=True, fixed_strike=True, laplace=False,
         weights=lambda config, jets, bundle: wt.best_of_weight(config, jets, bundle),
         legs=lambda weights: (weights, _terminal_leg(weights)), min_dates=2),
 }

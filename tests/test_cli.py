@@ -144,6 +144,8 @@ def test_bad_inputs_exit_with_config_code(tmp_path, capsys):
      "debug_replications"),
     # the Sobol table caps the configured block, not only the one the market uses
     (["--lss-block", "21202"], "lss_block_dimension"),
+    # the down scenario scales the spots by 1 - fd_bump
+    (["--method", "fd", "--fd-bump", "1"], "fd_bump"),
 ])
 def test_invalid_run_arguments_exit_before_estimation(monkeypatch, capsys,
                                                       flags, field):
@@ -225,6 +227,16 @@ def test_estimation_failure_exits_with_run_code(monkeypatch, capsys):
     monkeypatch.setattr(cli, "estimate", explode)
     assert cli.run(FAST) == cli.EXIT_ESTIMATION
     assert "too many degenerate paths" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("delta", ["1e200", "1e306"])
+def test_overflowing_localization_exits_with_run_code(capsys, delta):
+    flags = ["--assets", "2", "--steps", "2", "--points", "32", "--reps", "2",
+             "--method", "loc", "--loc-delta", delta]
+    assert cli.run(flags) == cli.EXIT_ESTIMATION
+    err = capsys.readouterr().err
+    assert "overflowed" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("section, key, text, field, expected, flag, bad", [

@@ -11,8 +11,9 @@ from qmcgreeks import estimator as est
 from qmcgreeks import payoffs
 from qmcgreeks import weights as wt
 from qmcgreeks.estimator import EstimationError, EstimateReport, estimate
-from qmcgreeks.market import MarketConfig
+from qmcgreeks.market import MarketConfig, path_generator, simulate_paths, vol_loadings
 from qmcgreeks.payoffs import PayoffSpec
+from qmcgreeks.presets import ladder_market
 from qmcgreeks.qmc import MAX_DIMENSION, QmcConfig
 
 
@@ -173,6 +174,10 @@ def test_invalid_arguments_are_rejected(monkeypatch):
             estimate(config, spec, qmc, method="loc", loc_fraction=bad)
         with pytest.raises(ValueError, match="fd_bump"):
             estimate(config, spec, qmc, method="fd", fd_bump=bad)
+    # the down scenario scales the spots by 1 - fd_bump, which must stay positive
+    for bad in (1.0, 1.5):
+        with pytest.raises(ValueError, match="fd_bump"):
+            estimate(config, spec, qmc, method="fd", fd_bump=bad)
     with pytest.raises(ValueError, match="workers"):
         estimate(config, spec, qmc, workers=0)
     # one replication has no spread, so its stderr would be a silent nan
@@ -253,6 +258,41 @@ def test_rejection_limit_aborts_the_run(monkeypatch):
                         replace(payoffs.FAMILIES["call"], weights=leaky))
     with pytest.raises(EstimationError, match="component 1"):
         estimate(config, spec, qmc, method="loc")
+
+
+@pytest.mark.parametrize("fraction", [1e200, 1e306])
+def test_overflowing_contributions_are_named_not_blamed_on_rejection(fraction):
+    # a huge finite width overflows the ramp antiderivative; no path is
+    # rejected, so the error must name the overflow
+    config = _market()
+    spec = PayoffSpec(kind="call", strike=100.0)
+    qmc = _stream(config, points=32, replications=2)
+    with pytest.raises(EstimationError, match=r"overflowed for component\(s\) 1, 2"):
+        estimate(config, spec, qmc, method="loc", loc_fraction=fraction)
+
+
+@pytest.mark.parametrize("kind", payoffs.KINDS)
+def test_bump_contrast_is_the_pathwise_slope_away_from_the_kink(kind):
+    # fd and the Malliavin kernel price one payoff: off the kink, the
+    # central bump of (z - kink)^+ is 1{z > kink} * slope / spot, and of
+    # the digital's step it is 0
+    config = ladder_market(3, 4)
+    spec = PayoffSpec(kind=kind, strike=0.0 if kind == "floating" else 100.0)
+    normals = np.random.default_rng(5).standard_normal((512, config.nominal_dimension))
+    bundle = simulate_paths(config, path_generator(config, vol_loadings(config)), normals)
+    ev = payoffs.evaluate(spec, config, bundle)
+    h = 1e-6
+    contrast = est._bump_contrast(spec, config, ev, h)
+    family = spec.family
+    z, kink = family.variable(ev.average, ev.floating_strike), family.kink(spec.strike)
+    reach = 10.0 * h * (np.abs(ev.average_grad) + np.abs(ev.strike_grad)).sum(axis=1)
+    far = np.abs(z - kink) > reach
+    if kind == "best_of":
+        far &= np.abs(ev.average - ev.floating_strike) > reach
+    assert far.mean() > 0.9 and (z[far] > kink).any() and (z[far] < kink).any()
+    paying = (z > kink)[:, None] & (not family.laplace)
+    expected = np.where(paying, family.slope(ev) / config.spots, 0.0)
+    np.testing.assert_allclose(contrast[far], expected[far], rtol=0, atol=1e-8)
 
 
 def test_degenerate_pilot_falls_back_with_warning(monkeypatch, caplog):

@@ -50,9 +50,8 @@ def test_first_column_follows_the_driver_gradient():
     gradient = lt.driver_gradient(config, loadings, weights, bundle.spot_grid)
     direction = gradient / np.linalg.norm(gradient)
     assert np.abs(build.matrix[:, 0] - direction).max() < 1e-12
-    assert build.first_objective == pytest.approx(np.dot(gradient, gradient))
+    assert build.objectives[0] == pytest.approx(np.dot(gradient, gradient))
     assert build.objectives.shape == (d,)
-    assert build.objectives[0] == build.first_objective
     assert (build.objectives > 0.0).all()
     assert build.fallback_columns == 0
 
@@ -87,7 +86,7 @@ def test_zero_volatility_falls_back_to_identity():
     d = config.nominal_dimension
     assert build.fallback_columns == d
     assert np.array_equal(build.matrix, np.eye(d))
-    assert build.first_objective == 0.0
+    assert build.objectives[0] == 0.0
     assert np.array_equal(build.objectives, np.zeros(d))
 
 
