@@ -1,27 +1,29 @@
 """Command-line front end for delta estimation runs.
 
 Configuration comes from three layers, each overriding the previous:
-a named preset, an INI-style config file, and command-line flags.
-`_SETTINGS` holds each run setting's default, file key and parser.
-Results go to a CSV with one row per component (per strike when
-sweeping), serialized at full double precision so parsing the file
-recovers the report exactly.
+a named preset's payoff and strike, an INI-style config file, and
+command-line flags. `_SETTINGS` holds each run setting's default, file
+key and parser; the sampling, method and market defaults are the
+library's. The first `estimate` of a sweep builds the rotation that
+every later strike reuses. Results go to a CSV with one row per
+component (per strike when sweeping), serialized at full double
+precision so parsing the file recovers the report exactly.
 """
 from __future__ import annotations
 
 import argparse
 import configparser
 import csv
+import inspect
 import os
 import sys
 
 import numpy as np
 
 from .estimator import METHODS, MIN_ADAPTIVE_POINTS, EstimationError, estimate
-from .lt import build_lt_matrix
 from .market import MarketConfig
 from .payoffs import FAMILIES, PayoffSpec
-from .presets import DEFAULT_SEED, PRESETS, ladder_market, preset, standard_stream
+from .presets import PRESETS, equicorrelated_market, ladder_market, preset, standard_stream
 from .qmc import MODES
 
 PAYOFF_NAMES = {
@@ -37,21 +39,25 @@ EXIT_ESTIMATION = 3
 _MARKET_KEYS = ("assets", "spots", "vols", "rate", "maturity", "dates",
                 "correlation")
 
+_STREAM = standard_stream()
+_ESTIMATE = {name: parameter.default
+             for name, parameter in inspect.signature(estimate).parameters.items()}
 # run field -> (default, INI section, INI key, text parser); a flag sets the
 # field of the same name, and a choice flag's text parses like the file's
 _SETTINGS = {
     "kind": ("call", "payoff", "kind", PAYOFF_NAMES.__getitem__),
     "strike": (100.0, "payoff", "strike", float),
-    "points": (2048, "qmc", "points", int),
-    "reps": (32, "qmc", "replications", int),
-    "lss_block": (50, "qmc", "block", int),
-    "seed": (DEFAULT_SEED, "qmc", "seed", int),
-    "mode": ("scrambled_sobol", "qmc", "mode", dict(zip(MODES, MODES)).__getitem__),
-    "method": ("adaptive", "run", "method", dict(zip(METHODS, METHODS)).__getitem__),
-    "lt": (True, "run", "lt", {"on": True, "off": False}.__getitem__),
-    "loc_delta": (0.01, "run", "loc_delta", float),
-    "fd_bump": (0.01, "run", "fd_bump", float),
-    "workers": (1, "run", "workers", int),
+    "points": (_STREAM.points_per_replication, "qmc", "points", int),
+    "reps": (_STREAM.replications, "qmc", "replications", int),
+    "lss_block": (_STREAM.lss_block_dimension, "qmc", "block", int),
+    "seed": (_STREAM.seed, "qmc", "seed", int),
+    "mode": (_STREAM.mode, "qmc", "mode", dict(zip(MODES, MODES)).__getitem__),
+    "method": (_ESTIMATE["method"], "run", "method",
+               dict(zip(METHODS, METHODS)).__getitem__),
+    "lt": (_ESTIMATE["use_lt"], "run", "lt", {"on": True, "off": False}.__getitem__),
+    "loc_delta": (_ESTIMATE["loc_fraction"], "run", "loc_delta", float),
+    "fd_bump": (_ESTIMATE["fd_bump"], "run", "fd_bump", float),
+    "workers": (_ESTIMATE["workers"], "run", "workers", int),
     "output": (None, "run", "output", str),
 }
 # every (section, key) a config file may set
@@ -109,13 +115,8 @@ def _market_from_section(sect) -> MarketConfig:
     maturity = _convert("market", "maturity", sect["maturity"], float)
     dates = _count("dates", _convert("market", "dates", sect["dates"], int))
     rho = _convert("market", "correlation", sect["correlation"], float)
-    n = len(spots)
-    correlation = np.full((n, n), rho)
-    np.fill_diagonal(correlation, 1.0)
-    times = maturity * np.arange(1, dates + 1) / dates
-    return MarketConfig(spots=np.asarray(spots), rate=rate,
-                        vols=np.asarray(vols), correlation=correlation,
-                        maturity=maturity, monitoring_times=times)
+    return equicorrelated_market(spots, vols, rate=rate, correlation=rho,
+                                 maturity=maturity, n_dates=dates)
 
 
 def _load_file(path: str) -> tuple[MarketConfig | None, dict]:
@@ -194,13 +195,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _resolve(args) -> dict:
     values = {field: default for field, (default, *_) in _SETTINGS.items()}
     market: MarketConfig | None = None
-    assets, steps = 10, 64
 
     if args.preset:
         chosen = preset(args.preset)
-        values.update(kind=chosen.payoff.kind, strike=chosen.payoff.strike,
-                      method=chosen.method)
-        market = chosen.market
+        values.update(kind=chosen.kind, strike=chosen.strike)
     if args.config:
         file_market, updates = _load_file(args.config)
         if file_market is not None:
@@ -214,14 +212,13 @@ def _resolve(args) -> dict:
         flag = getattr(args, field, None)
         if flag is not None:
             values[field] = parse(flag)
-    if args.assets is not None or args.steps is not None:
-        if args.assets is not None:
-            assets = _count("assets", args.assets)
-        if args.steps is not None:
-            steps = _count("steps", args.steps)
-        market = None
-    if market is None:
-        market = ladder_market(assets, steps)
+    geometry = {}
+    if args.assets is not None:
+        geometry["n_assets"] = _count("assets", args.assets)
+    if args.steps is not None:
+        geometry["n_dates"] = _count("steps", args.steps)
+    if geometry or market is None:
+        market = ladder_market(**geometry)
 
     values["market"] = market
     values["debug_replications"] = args.debug_replications
@@ -279,7 +276,7 @@ def _execute(values: dict) -> tuple[list[list], list[list]]:
     specs = values["specs"]
     sweeping = values["strikes"] is not None
 
-    lt_build = build_lt_matrix(market, specs[0]) if values["lt"] else None
+    lt_build = None
     rows: list[list] = []
     replication_rows: list[list] = []
     for spec in specs:
@@ -289,6 +286,7 @@ def _execute(values: dict) -> tuple[list[list], list[list]]:
                           fd_bump=values["fd_bump"],
                           workers=values["workers"],
                           lt_build=lt_build)
+        lt_build = report.lt_build
         prefix = [_fmt(spec.strike)] if sweeping else []
         for k in range(market.n_assets):
             rows.append(prefix + [k + 1, _fmt(report.deltas[k]),

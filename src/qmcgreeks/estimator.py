@@ -80,10 +80,6 @@ class EstimateReport:
     localization_widths: np.ndarray | None
     lt_build: LtBuild | None
 
-    @property
-    def rejected_paths(self) -> int:
-        return int(self.rejected_by_component.sum())
-
 
 @dataclass(frozen=True, eq=False)
 class _Run:
@@ -134,8 +130,10 @@ def _replication_means(run: _Run, stream: streams.QmcConfig, index: int,
         kink, (smooth, remainder) = family.kink(spec.strike), family.split
         z = family.variable(ev.average, ev.floating_strike)[:, None, None]
         slope = family.slope(ev) / config.spots
-        contributions = (smooth(z, kink, widths) * slope[:, None, :]
-                         + remainder(z, kink, widths) * pw.values[:, None, :])
+        # the ramps' discarded np.where branches overflow at extreme widths
+        with np.errstate(over="ignore", invalid="ignore"):
+            contributions = (smooth(z, kink, widths) * slope[:, None, :]
+                             + remainder(z, kink, widths) * pw.values[:, None, :])
         contributions = np.where(rejected[:, None, :], 0.0, contributions)
     paths = contributions.shape[0]
     columns = contributions.reshape(paths, -1).T
@@ -231,7 +229,7 @@ def estimate(config: MarketConfig, spec: PayoffSpec, qmc: streams.QmcConfig,
     if not use_lt:
         lt_build = None
     elif lt_build is None:
-        lt_build = build_lt_matrix(config, spec, loadings)
+        lt_build = build_lt_matrix(config, spec)
     rotation = None if lt_build is None else lt_build.matrix
     run = _Run(config, spec, loadings, spec.weight_matrix(m, config.n_dates),
                path_generator(config, loadings, rotation),

@@ -64,14 +64,12 @@ def driver_gradient(config: MarketConfig, loadings: np.ndarray,
     return per_step.reshape(-1)
 
 
-def build_lt_matrix(config: MarketConfig, spec: PayoffSpec,
-                    loadings: np.ndarray | None = None) -> LtBuild:
+def build_lt_matrix(config: MarketConfig, spec: PayoffSpec) -> LtBuild:
     """Greedy column-by-column construction of the rotation, from the
     largest leg whose projected gradient does not vanish; once none is
     left, one QR factorization completes the basis, each column signed
     so that its largest-magnitude entry is positive."""
-    if loadings is None:
-        loadings = vol_loadings(config)
+    loadings = vol_loadings(config)
     m, n = config.n_assets, config.n_dates
     d = m * n
     legs = spec.family.legs(spec.weight_matrix(m, n))

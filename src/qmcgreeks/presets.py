@@ -2,13 +2,11 @@
 
 The benchmark market is a ten-asset equicorrelated basket with a
 volatility ladder from 10% to 50%, observed on 64 equally spaced
-dates over one year. Each named preset pairs that market with one
-payoff kind at the money and the standard sampling protocol of 32
-replications of 2048 scrambled-Sobol points.
+dates over one year. Each named preset is one payoff at the money,
+run on `ladder_market()` with `standard_stream()` (32 replications of
+2048 scrambled-Sobol points) and `estimate`'s default method.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +20,17 @@ BENCHMARK_RATE = 0.05
 BENCHMARK_CORRELATION = 0.5
 
 
+def equicorrelated_market(spots, vols, *, rate: float, correlation: float,
+                          maturity: float, n_dates: int) -> MarketConfig:
+    """Assets sharing one pairwise correlation, on n_dates even steps to maturity."""
+    n = len(spots)
+    rho = np.full((n, n), correlation)
+    np.fill_diagonal(rho, 1.0)
+    times = maturity * np.arange(1, n_dates + 1) / n_dates
+    return MarketConfig(spots=np.asarray(spots), rate=rate, vols=np.asarray(vols),
+                        correlation=rho, maturity=maturity, monitoring_times=times)
+
+
 def ladder_market(n_assets: int = 10, n_dates: int = 64,
                   maturity: float = 1.0) -> MarketConfig:
     """Equicorrelated basket with volatilities 0.10 + 0.40 (i-1)/9.
@@ -30,17 +39,11 @@ def ladder_market(n_assets: int = 10, n_dates: int = 64,
     baskets take the first rungs so asset i means the same thing at
     any size.
     """
-    index = np.arange(n_assets)
-    vols = 0.10 + 0.40 * index / 9.0
-    correlation = np.full((n_assets, n_assets), BENCHMARK_CORRELATION)
-    np.fill_diagonal(correlation, 1.0)
-    times = maturity * np.arange(1, n_dates + 1) / n_dates
-    return MarketConfig(spots=np.full(n_assets, BENCHMARK_SPOT),
-                        rate=BENCHMARK_RATE,
-                        vols=vols,
-                        correlation=correlation,
-                        maturity=maturity,
-                        monitoring_times=times)
+    vols = 0.10 + 0.40 * np.arange(n_assets) / 9.0
+    return equicorrelated_market(np.full(n_assets, BENCHMARK_SPOT), vols,
+                                 rate=BENCHMARK_RATE,
+                                 correlation=BENCHMARK_CORRELATION,
+                                 maturity=maturity, n_dates=n_dates)
 
 
 def standard_stream(*, points: int = 2048, replications: int = 32,
@@ -51,14 +54,6 @@ def standard_stream(*, points: int = 2048, replications: int = 32,
                      lss_block_dimension=block,
                      seed=seed,
                      mode=mode)
-
-
-@dataclass(frozen=True, eq=False)
-class Preset:
-    market: MarketConfig
-    payoff: PayoffSpec
-    qmc: QmcConfig
-    method: str
 
 
 _PRESET_PAYOFFS = {
@@ -72,14 +67,11 @@ _PRESET_PAYOFFS = {
 PRESETS = tuple(_PRESET_PAYOFFS)
 
 
-def preset(name: str) -> Preset:
-    """Named benchmark run; table1 is the plain fixed-strike case."""
+def preset(name: str) -> PayoffSpec:
+    """Named benchmark payoff; table1 is the plain fixed-strike case."""
     try:
         kind, strike = _PRESET_PAYOFFS[name]
     except KeyError:
         raise ValueError(
             f"unknown preset {name!r}; expected one of {PRESETS}") from None
-    return Preset(market=ladder_market(),
-                  payoff=PayoffSpec(kind=kind, strike=strike),
-                  qmc=standard_stream(),
-                  method="adaptive")
+    return PayoffSpec(kind=kind, strike=strike)

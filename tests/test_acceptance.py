@@ -46,8 +46,8 @@ REF_BEST_OF_ERR = np.array(
 
 
 def _run(name, **kwargs):
-    p = preset(name)
-    return estimate(p.market, p.payoff, p.qmc, workers=WORKERS, **kwargs)
+    return estimate(ladder_market(), preset(name), standard_stream(),
+                    workers=WORKERS, **kwargs)
 
 
 def _z(report, ref, ref_err):
@@ -259,8 +259,7 @@ def test_criterion_08_localization_width_consistency(fixed_adaptive, fixed_loc):
 def test_criterion_09_structural_reproducibility():
     config = ladder_market(10, 64)
     spec = PayoffSpec("call", 100.0)
-    loadings = vol_loadings(config)
-    rotation = build_lt_matrix(config, spec, loadings).matrix
+    rotation = build_lt_matrix(config, spec).matrix
     d = rotation.shape[0]
     assert np.allclose(rotation.T @ rotation, np.eye(d), atol=1e-12)
     chol = cholesky(config.correlation)

@@ -1,5 +1,10 @@
 import csv
+import dataclasses
+import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -153,7 +158,6 @@ def test_invalid_run_arguments_exit_before_estimation(monkeypatch, capsys,
         raise AssertionError("estimation started")
 
     monkeypatch.setattr(cli, "estimate", unreachable)
-    monkeypatch.setattr(cli, "build_lt_matrix", unreachable)
     assert cli.run(flags) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert field in err
@@ -183,7 +187,6 @@ def test_invalid_market_entries_exit_before_estimation(monkeypatch, capsys, tmp_
         raise AssertionError("estimation started")
 
     monkeypatch.setattr(cli, "estimate", unreachable)
-    monkeypatch.setattr(cli, "build_lt_matrix", unreachable)
     market = {key: text for key, text in {**_MARKET, **entries}.items()
               if text is not None}
     config = tmp_path / "market.ini"
@@ -204,7 +207,6 @@ def test_missing_output_directory_exits_before_estimation(monkeypatch, capsys,
         raise AssertionError("estimation started")
 
     monkeypatch.setattr(cli, "estimate", unreachable)
-    monkeypatch.setattr(cli, "build_lt_matrix", unreachable)
     missing = tmp_path / "no-such-dir" / "out.csv"
     assert cli.run(FAST + [flag, str(missing)]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
@@ -355,10 +357,62 @@ def test_presets_are_complete_and_consistent():
              "table4": "digital", "table5": "best_of"}
     assert set(PRESETS) == set(kinds)
     for name in PRESETS:
-        chosen = preset(name)
-        assert chosen.payoff.kind == kinds[name]
-        assert chosen.market.n_assets == 10
-        assert chosen.market.n_dates == 64
-        assert chosen.method == "adaptive"
+        assert preset(name).kind == kinds[name]
+        values = cli._resolve(cli.build_parser().parse_args(["--preset", name]))
+        assert values["market"].n_assets == 10
+        assert values["market"].n_dates == 64
+        assert values["method"] == "adaptive"
     with pytest.raises(ValueError, match="unknown preset"):
         preset("table9")
+
+
+def test_unset_settings_are_the_library_defaults():
+    values = cli._resolve(cli.build_parser().parse_args([]))
+    assert dataclasses.asdict(values["qmc"]) == dataclasses.asdict(standard_stream())
+    defaults = {name: parameter.default for name, parameter
+                in inspect.signature(estimate).parameters.items()}
+    assert (values["method"], values["lt"], values["loc_delta"], values["fd_bump"],
+            values["workers"]) == (defaults["method"], defaults["use_lt"],
+                                   defaults["loc_fraction"], defaults["fd_bump"],
+                                   defaults["workers"])
+    market, ladder = values["market"], ladder_market()
+    assert (market.n_assets, market.n_dates) == (10, 64)
+    for field in ("spots", "vols", "correlation", "monitoring_times"):
+        assert np.array_equal(getattr(market, field), getattr(ladder, field))
+    assert (market.rate, market.maturity) == (ladder.rate, ladder.maturity)
+
+
+@pytest.mark.parametrize("lt", ["on", "off"])
+def test_a_sweep_hands_every_strike_the_first_rotation(monkeypatch, tmp_path, lt):
+    builds = []
+
+    def recording(*args, **kwargs):
+        report = estimate(*args, **kwargs)
+        builds.append(report.lt_build)
+        return report
+
+    monkeypatch.setattr(cli, "estimate", recording)
+    assert cli.run(["--assets", "2", "--steps", "2", "--points", "32", "--reps", "2",
+                    "--method", "loc", "--sweep", "90:110:10", "--lt", lt,
+                    "--output", str(tmp_path / "sweep.csv")]) == 0
+    assert len(builds) == 3
+    if lt == "on":
+        assert builds[0] is not None
+        assert all(build is builds[0] for build in builds)
+    else:
+        assert builds == [None, None, None]
+
+
+@pytest.mark.parametrize("delta, code", [("1e-310", 0), ("1e200", cli.EXIT_ESTIMATION)])
+def test_extreme_localization_prints_no_numpy_warning(delta, code):
+    # the discarded ramp branches overflow; only a column that really
+    # overflowed may fail the run, and then by name, not by a numpy warning
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    env.pop("PYTHONWARNINGS", None)
+    done = subprocess.run(
+        [sys.executable, "-m", "qmcgreeks", "--assets", "2", "--steps", "2",
+         "--points", "32", "--reps", "2", "--method", "loc", "--loc-delta", delta],
+        capture_output=True, text=True, env=env, check=False)
+    assert done.returncode == code
+    assert "RuntimeWarning" not in done.stderr

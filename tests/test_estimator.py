@@ -43,7 +43,6 @@ def test_report_is_consistent_with_replication_means():
     assert np.array_equal(
         report.stderrs,
         report.replication_means.std(axis=0, ddof=1) / math.sqrt(r))
-    assert report.rejected_paths == report.rejected_by_component.sum()
     assert report.method == "loc"
     assert report.settings["payoff"] == "call"
     assert report.settings["points"] == 256

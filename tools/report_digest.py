@@ -5,9 +5,9 @@
     python3 tools/report_digest.py --compare parent.json change.json
 
 The first form runs `estimate` on table1-table5 with each method
-(adaptive, loc, fd) at workers 1 and 2, at the presets' full protocol
-(32 replications of 2048 points, seed 42), or at 4 replications of 256
-points with --small. It prints JSON with, per report, one sha256 over
+(adaptive, loc, fd) at workers 1 and 2 on `ladder_market()`, with the
+full `standard_stream()` protocol (32 replications of 2048 points, seed
+42), or with 4 replications of 256 points under --small. It prints JSON with, per report, one sha256 over
 the deltas, stderrs, replication means, localization widths, rejections
 by component, simulated path count and settings, and the raw deltas.
 --compare prints the reports whose digests differ, or that only one
@@ -17,7 +17,6 @@ both have; it exits 1 when any report differs.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import sys
@@ -28,7 +27,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np  # noqa: E402
 
 from qmcgreeks.estimator import METHODS, estimate  # noqa: E402
-from qmcgreeks.presets import PRESETS, preset  # noqa: E402
+from qmcgreeks.presets import (PRESETS, ladder_market, preset,  # noqa: E402
+                               standard_stream)
 
 WORKERS = (1, 2)
 
@@ -45,14 +45,12 @@ def report_digest(report) -> str:
 
 def digest_reports(small: bool) -> dict:
     reports = {}
+    market = ladder_market()
+    qmc = standard_stream(points=256, replications=4) if small else standard_stream()
     for name in PRESETS:
-        run = preset(name)
-        qmc = run.qmc
-        if small:
-            qmc = dataclasses.replace(qmc, points_per_replication=256, replications=4)
         for method in METHODS:
             for workers in WORKERS:
-                report = estimate(run.market, run.payoff, qmc, method, workers=workers)
+                report = estimate(market, preset(name), qmc, method, workers=workers)
                 reports[f"{name}/{method}/workers={workers}"] = {
                     "sha256": report_digest(report), "deltas": report.deltas.tolist()}
     return reports
