@@ -26,14 +26,23 @@ Replications are independent tasks. Each sums its paths by `math.fsum`;
 the replication means come back in order from `map` or the pool's `map`
 and are stacked and averaged by `np.mean`, so reports are bit-identical
 for a fixed seed regardless of the worker count.
+
+Each worker thread draws every replication it runs, pilot
+sub-replications included, into one buffer set for the whole call: a
+(P, d) array that holds the uniforms and then, in place, the normals,
+and with a rotation a (P, d + 2m) array for the path product. A sample
+is therefore valid only until its thread's next one, and the buffers go
+with the call's run state when `estimate` returns; a report holds
+nothing that views them.
 """
 from __future__ import annotations
 
 import logging
 import math
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -84,7 +93,10 @@ class EstimateReport:
 @dataclass(frozen=True, eq=False)
 class _Run:
     """What every replication of one `estimate` call shares; fd_bump is
-    set for method "fd", whose contributions are bump contrasts."""
+    set for method "fd", whose contributions are bump contrasts. Each
+    worker thread keeps its draw buffers of `points` rows, the main
+    run's points per replication, in workspace, so they go with the run
+    when `estimate` returns."""
 
     config: MarketConfig
     spec: PayoffSpec
@@ -92,14 +104,33 @@ class _Run:
     weight_matrix: np.ndarray
     generator: PathGenerator
     fd_bump: float | None
+    points: int
+    workspace: threading.local = field(default_factory=threading.local)
+
+
+def _buffers(run: _Run, points: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """Leading `points` rows of this thread's normals (run.points, d)
+    and, with a rotation, path product (run.points, d + 2m) buffers,
+    allocated on the thread's first request."""
+    space = run.workspace
+    if not hasattr(space, "normals"):
+        space.normals = np.empty((run.points, run.config.nominal_dimension))
+        space.product = (None if run.generator.matrix is None
+                         else np.empty((run.points, run.generator.matrix.shape[1])))
+    product = None if space.product is None else space.product[:points]
+    return space.normals[:points], product
 
 
 def _replication_sample(run: _Run, stream: streams.QmcConfig, index: int):
     """One replication's strike-free (bundle, ev, jets, weights); "fd"
-    needs no weight, so its jets and weights are None."""
+    needs no weight, so its jets and weights are None. The draws and
+    the bundle's spot grid live in this thread's buffers, so a bundle
+    is valid only until the thread's next sample."""
     config = run.config
-    normals = streams.replication_normals(stream, index, config.nominal_dimension)
-    bundle = simulate_paths(config, run.generator, normals)
+    normals, product = _buffers(run, stream.points_per_replication)
+    normals = streams.replication_normals(stream, index, config.nominal_dimension,
+                                          out=normals)
+    bundle = simulate_paths(config, run.generator, normals, out=product)
     ev = evaluate(run.spec, config, bundle)
     if run.fd_bump is not None:
         return bundle, ev, None, None
@@ -233,7 +264,7 @@ def estimate(config: MarketConfig, spec: PayoffSpec, qmc: streams.QmcConfig,
     rotation = None if lt_build is None else lt_build.matrix
     run = _Run(config, spec, loadings, spec.weight_matrix(m, config.n_dates),
                path_generator(config, loadings, rotation),
-               fd_bump if method == "fd" else None)
+               fd_bump if method == "fd" else None, qmc.points_per_replication)
 
     pilot_paths = 0
     widths: np.ndarray | None = None

@@ -27,6 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .qmc import _output
+
 
 def _frozen_array(values, dtype=np.float64) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
@@ -205,20 +207,26 @@ def path_generator(config: MarketConfig, loadings: np.ndarray,
 
 
 def simulate_paths(config: MarketConfig, generator: PathGenerator,
-                   normals: np.ndarray) -> PathBundle:
+                   normals: np.ndarray, out: np.ndarray | None = None) -> PathBundle:
     """Simulate a replication from standard normal draws (paths, d),
     time-major: coordinate (j-1)*M + m feeds driver m over (t_{j-1}, t_j].
     With a rotation this is one product normals @ G, then the offset
-    and exp in place on the spot columns."""
+    and exp in place on the spot columns. The product goes into `out`
+    when it is given, a C-contiguous float64 (paths, d + 2m) array, and
+    the bundle's spot grid is then a view of it; an unrotated generator
+    forms no product and takes no `out`."""
     p, d = normals.shape
     m, n = config.n_assets, config.n_dates
     if d != m * n:
         raise ValueError(
             f"normal draws have dimension {d}, expected assets*dates = {m * n}")
     if generator.matrix is None:
+        if out is not None:
+            raise ValueError("out holds the rotated product; "
+                             "an unrotated generator takes none")
         log_grid, *w = _brownian_sums(config, generator.loadings, normals)
         return PathBundle(config.spots[:, None] * np.exp(log_grid + _drift(config)), *w)
-    y = normals @ generator.matrix
+    y = np.matmul(normals, generator.matrix, out=_output(out, (p, d + 2 * m)))
     spots = y[:, :d]
     spots += generator.offset
     np.exp(spots, out=spots)

@@ -41,6 +41,8 @@ MODES = ("scrambled_sobol", "pseudo_random")
 
 _SCALE = 2.0 ** BITS
 _ONE = np.uint64(1)
+# bit shift of digit 0 (the most significant) through digit BITS - 1
+_DIGIT_SHIFTS = np.arange(BITS - 1, -1, -1, dtype=np.uint64)
 _JOE_KUO_TABLE = Path(scipy.__file__).parent / "stats" / "_sobol_direction_numbers.npz"
 
 # substream purposes; part of the reproducibility contract
@@ -185,7 +187,7 @@ class DigitalScramble:
 
     @classmethod
     def random(cls, dims: int, rng: np.random.Generator) -> "DigitalScramble":
-        diagonal = _ONE << np.arange(BITS - 1, -1, -1, dtype=np.uint64)
+        diagonal = _ONE << _DIGIT_SHIFTS
         # one draw in digit-major order, the order of a per-digit loop
         below = rng.integers(0, diagonal[:, None], size=(BITS, dims), dtype=np.uint64)
         columns = (diagonal[:, None] | below).T
@@ -196,28 +198,43 @@ class DigitalScramble:
         """Scramble a (points, dims) block of raw Sobol integers."""
         if raw.ndim != 2 or raw.shape[1] != self.columns.shape[0]:
             raise ValueError("raw block shape does not match scramble dimensions")
-        out = np.zeros_like(raw)
-        for digit in range(BITS):
-            bit = (raw >> np.uint64(BITS - 1 - digit)) & _ONE
-            out ^= bit * self.columns[None, :, digit]
-        return out ^ self.shift[None, :]
+        bits = (raw[..., None] >> _DIGIT_SHIFTS) & _ONE
+        return np.bitwise_xor.reduce(bits * self.columns, axis=2) ^ self.shift
 
 
-def to_unit(ints: np.ndarray) -> np.ndarray:
-    """Map scrambled integers to the open unit interval."""
-    return np.clip(ints.astype(np.float64) / _SCALE, UNIT_LOW, UNIT_HIGH)
+def _output(out: np.ndarray | None, shape: tuple[int, ...]) -> np.ndarray:
+    """`out` after checking that it can take a float64 result of `shape`
+    in place, or a new array when it is None."""
+    if out is None:
+        return np.empty(shape)
+    if not (isinstance(out, np.ndarray) and out.shape == shape
+            and out.dtype == np.float64 and out.flags.c_contiguous):
+        raise ValueError(f"out must be a C-contiguous float64 array of shape {shape}")
+    return out
 
 
-def to_normal(unit: np.ndarray) -> np.ndarray:
-    """Inverse standard normal CDF, defined on the open unit interval."""
+def to_unit(ints: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Map scrambled integers to the open unit interval, into `out` when
+    given; `out` may be `ints` itself when it holds them as float64.
+    Scaling by the power of two 2**-BITS is exact, so it equals dividing."""
+    unit = np.multiply(ints, 1.0 / _SCALE,
+                       out=None if out is None else _output(out, np.shape(ints)))
+    return np.clip(unit, UNIT_LOW, UNIT_HIGH, out=unit)
+
+
+def to_normal(unit: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Inverse standard normal CDF, defined on the open unit interval;
+    `out` may be `unit` itself, which then becomes the normals."""
     unit = np.asarray(unit, dtype=np.float64)
     if unit.size and not ((unit > 0.0).all() and (unit < 1.0).all()):
         raise ValueError("unit point coordinates must lie strictly inside (0, 1)")
-    return ndtri(unit)
+    return ndtri(unit, out=None if out is None else _output(out, unit.shape))
 
 
-def lss_assemble(config: QmcConfig, replication: int, dimension: int) -> np.ndarray:
-    """Uniform points for one replication of the scrambled Sobol plan.
+def lss_assemble(config: QmcConfig, replication: int, dimension: int,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """Uniform points for one replication of the scrambled Sobol plan,
+    written into `out` when given.
 
     Every block reuses the same Sobol net, scrambled with a substream
     keyed by (replication, block); each block's run order is permuted
@@ -232,29 +249,38 @@ def lss_assemble(config: QmcConfig, replication: int, dimension: int) -> np.ndar
     n = config.points_per_replication
     widths = config.block_sizes(dimension)
     directions, steps = _gray_code_table(widths[0], n)
-    out = np.empty((n, dimension))
+    out = _output(out, (n, dimension))
     start = 0
     for block, width in enumerate(widths):
         rng = _substream(config.seed, replication, _TAG_SCRAMBLE, block)
         scramble = DigitalScramble.random(width, rng)
         linear = scramble.apply(directions[:, :width]) ^ scramble.shift
-        ints = np.bitwise_xor.accumulate(linear[steps], axis=0)
+        ints = linear[steps]
+        np.bitwise_xor.accumulate(ints, axis=0, out=ints)
         ints ^= scramble.shift
         order = _substream(config.seed, replication, _TAG_ORDER, block).permutation(n)
-        out[:, start:start + width] = to_unit(ints[order])
+        out[:, start:start + width] = ints[order]
         start += width
-    return out
+    return to_unit(out, out=out)
 
 
-def replication_uniforms(config: QmcConfig, replication: int, dimension: int) -> np.ndarray:
-    """Uniform (points, dimension) draws for one replication."""
+def replication_uniforms(config: QmcConfig, replication: int, dimension: int,
+                         out: np.ndarray | None = None) -> np.ndarray:
+    """Uniform (points, dimension) draws for one replication, written
+    into `out` when given."""
     if config.mode == "pseudo_random":
-        rng = _substream(config.seed, replication, _TAG_PSEUDO)
-        u = rng.random((config.points_per_replication, dimension))
-        return np.clip(u, UNIT_LOW, UNIT_HIGH)
-    return lss_assemble(config, replication, dimension)
+        shape = (config.points_per_replication, dimension)
+        u = _substream(config.seed, replication, _TAG_PSEUDO).random(shape)
+        return np.clip(u, UNIT_LOW, UNIT_HIGH, out=u if out is None else _output(out, shape))
+    return lss_assemble(config, replication, dimension, out=out)
 
 
-def replication_normals(config: QmcConfig, replication: int, dimension: int) -> np.ndarray:
-    """Standard normal (points, dimension) draws for one replication."""
-    return to_normal(replication_uniforms(config, replication, dimension))
+def replication_normals(config: QmcConfig, replication: int, dimension: int,
+                        out: np.ndarray | None = None) -> np.ndarray:
+    """Standard normal (points, dimension) draws for one replication.
+
+    The uniforms become the normals in place: in `out` when it is given,
+    a C-contiguous float64 (points, dimension) array, else in a new one.
+    """
+    unit = replication_uniforms(config, replication, dimension, out=out)
+    return to_normal(unit, out=unit)

@@ -1,5 +1,6 @@
 import logging
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from qmcgreeks import estimator as est
 from qmcgreeks import payoffs
+from qmcgreeks import qmc as streams
 from qmcgreeks import weights as wt
 from qmcgreeks.estimator import EstimationError, EstimateReport, estimate
 from qmcgreeks.market import MarketConfig, path_generator, simulate_paths, vol_loadings
@@ -336,6 +338,103 @@ def test_adaptive_needs_two_points_per_pilot_sub_replication(kind):
     enough = _stream(config, points=est.MIN_ADAPTIVE_POINTS, replications=2)
     report = estimate(config, spec, enough, method="adaptive")
     assert report.simulated_paths == 3 * est.MIN_ADAPTIVE_POINTS
+
+
+_REPORT_ARRAYS = ("deltas", "stderrs", "replication_means", "localization_widths",
+                  "rejected_by_component")
+
+
+def test_a_report_keeps_its_arrays_through_the_next_estimate():
+    # the draws live in per-thread buffers; nothing a report holds may view them
+    config = _market()
+    spec = PayoffSpec(kind="call", strike=100.0)
+    first = estimate(config, spec, _stream(config), method="adaptive")
+    kept = {name: getattr(first, name).copy() for name in _REPORT_ARRAYS}
+    estimate(config, spec, _stream(config, seed=8), method="adaptive")
+    for name, values in kept.items():
+        assert np.array_equal(getattr(first, name), values), name
+
+
+def test_reports_do_not_depend_on_earlier_calls_of_other_sizes():
+    # the pilot draws into leading rows of the main run's buffers; a call
+    # of another size, before or after, must not show
+    config = _market()
+    spec = PayoffSpec(kind="call", strike=100.0)
+    reports: dict[int, list[EstimateReport]] = {256: [], 2048: []}
+    for workers in (1, 2):
+        for order in ((256, 2048), (2048, 256)):
+            for points in order:
+                qmc = _stream(config, points=points, replications=4)
+                reports[points].append(estimate(config, spec, qmc, method="adaptive",
+                                                workers=workers))
+    for runs in reports.values():
+        for report in runs[1:]:
+            for name in _REPORT_ARRAYS:
+                assert np.array_equal(getattr(report, name), getattr(runs[0], name))
+
+
+def test_draw_buffers_are_freed_when_estimate_returns(monkeypatch):
+    config = _market()
+    spec = PayoffSpec(kind="call", strike=100.0)
+    buffers = []
+
+    def recording(original):
+        def draw(*args, out=None):
+            buffers.append(weakref.ref(out if out.base is None else out.base))
+            return original(*args, out=out)
+        return draw
+
+    monkeypatch.setattr(streams, "replication_normals",
+                        recording(streams.replication_normals))
+    monkeypatch.setattr(est, "simulate_paths", recording(est.simulate_paths))
+    for workers in (1, 2):
+        estimate(config, spec, _stream(config), method="adaptive", workers=workers)
+    assert buffers and all(ref() is None for ref in buffers)
+
+
+def _rotated_generator(config):
+    rotation = est.build_lt_matrix(config, PayoffSpec(kind="call", strike=100.0)).matrix
+    return path_generator(config, vol_loadings(config), rotation)
+
+
+@pytest.mark.parametrize("mode", streams.MODES)
+def test_out_forms_draw_the_same_bits_into_out(mode):
+    config = _market(n_assets=3, n_dates=4)
+    d = config.nominal_dimension
+    qmc = _stream(config, points=64, replications=2, mode=mode)
+    generator = _rotated_generator(config)
+    normals = streams.replication_normals(qmc, 1, d)
+    bundle = simulate_paths(config, generator, normals)
+
+    out = np.full((64, d), np.nan)
+    drawn = streams.replication_normals(qmc, 1, d, out=out)
+    assert np.shares_memory(drawn, out) and np.array_equal(drawn, normals)
+    product = np.full((64, d + 2 * config.n_assets), np.nan)
+    written = simulate_paths(config, generator, drawn, out=product)
+    assert np.shares_memory(written.spot_grid, product)
+    for name in ("spot_grid", "w_terminal", "w_time_integral"):
+        assert np.array_equal(getattr(written, name), getattr(bundle, name)), name
+
+
+def test_an_unusable_out_is_refused_by_name():
+    config = _market(n_assets=3, n_dates=4)
+    d, width = config.nominal_dimension, config.nominal_dimension + 2 * config.n_assets
+    generator = _rotated_generator(config)
+    normals = np.zeros((64, d))
+    for mode in streams.MODES:
+        qmc = _stream(config, points=64, replications=2, mode=mode)
+        for out in (np.empty((64, d + 1)), np.empty((64, d), dtype=np.float32),
+                    np.empty((64, 2 * d))[:, ::2]):
+            with pytest.raises(ValueError, match="out"):
+                streams.replication_normals(qmc, 0, d, out=out)
+    for out in (np.empty((64, width + 1)), np.empty((64, width), dtype=np.float32),
+                np.empty((64, 2 * width))[:, ::2]):
+        with pytest.raises(ValueError, match="out"):
+            simulate_paths(config, generator, normals, out=out)
+    # the unrotated build forms no product to write
+    with pytest.raises(ValueError, match="out"):
+        simulate_paths(config, path_generator(config, vol_loadings(config)), normals,
+                       out=np.empty((64, width)))
 
 
 def _correlation(draw, n):

@@ -218,6 +218,19 @@ def test_scramble_matrix_draw_matches_per_digit_loop():
             assert np.array_equal(drawn.shift, shift)
 
 
+def test_scramble_apply_matches_per_digit_loop():
+    # the reference XORs in one matrix column per set digit of the point
+    raw = np.random.default_rng(3).integers(0, 2 ** qmc.BITS, size=(40, 7),
+                                            dtype=np.uint64)
+    for seed in range(5):
+        scramble = qmc.DigitalScramble.random(7, np.random.default_rng(seed))
+        expected = np.zeros_like(raw)
+        for digit in range(qmc.BITS):
+            bit = (raw >> np.uint64(qmc.BITS - 1 - digit)) & np.uint64(1)
+            expected ^= bit * scramble.columns[None, :, digit]
+        assert np.array_equal(scramble.apply(raw), expected ^ scramble.shift)
+
+
 @pytest.mark.parametrize("dimension,count", [
     (1, 1), (1, 2), (7, 3), (9, 4096),
     (50, 2048), (1111, 4096), (3, 100_000),

@@ -7,9 +7,13 @@
 The first form runs `estimate` on table1-table5 with each method
 (adaptive, loc, fd) at workers 1 and 2 on `ladder_market()`, with the
 full `standard_stream()` protocol (32 replications of 2048 points, seed
-42), or with 4 replications of 256 points under --small. It prints JSON with, per report, one sha256 over
-the deltas, stderrs, replication means, localization widths, rejections
-by component, simulated path count and settings, and the raw deltas.
+42), or with 4 replications of 256 points under --small. table1 and
+table5 with adaptive and fd also run on the other draw branches:
+pseudo-random draws, and scrambled Sobol draws without the rotation
+(the unrotated path build). It prints JSON with, per report, one
+sha256 over the deltas, stderrs, replication means, localization
+widths, rejections by component, simulated path count and settings,
+and the raw deltas.
 --compare prints the reports whose digests differ, or that only one
 file has, and the largest absolute delta difference over the reports
 both have; it exits 1 when any report differs.
@@ -31,6 +35,11 @@ from qmcgreeks.presets import (PRESETS, ladder_market, preset,  # noqa: E402
                                standard_stream)
 
 WORKERS = (1, 2)
+# key suffix -> (stream settings, use_lt) of the other draw branches
+VARIANTS = {"sampler=pseudo_random": ({"mode": "pseudo_random"}, True),
+            "lt=off": ({}, False)}
+VARIANT_PRESETS = ("table1", "table5")
+VARIANT_METHODS = ("adaptive", "fd")
 
 
 def report_digest(report) -> str:
@@ -46,13 +55,18 @@ def report_digest(report) -> str:
 def digest_reports(small: bool) -> dict:
     reports = {}
     market = ladder_market()
-    qmc = standard_stream(points=256, replications=4) if small else standard_stream()
-    for name in PRESETS:
-        for method in METHODS:
-            for workers in WORKERS:
-                report = estimate(market, preset(name), qmc, method, workers=workers)
-                reports[f"{name}/{method}/workers={workers}"] = {
-                    "sha256": report_digest(report), "deltas": report.deltas.tolist()}
+    size = {"points": 256, "replications": 4} if small else {}
+    runs = [(name, method, "", {}, True) for name in PRESETS for method in METHODS]
+    runs += [(name, method, f"/{suffix}", stream, use_lt)
+             for name in VARIANT_PRESETS for method in VARIANT_METHODS
+             for suffix, (stream, use_lt) in VARIANTS.items()]
+    for name, method, suffix, stream, use_lt in runs:
+        qmc = standard_stream(**size, **stream)
+        for workers in WORKERS:
+            report = estimate(market, preset(name), qmc, method, use_lt=use_lt,
+                              workers=workers)
+            reports[f"{name}/{method}/workers={workers}{suffix}"] = {
+                "sha256": report_digest(report), "deltas": report.deltas.tolist()}
     return reports
 
 
