@@ -66,6 +66,14 @@ class EstimationError(RuntimeError):
     """Raised when a run cannot produce a trustworthy estimate."""
 
 
+class ArgumentError(ValueError):
+    """An input `estimate` refuses; `argument` names the parameter or field."""
+
+    def __init__(self, argument: str, message: str) -> None:
+        super().__init__(message)
+        self.argument = argument
+
+
 @dataclass(frozen=True, eq=False)
 class EstimateReport:
     """Estimation results plus enough context to reproduce them.
@@ -228,32 +236,36 @@ def estimate(config: MarketConfig, spec: PayoffSpec, qmc: streams.QmcConfig,
     differences (method "fd"). A prebuilt rotation can be passed to
     amortize its construction over a strike sweep. Method "adaptive"
     needs at least MIN_ADAPTIVE_POINTS points per replication for its
-    pilot race; the Malliavin methods need the family's min_dates.
+    pilot race; the Malliavin methods need the family's min_dates. Each
+    refusal comes before any work, the LT build included, as an
+    ArgumentError naming the parameter, QmcConfig field or market field
+    (monitoring_times) it refuses.
     """
     start = time.perf_counter()
     if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+        raise ArgumentError("method",
+                            f"unknown method {method!r}; expected one of {METHODS}")
     d = config.nominal_dimension
     if use_lt and lt_build is not None and lt_build.matrix.shape != (d, d):
-        raise ValueError(f"lt_build rotation has shape {lt_build.matrix.shape}; "
-                         f"the market needs ({d}, {d})")
+        raise ArgumentError("lt_build", f"lt_build rotation has shape "
+                            f"{lt_build.matrix.shape}; the market needs ({d}, {d})")
     if method != "fd" and config.n_dates < spec.family.min_dates:
-        raise ValueError(f"{spec.kind} weights need at least {spec.family.min_dates} "
-                         f"monitoring dates; the market has {config.n_dates}")
+        raise ArgumentError("monitoring_times",
+                            f"{spec.kind} weights need at least {spec.family.min_dates} "
+                            f"monitoring dates; the market has {config.n_dates}")
     if method == "loc" and not 0.0 < loc_fraction < math.inf:
-        raise ValueError("loc_fraction must be positive and finite")
+        raise ArgumentError("loc_fraction", "loc_fraction must be positive and finite")
     if method == "fd" and not 0.0 < fd_bump < 1.0:
-        raise ValueError("fd_bump must lie in (0, 1)")
+        raise ArgumentError("fd_bump", "fd_bump must lie in (0, 1)")
     if workers < 1:
-        raise ValueError("workers must be at least 1")
+        raise ArgumentError("workers", "workers must be at least 1")
     if qmc.replications < 2:
-        raise ValueError(
-            f"replications must be at least 2 for a standard error; "
-            f"got {qmc.replications}")
+        raise ArgumentError("replications", "replications must be at least 2 for a "
+                            f"standard error; got {qmc.replications}")
     if method == "adaptive" and qmc.points_per_replication < MIN_ADAPTIVE_POINTS:
-        raise ValueError(
-            f"points_per_replication must be at least {MIN_ADAPTIVE_POINTS} "
-            f"for the adaptive pilot race; got {qmc.points_per_replication}")
+        raise ArgumentError("points_per_replication", "points_per_replication must be "
+                            f"at least {MIN_ADAPTIVE_POINTS} for the adaptive pilot "
+                            f"race; got {qmc.points_per_replication}")
 
     loadings = vol_loadings(config)
     m = config.n_assets

@@ -58,7 +58,6 @@ def standard_stream(*, points: int = 2048, replications: int = 32,
 
 _PRESET_PAYOFFS = {
     "table1": ("call", BENCHMARK_SPOT),
-    "table2": ("call", BENCHMARK_SPOT),
     "table3": ("floating", 0.0),
     "table4": ("digital", BENCHMARK_SPOT),
     "table5": ("best_of", BENCHMARK_SPOT),

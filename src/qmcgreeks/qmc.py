@@ -52,7 +52,7 @@ _TAG_ORDER = 2
 
 
 class DimensionError(ValueError):
-    """Requested dimension is outside the supported Sobol table."""
+    """Requested dimension is below 1 or outside the supported Sobol table."""
 
 
 @dataclass(frozen=True)
@@ -104,15 +104,6 @@ def _substream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def _check_dimension(dimension: int) -> None:
-    if dimension < 1:
-        raise DimensionError("dimension must be at least 1")
-    if dimension > MAX_DIMENSION:
-        raise DimensionError(
-            f"dimension {dimension} exceeds the supported Sobol table "
-            f"({MAX_DIMENSION} dimensions)")
-
-
 @lru_cache(maxsize=1)
 def _joe_kuo() -> tuple[np.ndarray, np.ndarray]:
     """Primitive polynomials (dims,) and initial direction numbers
@@ -144,7 +135,6 @@ def _gray_code_table(dimension: int, count: int) -> tuple[np.ndarray, np.ndarray
     m_c = m_(c-s) XOR XOR_(k=1..s) a_k 2^k m_(c-k), with a_s = 1,
     and v_c = m_c << (31 - c).
     """
-    _check_dimension(dimension)
     columns = int(count).bit_length()
     poly, vinit = _joe_kuo()
     poly = poly[1:dimension]
@@ -226,9 +216,16 @@ def to_normal(unit: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Inverse standard normal CDF, defined on the open unit interval;
     `out` may be `unit` itself, which then becomes the normals."""
     unit = np.asarray(unit, dtype=np.float64)
-    if unit.size and not ((unit > 0.0).all() and (unit < 1.0).all()):
+    if unit.size and not (unit.min() > 0.0 and unit.max() < 1.0):
         raise ValueError("unit point coordinates must lie strictly inside (0, 1)")
     return ndtri(unit, out=None if out is None else _output(out, unit.shape))
+
+
+def _draw_shape(config: QmcConfig, dimension: int) -> tuple[int, int]:
+    """(points, dimension) of one replication's draws in either mode."""
+    if dimension < 1:
+        raise DimensionError(f"dimension must be at least 1; got {dimension}")
+    return config.points_per_replication, dimension
 
 
 def lss_assemble(config: QmcConfig, replication: int, dimension: int,
@@ -246,10 +243,11 @@ def lss_assemble(config: QmcConfig, replication: int, dimension: int,
     scrambled point i is XOR_{j<=i} M v_c(j), XOR the shift: only the
     few directions of a block are scrambled, not its points.
     """
-    n = config.points_per_replication
+    shape = _draw_shape(config, dimension)
+    n = shape[0]
     widths = config.block_sizes(dimension)
     directions, steps = _gray_code_table(widths[0], n)
-    out = _output(out, (n, dimension))
+    out = _output(out, shape)
     start = 0
     for block, width in enumerate(widths):
         rng = _substream(config.seed, replication, _TAG_SCRAMBLE, block)
@@ -269,7 +267,7 @@ def replication_uniforms(config: QmcConfig, replication: int, dimension: int,
     """Uniform (points, dimension) draws for one replication, written
     into `out` when given."""
     if config.mode == "pseudo_random":
-        shape = (config.points_per_replication, dimension)
+        shape = _draw_shape(config, dimension)
         u = _substream(config.seed, replication, _TAG_PSEUDO).random(shape)
         return np.clip(u, UNIT_LOW, UNIT_HIGH, out=u if out is None else _output(out, shape))
     return lss_assemble(config, replication, dimension, out=out)

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qmcgreeks import cli
+from qmcgreeks import cli, estimator
 from qmcgreeks.estimator import EstimationError, estimate
 from qmcgreeks.payoffs import PayoffSpec
 from qmcgreeks.presets import PRESETS, ladder_market, preset, standard_stream
@@ -157,7 +157,11 @@ def test_invalid_run_arguments_exit_before_estimation(monkeypatch, capsys,
     def unreachable(*args, **kwargs):
         raise AssertionError("estimation started")
 
-    monkeypatch.setattr(cli, "estimate", unreachable)
+    # estimate itself refuses its arguments, so every piece of its work is fenced
+    for name in ("vol_loadings", "build_lt_matrix", "path_generator", "_pilot_widths",
+                 "_replication_means", "_replication_sample"):
+        monkeypatch.setattr(estimator, name, unreachable)
+    monkeypatch.setattr(PayoffSpec, "weight_matrix", unreachable)
     assert cli.run(flags) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert field in err
@@ -353,8 +357,8 @@ def test_explicit_spot_and_vol_lists(tmp_path):
 
 
 def test_presets_are_complete_and_consistent():
-    kinds = {"table1": "call", "table2": "call", "table3": "floating",
-             "table4": "digital", "table5": "best_of"}
+    kinds = {"table1": "call", "table3": "floating", "table4": "digital",
+             "table5": "best_of"}
     assert set(PRESETS) == set(kinds)
     for name in PRESETS:
         assert preset(name).kind == kinds[name]

@@ -164,26 +164,27 @@ def test_invalid_arguments_are_rejected(monkeypatch):
     config = _market()
     spec = PayoffSpec(kind="call", strike=100.0)
     qmc = _stream(config)
-    with pytest.raises(ValueError, match="unknown method"):
-        estimate(config, spec, qmc, method="quadrature")
-    with pytest.raises(ValueError, match="loc_fraction"):
-        estimate(config, spec, qmc, method="loc", loc_fraction=0.0)
-    with pytest.raises(ValueError, match="fd_bump"):
-        estimate(config, spec, qmc, method="fd", fd_bump=-0.1)
+
+    def refuses(argument, match, *args, **kwargs):
+        with pytest.raises(est.ArgumentError, match=match) as refusal:
+            estimate(*args, **kwargs)
+        assert refusal.value.argument == argument
+
+    refuses("method", "unknown method", config, spec, qmc, method="quadrature")
+    refuses("loc_fraction", "loc_fraction", config, spec, qmc, method="loc",
+            loc_fraction=0.0)
+    refuses("fd_bump", "fd_bump", config, spec, qmc, method="fd", fd_bump=-0.1)
     for bad in (np.nan, np.inf):
-        with pytest.raises(ValueError, match="loc_fraction"):
-            estimate(config, spec, qmc, method="loc", loc_fraction=bad)
-        with pytest.raises(ValueError, match="fd_bump"):
-            estimate(config, spec, qmc, method="fd", fd_bump=bad)
+        refuses("loc_fraction", "loc_fraction", config, spec, qmc, method="loc",
+                loc_fraction=bad)
+        refuses("fd_bump", "fd_bump", config, spec, qmc, method="fd", fd_bump=bad)
     # the down scenario scales the spots by 1 - fd_bump, which must stay positive
     for bad in (1.0, 1.5):
-        with pytest.raises(ValueError, match="fd_bump"):
-            estimate(config, spec, qmc, method="fd", fd_bump=bad)
-    with pytest.raises(ValueError, match="workers"):
-        estimate(config, spec, qmc, workers=0)
+        refuses("fd_bump", "fd_bump", config, spec, qmc, method="fd", fd_bump=bad)
+    refuses("workers", "workers", config, spec, qmc, workers=0)
     # one replication has no spread, so its stderr would be a silent nan
-    with pytest.raises(ValueError, match="replications"):
-        estimate(config, spec, _stream(config, replications=1), method="loc")
+    refuses("replications", "replications", config, spec,
+            _stream(config, replications=1), method="loc")
 
     def unreachable(*args, **kwargs):
         raise AssertionError("rotation build started")
@@ -193,8 +194,8 @@ def test_invalid_arguments_are_rejected(monkeypatch):
     best_of = PayoffSpec(kind="best_of", strike=100.0)
     monkeypatch.setattr(est, "build_lt_matrix", unreachable)
     for method in ("adaptive", "loc"):
-        with pytest.raises(ValueError, match="2 monitoring dates; the market has 1"):
-            estimate(one_date, best_of, _stream(one_date), method=method)
+        refuses("monitoring_times", "2 monitoring dates; the market has 1",
+                one_date, best_of, _stream(one_date), method=method)
     # finite differences need no weight
     monkeypatch.undo()
     report = estimate(one_date, best_of, _stream(one_date, points=32, replications=2),
@@ -211,8 +212,9 @@ def test_prebuilt_rotation_must_match_the_market(monkeypatch):
         raise AssertionError("path simulation started")
 
     monkeypatch.setattr(est, "path_generator", unreachable)
-    with pytest.raises(ValueError, match=r"lt_build.*\(6, 6\).*\(4, 4\)"):
+    with pytest.raises(est.ArgumentError, match=r"lt_build.*\(6, 6\).*\(4, 4\)") as refusal:
         estimate(config, spec, _stream(config), lt_build=wrong)
+    assert refusal.value.argument == "lt_build"
     # without the rotation the prebuilt one is never read
     monkeypatch.undo()
     estimate(config, spec, _stream(config, points=32, replications=2),
@@ -331,8 +333,9 @@ def test_adaptive_needs_two_points_per_pilot_sub_replication(kind):
     config = _market()
     spec = PayoffSpec(kind=kind, strike=100.0)
     short = _stream(config, points=est.MIN_ADAPTIVE_POINTS - 1, replications=2)
-    with pytest.raises(ValueError, match="points_per_replication"):
+    with pytest.raises(est.ArgumentError, match="points_per_replication") as refusal:
         estimate(config, spec, short, method="adaptive")
+    assert refusal.value.argument == "points_per_replication"
     # the other methods have no pilot, so a short block is fine
     assert np.isfinite(estimate(config, spec, short, method="loc").deltas).all()
     enough = _stream(config, points=est.MIN_ADAPTIVE_POINTS, replications=2)

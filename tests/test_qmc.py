@@ -118,6 +118,9 @@ def test_inverse_normal_domain():
         qmc.to_normal(np.array([0.0]))
     with pytest.raises(ValueError):
         qmc.to_normal(np.array([1.0]))
+    # nan fails both bounds, and the check warns about nothing
+    with pytest.raises(ValueError):
+        qmc.to_normal(np.array([0.5, np.nan]))
 
 
 def test_config_validation():
@@ -279,6 +282,17 @@ def test_sobol_table_caps_the_block_not_the_nominal_dimension():
                            replications=2, lss_block_dimension=wide, seed=1,
                            mode="pseudo_random")
     assert qmc.replication_uniforms(pseudo, 0, wide).shape == (4, wide)
+
+
+@pytest.mark.parametrize("mode", qmc.MODES)
+def test_draws_need_a_dimension_of_at_least_one(mode):
+    config = qmc.QmcConfig(points_per_replication=4, replications=2,
+                           lss_block_dimension=3, seed=1, mode=mode)
+    for dimension in (0, -1):
+        with pytest.raises(qmc.DimensionError, match="at least 1"):
+            qmc.replication_normals(config, 0, dimension)
+    with pytest.raises(qmc.DimensionError, match="at least 1"):
+        qmc.lss_assemble(config, 0, 0)
 
 
 def test_package_import_leaves_scipy_stats_unloaded():

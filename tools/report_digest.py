@@ -4,10 +4,10 @@
     python3 tools/report_digest.py --small > quick.json
     python3 tools/report_digest.py --compare parent.json change.json
 
-The first form runs `estimate` on table1-table5 with each method
-(adaptive, loc, fd) at workers 1 and 2 on `ladder_market()`, with the
-full `standard_stream()` protocol (32 replications of 2048 points, seed
-42), or with 4 replications of 256 points under --small. table1 and
+The first form runs `estimate` on table1 and table3-table5 with each
+method (adaptive, loc, fd) at workers 1 and 2 on `ladder_market()`,
+with the full `standard_stream()` protocol (32 replications of 2048
+points, seed 42), or with 4 replications of 256 points under --small. table1 and
 table5 with adaptive and fd also run on the other draw branches:
 pseudo-random draws, and scrambled Sobol draws without the rotation
 (the unrotated path build). It prints JSON with, per report, one
