@@ -5,10 +5,11 @@ arithmetic-average basket payoffs, fixed strike, floating strike,
 cash-or-nothing, and a two-variable best-of, using integration-by-
 parts weights with adaptive localization, scrambled low-discrepancy
 sampling, and an optional dimension-reducing rotation of the driving
-draws. ``estimate`` is the main entry point; ``presets`` holds the
-benchmark configurations the CLI exposes.
+draws. ``estimate`` is the main entry point, ``estimate_sweep`` its
+strike-sweep form; ``presets`` holds the benchmark configurations the
+CLI exposes.
 """
-from .estimator import EstimateReport, EstimationError, estimate
+from .estimator import EstimateReport, EstimationError, estimate, estimate_sweep
 from .lt import LtBuild, build_lt_matrix
 from .market import (MarketConfig, PathBundle, PathGenerator, path_generator,
                      simulate_paths, vol_loadings)
@@ -33,6 +34,7 @@ __all__ = [
     "QmcConfig",
     "build_lt_matrix",
     "estimate",
+    "estimate_sweep",
     "evaluate",
     "ladder_market",
     "path_generator",

@@ -4,13 +4,13 @@ Configuration comes from three layers, each overriding the previous:
 a named preset's payoff and strike, an INI-style config file, and
 command-line flags. `_SETTINGS` holds each run setting's default, file
 key and parser; the sampling, method and market defaults are the
-library's. The first `estimate` of a sweep builds the rotation that
-every later strike reuses. Results go to a CSV with one row per
-component (per strike when sweeping), serialized at full double
+library's. One `estimate_sweep` call estimates every strike of a run,
+one or a sweep, from one pass of draws. Results go to a CSV with one
+row per component (per strike when sweeping), serialized at full double
 precision so parsing the file recovers the report exactly.
 
 Each refusal exits EXIT_CONFIG before any work and has one owner: the
-library refuses what it cannot use, and `estimate`'s refusals are shown
+library refuses what it cannot use, and `estimate_sweep`'s refusals are shown
 under the run field's name; the CLI itself checks only its file entries,
 the sweep syntax and the output paths.
 """
@@ -25,7 +25,7 @@ import sys
 
 import numpy as np
 
-from .estimator import METHODS, ArgumentError, EstimationError, estimate
+from .estimator import METHODS, ArgumentError, EstimationError, estimate_sweep
 from .market import MarketConfig
 from .payoffs import PayoffSpec
 from .presets import PRESETS, equicorrelated_market, ladder_market, preset, standard_stream
@@ -40,13 +40,14 @@ PAYOFF_NAMES = {
 
 EXIT_CONFIG = 2
 EXIT_ESTIMATION = 3
+MAX_SWEEP_STRIKES = 10_000
 
 _MARKET_KEYS = ("assets", "spots", "vols", "rate", "maturity", "dates",
                 "correlation")
 
 _STREAM = standard_stream()
 _ESTIMATE = {name: parameter.default
-             for name, parameter in inspect.signature(estimate).parameters.items()}
+             for name, parameter in inspect.signature(estimate_sweep).parameters.items()}
 # run field -> (default, INI section, INI key, text parser); a flag sets the
 # field of the same name, and a choice flag's text parses like the file's
 _SETTINGS = {
@@ -68,9 +69,8 @@ _SETTINGS = {
 # every (section, key) a config file may set
 _FILE_KEYS = ({("market", key) for key in _MARKET_KEYS}
               | {(section, key) for _, section, key, _ in _SETTINGS.values()})
-# the run field an `estimate` refusal names when its argument has another name
-_FIELD_NAMES = {"loc_fraction": "loc_delta", "points_per_replication": "points",
-                "monitoring_times": "steps"}
+# the run field an `estimate_sweep` refusal names when its argument has another name
+_FIELD_NAMES = {"loc_fraction": "loc_delta", "points_per_replication": "points"}
 
 
 class ConfigurationError(Exception):
@@ -163,6 +163,8 @@ def _parse_sweep(text: str) -> np.ndarray:
         raise ConfigurationError("sweep bounds must be finite")
     if step <= 0 or high < low:
         raise ConfigurationError("sweep needs step > 0 and hi >= lo")
+    if (high - low) / step + 1e-9 > MAX_SWEEP_STRIKES:
+        raise ConfigurationError(f"sweep has more than {MAX_SWEEP_STRIKES} strikes")
     # hi stays in when whole steps reach it up to rounding; a partial step adds none
     return np.arange(low, high + 1e-9 * step, step)
 
@@ -222,10 +224,14 @@ def _resolve(args) -> dict:
         geometry["n_assets"] = _count("assets", args.assets)
     if args.steps is not None:
         geometry["n_dates"] = _count("steps", args.steps)
-    if geometry or market is None:
+    from_file = not geometry and market is not None
+    if not from_file:
         market = ladder_market(**geometry)
 
     values["market"] = market
+    # a refusal of the monitoring dates names the entry that set them
+    values["field_names"] = dict(_FIELD_NAMES,
+                                 monitoring_times="dates" if from_file else "steps")
     values["debug_replications"] = args.debug_replications
     _check_run(values)
     values["qmc"] = standard_stream(points=values["points"], replications=values["reps"],
@@ -260,17 +266,12 @@ def _execute(values: dict) -> tuple[list[list], list[list]]:
     specs = values["specs"]
     sweeping = values["strikes"] is not None
 
-    lt_build = None
+    reports = estimate_sweep(market, specs, qmc, values["method"], use_lt=values["lt"],
+                             loc_fraction=values["loc_delta"], fd_bump=values["fd_bump"],
+                             workers=values["workers"])
     rows: list[list] = []
     replication_rows: list[list] = []
-    for spec in specs:
-        report = estimate(market, spec, qmc, values["method"],
-                          use_lt=values["lt"],
-                          loc_fraction=values["loc_delta"],
-                          fd_bump=values["fd_bump"],
-                          workers=values["workers"],
-                          lt_build=lt_build)
-        lt_build = report.lt_build
+    for spec, report in zip(specs, reports):
         prefix = [_fmt(spec.strike)] if sweeping else []
         for k in range(market.n_assets):
             rows.append(prefix + [k + 1, _fmt(report.deltas[k]),
@@ -303,7 +304,7 @@ def run(argv: list[str] | None = None) -> int:
     try:
         rows, replication_rows = _execute(values)
     except ArgumentError as exc:
-        print(f"error: {_FIELD_NAMES.get(exc.argument, exc.argument)}: {exc}",
+        print(f"error: {values['field_names'].get(exc.argument, exc.argument)}: {exc}",
               file=sys.stderr)
         return EXIT_CONFIG
     except EstimationError as exc:

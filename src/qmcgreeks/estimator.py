@@ -9,8 +9,9 @@ deviation over sqrt(R), the usual randomized-QMC construction.
 
 Three methods share one replication kernel: `_replication_sample`
 builds the strike-free draws, paths, aggregates and weights, and
-`_replication_means` reduces them through the family's kink to
-discounted means for a table of localization widths. "adaptive" and
+`_replication_means` reduces them through each strike's kink to
+discounted means for its table of localization widths, so a strike
+sweep draws each replication once. "adaptive" and
 "loc" use the integration-by-parts weights with a localized payoff
 split, one expression for every payoff kind, the former choosing the
 localization scale per component in a pilot phase, the latter taking it
@@ -32,8 +33,8 @@ sub-replications included, into one buffer set for the whole call: a
 (P, d) array that holds the uniforms and then, in place, the normals,
 and with a rotation a (P, d + 2m) array for the path product. A sample
 is therefore valid only until its thread's next one, and the buffers go
-with the call's run state when `estimate` returns; a report holds
-nothing that views them.
+with the call's run state when it returns; a report holds nothing that
+views them.
 """
 from __future__ import annotations
 
@@ -52,7 +53,7 @@ from . import weights as wt
 from .lt import LtBuild, build_lt_matrix
 from .market import (MarketConfig, PathGenerator, path_generator, simulate_paths,
                      vol_loadings)
-from .payoffs import PayoffEval, PayoffSpec, discount, evaluate
+from .payoffs import PayoffEval, PayoffFamily, PayoffSpec, discount, evaluate
 
 log = logging.getLogger(__name__)
 
@@ -100,11 +101,11 @@ class EstimateReport:
 
 @dataclass(frozen=True, eq=False)
 class _Run:
-    """What every replication of one `estimate` call shares; fd_bump is
-    set for method "fd", whose contributions are bump contrasts. Each
-    worker thread keeps its draw buffers of `points` rows, the main
-    run's points per replication, in workspace, so they go with the run
-    when `estimate` returns."""
+    """What every replication of one call shares; spec, the call's
+    first, is read for its kind and weights only. fd_bump is set for
+    method "fd", whose contributions are bump contrasts. Each worker
+    thread keeps its draw buffers of `points` rows, the main run's
+    points per replication, in workspace, so they go with the run."""
 
     config: MarketConfig
     spec: PayoffSpec
@@ -147,51 +148,57 @@ def _replication_sample(run: _Run, stream: streams.QmcConfig, index: int):
 
 
 def _replication_means(run: _Run, stream: streams.QmcConfig, index: int,
-                       widths: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """Discounted means of one replication's kept paths, (candidates,
-    assets), and its rejection counts per component, (assets,).
+                       targets: list) -> tuple[np.ndarray, np.ndarray]:
+    """Discounted means of one replication's kept paths per (strike,
+    widths) target, (targets, candidates, assets), and its rejection
+    counts per component, (assets,).
 
     A path contributes smooth(z) * slope + remainder(z) * weight from
     its family's variable z, kink, slopes, pair and weight. widths
     broadcasts against (candidates, assets): (1, assets) for the main
     run's widths or digital bandwidths, (candidates, 1) for the pilot
-    race's shared grid; "fd" ignores it. Rejected paths contribute exact
+    race's grid; "fd" ignores it. Rejected paths contribute exact
     zeros, which the compensated sum ignores; a component that lost
     every path, or whose contributions overflowed, gets nan.
     """
-    config, spec = run.config, run.spec
+    config, family = run.config, run.spec.family
     _, ev, _, pw = _replication_sample(run, stream, index)
-    if pw is None:
-        contributions = _bump_contrast(spec, config, ev, run.fd_bump)[:, None, :]
-        rejected = np.zeros((ev.average.shape[0], config.n_assets), dtype=bool)
-    else:
-        family, rejected = spec.family, pw.rejected
-        kink, (smooth, remainder) = family.kink(spec.strike), family.split
+    paths = ev.average.shape[0]
+    rejected = np.zeros((paths, config.n_assets), dtype=bool) if pw is None else pw.rejected
+    if pw is not None:
         z = family.variable(ev.average, ev.floating_strike)[:, None, None]
-        slope = family.slope(ev) / config.spots
-        # the ramps' discarded np.where branches overflow at extreme widths
-        with np.errstate(over="ignore", invalid="ignore"):
-            contributions = (smooth(z, kink, widths) * slope[:, None, :]
-                             + remainder(z, kink, widths) * pw.values[:, None, :])
-        contributions = np.where(rejected[:, None, :], 0.0, contributions)
-    paths = contributions.shape[0]
-    columns = contributions.reshape(paths, -1).T
-    # fsum raises on inf - inf, so a column that overflowed is a nan mean
-    sums = np.array([math.fsum(column) if finite else math.nan for column, finite
+        slope, (smooth, remainder) = family.slope(ev) / config.spots, family.split
+    sums = []
+    for strike, widths in targets:
+        if pw is None:
+            contributions = _bump_contrast(family, strike, config, ev,
+                                           run.fd_bump)[:, None, :]
+        else:
+            kink = family.kink(strike)
+            # the ramps' discarded np.where branches overflow at extreme widths
+            with np.errstate(over="ignore", invalid="ignore"):
+                contributions = (smooth(z, kink, widths) * slope[:, None, :]
+                                 + remainder(z, kink, widths) * pw.values[:, None, :])
+            contributions = np.where(rejected[:, None, :], 0.0, contributions)
+        columns = contributions.reshape(paths, -1).T
+        # fsum raises on inf - inf, so a column that overflowed is a nan mean
+        sums.append([math.fsum(column) if finite else math.nan for column, finite
                      in zip(columns.tolist(), np.isfinite(columns).all(axis=1))])
     counts = rejected.sum(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        means = (discount(config) * sums.reshape(contributions.shape[1:])
+        means = (discount(config) * np.reshape(sums, (len(targets), -1, config.n_assets))
                  / (paths - counts))
     return means, counts
 
 
-def _pilot_widths(run: _Run, qmc: streams.QmcConfig) -> tuple[np.ndarray, int]:
-    """Per-component localization scales plus the pilot path count.
+def _pilot_widths(run: _Run, qmc: streams.QmcConfig,
+                  specs: list[PayoffSpec]) -> tuple[list[np.ndarray], int]:
+    """Per-component localization scales of each spec plus the pilot
+    path count, one spec's.
 
     The digital bandwidth comes from the divergence variance of one
-    pilot replication. Ramp widths come from racing the candidate
-    widths through the main run's kernel over PILOT_SPLIT
+    pilot replication. Ramp widths come from racing each spec's
+    candidate widths through the main run's kernel over PILOT_SPLIT
     sub-replications of P / PILOT_SPLIT points, keeping per component
     the width whose sub-replication means scatter least; a single block
     cannot rank widths this way because the point set equidistributes
@@ -200,41 +207,53 @@ def _pilot_widths(run: _Run, qmc: streams.QmcConfig) -> tuple[np.ndarray, int]:
     main estimate stays independent of the tuning. A degenerate pilot
     falls back to 1% of the width scale.
     """
-    config, spec = run.config, run.spec
+    config = run.config
     base = qmc.replications
-    if spec.family.laplace:
+    if run.spec.family.laplace:
         bundle, _, jets, _ = _replication_sample(run, qmc, base)
         div = wt.reciprocal_divergence(jets, bundle.w_terminal)
-        widths, paths = wt.adaptive_bandwidth(div), qmc.points_per_replication
+        widths, paths = [wt.adaptive_bandwidth(div)] * len(specs), qmc.points_per_replication
     else:
-        candidates = spec.width_scale(config) * np.array(wt.WIDTH_SEARCH_FRACTIONS)
+        fractions = np.array(wt.WIDTH_SEARCH_FRACTIONS)[:, None]
+        targets = [(spec.strike, spec.width_scale(config) * fractions) for spec in specs]
         sub = replace(qmc, points_per_replication=qmc.points_per_replication // PILOT_SPLIT)
-        table = np.stack([_replication_means(run, sub, base + r, candidates[:, None])[0]
+        table = np.stack([_replication_means(run, sub, base + r, targets)[0]
                           for r in range(PILOT_SPLIT)])
-        widths = wt.width_by_replication_spread(table, candidates)
+        widths = [wt.width_by_replication_spread(table[:, k], grid[:, 0])
+                  for k, (_, grid) in enumerate(targets)]
         paths = PILOT_SPLIT * sub.points_per_replication
-    bad = ~(np.isfinite(widths) & (widths > 0.0))
-    if bad.any():
+    for target, spec in enumerate(specs):
+        bad = ~(np.isfinite(widths[target]) & (widths[target] > 0.0))
         fallback = 0.01 * spec.width_scale(config)
-        log.warning("pilot variance degenerate for component(s) %s; "
-                    "using fallback width %g",
-                    ", ".join(str(k + 1) for k in np.flatnonzero(bad)), fallback)
-        widths = np.where(bad, fallback, widths)
+        if bad.any():
+            log.warning("pilot variance degenerate for component(s) %s; "
+                        "using fallback width %g",
+                        ", ".join(str(k + 1) for k in np.flatnonzero(bad)), fallback)
+        widths[target] = np.where(bad, fallback, widths[target])
     return widths, paths
 
 
 def estimate(config: MarketConfig, spec: PayoffSpec, qmc: streams.QmcConfig,
-             method: str = "adaptive", *, use_lt: bool = True,
-             loc_fraction: float = 0.01, fd_bump: float = 0.01,
-             workers: int = 1,
-             lt_build: LtBuild | None = None) -> EstimateReport:
-    """Estimate all per-asset deltas of one payoff.
+             *args, **kwargs) -> EstimateReport:
+    """Estimate all per-asset deltas of one payoff: `estimate_sweep` of
+    the one spec, with the same further arguments and defaults."""
+    return estimate_sweep(config, [spec], qmc, *args, **kwargs)[0]
+
+
+def estimate_sweep(config: MarketConfig, specs: list[PayoffSpec], qmc: streams.QmcConfig,
+                   method: str = "adaptive", *, use_lt: bool = True,
+                   loc_fraction: float = 0.01, fd_bump: float = 0.01,
+                   workers: int = 1,
+                   lt_build: LtBuild | None = None) -> list[EstimateReport]:
+    """Estimate each spec's per-asset deltas from one pass of draws; the
+    specs may differ only in strike. Each report is bit-identical to its
+    spec's `estimate` call and counts in simulated_paths what the sweep draws.
 
     loc_fraction scales the fixed localization width (method "loc") as
     a fraction of the strike, or of the mean spot for the floating
     strike; fd_bump, in (0, 1), is the relative spot bump of the central
     differences (method "fd"). A prebuilt rotation can be passed to
-    amortize its construction over a strike sweep. Method "adaptive"
+    amortize its construction over calls. Method "adaptive"
     needs at least MIN_ADAPTIVE_POINTS points per replication for its
     pilot race; the Malliavin methods need the family's min_dates. Each
     refusal comes before any work, the LT build included, as an
@@ -242,6 +261,10 @@ def estimate(config: MarketConfig, spec: PayoffSpec, qmc: streams.QmcConfig,
     (monitoring_times) it refuses.
     """
     start = time.perf_counter()
+    if not specs or any(other.family is not specs[0].family or not np.array_equal(
+            other.weights, specs[0].weights) for other in specs):
+        raise ArgumentError("specs", "specs must be payoffs that differ only in strike")
+    spec = specs[0]
     if method not in METHODS:
         raise ArgumentError("method",
                             f"unknown method {method!r}; expected one of {METHODS}")
@@ -279,21 +302,21 @@ def estimate(config: MarketConfig, spec: PayoffSpec, qmc: streams.QmcConfig,
                fd_bump if method == "fd" else None, qmc.points_per_replication)
 
     pilot_paths = 0
-    widths: np.ndarray | None = None
+    widths: list[np.ndarray | None] = [None] * len(specs)
     if method == "adaptive":
-        widths, pilot_paths = _pilot_widths(run, qmc)
+        widths, pilot_paths = _pilot_widths(run, qmc, specs)
     elif method == "loc":
-        widths = np.full(m, loc_fraction * spec.width_scale(config))
+        widths = [np.full(m, loc_fraction * other.width_scale(config)) for other in specs]
     points = qmc.points_per_replication
-    replicate = partial(_replication_means, run, qmc,
-                        widths=None if widths is None else widths[None, :])
+    replicate = partial(_replication_means, run, qmc, targets=[
+        (other.strike, None if scales is None else scales[None, :])
+        for other, scales in zip(specs, widths)])
     indices = range(qmc.replications)
     if workers == 1:
         results = list(map(replicate, indices))
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(replicate, indices))
-    replication_means = np.stack([means[0] for means, _ in results])
     rejected_by_component = np.sum([counts for _, counts in results], axis=0)
 
     total = qmc.replications * points
@@ -304,15 +327,6 @@ def estimate(config: MarketConfig, spec: PayoffSpec, qmc: streams.QmcConfig,
             for k in over_limit)
         raise EstimationError(
             f"degenerate-path rejections exceed {REJECTION_LIMIT:.2%} ({detail})")
-    if np.isnan(replication_means).any():
-        if any((counts == points).any() for _, counts in results):
-            raise EstimationError("a replication lost every path to rejection")
-        overflowed = np.flatnonzero(np.isnan(replication_means).any(axis=0))
-        raise EstimationError("path contributions overflowed for component(s) "
-                              + ", ".join(str(k + 1) for k in overflowed))
-
-    deltas = replication_means.mean(axis=0)
-    stderrs = replication_means.std(axis=0, ddof=1) / math.sqrt(qmc.replications)
     scenarios = 2 * m if method == "fd" else 1
     simulated = qmc.replications * points * scenarios + pilot_paths
     settings = {
@@ -331,24 +345,34 @@ def estimate(config: MarketConfig, spec: PayoffSpec, qmc: streams.QmcConfig,
         settings["loc_fraction"] = loc_fraction
     if method == "fd":
         settings["fd_bump"] = fd_bump
-    return EstimateReport(
-        deltas=deltas,
-        stderrs=stderrs,
-        replication_means=replication_means,
-        rejected_by_component=rejected_by_component,
-        simulated_paths=simulated,
-        runtime_seconds=time.perf_counter() - start,
-        method=method,
-        settings=settings,
-        localization_widths=widths,
-        lt_build=lt_build,
-    )
+    reports = []
+    for target, (spec, scales) in enumerate(zip(specs, widths)):
+        replication_means = np.stack([means[target, 0] for means, _ in results])
+        if np.isnan(replication_means).any():
+            if any((counts == points).any() for _, counts in results):
+                raise EstimationError("a replication lost every path to rejection")
+            overflowed = np.flatnonzero(np.isnan(replication_means).any(axis=0))
+            raise EstimationError("path contributions overflowed for component(s) "
+                                  + ", ".join(str(k + 1) for k in overflowed))
+        reports.append(EstimateReport(
+            deltas=replication_means.mean(axis=0),
+            stderrs=replication_means.std(axis=0, ddof=1) / math.sqrt(qmc.replications),
+            replication_means=replication_means,
+            rejected_by_component=rejected_by_component,
+            simulated_paths=simulated,
+            runtime_seconds=time.perf_counter() - start,
+            method=method,
+            settings=dict(settings, strike=spec.strike),
+            localization_widths=scales,
+            lt_build=lt_build,
+        ))
+    return reports
 
 
-def _bump_contrast(spec: PayoffSpec, config: MarketConfig, ev: PayoffEval,
-                   bump: float) -> np.ndarray:
-    """Central-difference contributions with common random numbers,
-    (paths, assets), column k for spot k.
+def _bump_contrast(family: PayoffFamily, strike: float, config: MarketConfig,
+                   ev: PayoffEval, bump: float) -> np.ndarray:
+    """Central-difference contributions at one strike with common random
+    numbers, (paths, assets), column k for spot k.
 
     Scaling spot k by (1 +- bump) scales asset k's path multiplicatively,
     so both aggregates shift by exactly bump times their component-k
@@ -358,7 +382,6 @@ def _bump_contrast(spec: PayoffSpec, config: MarketConfig, ev: PayoffEval,
     shift_strike = bump * ev.strike_grad
     average = ev.average[:, None]
     strike_leg = ev.floating_strike[:, None]
-    value = spec.family.value
-    up = value(spec.strike, average + shift_avg, strike_leg + shift_strike)
-    down = value(spec.strike, average - shift_avg, strike_leg - shift_strike)
+    up = family.value(strike, average + shift_avg, strike_leg + shift_strike)
+    down = family.value(strike, average - shift_avg, strike_leg - shift_strike)
     return (up - down) / (2.0 * bump * config.spots)

@@ -93,6 +93,8 @@ class QmcConfig:
 
     def block_sizes(self, dimension: int) -> tuple[int, ...]:
         """Supercube block dimensions covering `dimension`, the last possibly truncated."""
+        if dimension < 1:
+            raise DimensionError(f"dimension must be at least 1; got {dimension}")
         b = min(self.lss_block_dimension, dimension)
         full, rest = divmod(dimension, b)
         return (b,) * full + ((rest,) if rest else ())
@@ -222,9 +224,9 @@ def to_normal(unit: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def _draw_shape(config: QmcConfig, dimension: int) -> tuple[int, int]:
-    """(points, dimension) of one replication's draws in either mode."""
-    if dimension < 1:
-        raise DimensionError(f"dimension must be at least 1; got {dimension}")
+    """(points, dimension) of one replication's draws in either mode;
+    `block_sizes` refuses a dimension below 1."""
+    config.block_sizes(dimension)
     return config.points_per_replication, dimension
 
 

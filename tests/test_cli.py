@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from qmcgreeks import cli, estimator
-from qmcgreeks.estimator import EstimationError, estimate
+from qmcgreeks.estimator import EstimationError, estimate, estimate_sweep
+from qmcgreeks.lt import build_lt_matrix
 from qmcgreeks.payoffs import PayoffSpec
 from qmcgreeks.presets import PRESETS, ladder_market, preset, standard_stream
 
@@ -190,7 +191,7 @@ def test_invalid_market_entries_exit_before_estimation(monkeypatch, capsys, tmp_
     def unreachable(*args, **kwargs):
         raise AssertionError("estimation started")
 
-    monkeypatch.setattr(cli, "estimate", unreachable)
+    monkeypatch.setattr(cli, "estimate_sweep", unreachable)
     market = {key: text for key, text in {**_MARKET, **entries}.items()
               if text is not None}
     config = tmp_path / "market.ini"
@@ -210,7 +211,7 @@ def test_missing_output_directory_exits_before_estimation(monkeypatch, capsys,
     def unreachable(*args, **kwargs):
         raise AssertionError("estimation started")
 
-    monkeypatch.setattr(cli, "estimate", unreachable)
+    monkeypatch.setattr(cli, "estimate_sweep", unreachable)
     missing = tmp_path / "no-such-dir" / "out.csv"
     assert cli.run(FAST + [flag, str(missing)]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
@@ -230,7 +231,7 @@ def test_estimation_failure_exits_with_run_code(monkeypatch, capsys):
     def explode(*args, **kwargs):
         raise EstimationError("too many degenerate paths")
 
-    monkeypatch.setattr(cli, "estimate", explode)
+    monkeypatch.setattr(cli, "estimate_sweep", explode)
     assert cli.run(FAST) == cli.EXIT_ESTIMATION
     assert "too many degenerate paths" in capsys.readouterr().err
 
@@ -276,7 +277,7 @@ def test_every_config_key_round_trips(monkeypatch, capsys, tmp_path, section, ke
         def unreachable(*args, **kwargs):
             raise AssertionError("estimation started")
 
-        monkeypatch.setattr(cli, "estimate", unreachable)
+        monkeypatch.setattr(cli, "estimate_sweep", unreachable)
         ini.write_text(f"[{section}]\n{key} = {bad}\n")
         assert cli.run(["--config", str(ini)]) == cli.EXIT_CONFIG
         assert f"invalid value for {key} in [{section}]" in capsys.readouterr().err
@@ -374,7 +375,7 @@ def test_unset_settings_are_the_library_defaults():
     values = cli._resolve(cli.build_parser().parse_args([]))
     assert dataclasses.asdict(values["qmc"]) == dataclasses.asdict(standard_stream())
     defaults = {name: parameter.default for name, parameter
-                in inspect.signature(estimate).parameters.items()}
+                in inspect.signature(estimate_sweep).parameters.items()}
     assert (values["method"], values["lt"], values["loc_delta"], values["fd_bump"],
             values["workers"]) == (defaults["method"], defaults["use_lt"],
                                    defaults["loc_fraction"], defaults["fd_bump"],
@@ -387,24 +388,78 @@ def test_unset_settings_are_the_library_defaults():
 
 
 @pytest.mark.parametrize("lt", ["on", "off"])
-def test_a_sweep_hands_every_strike_the_first_rotation(monkeypatch, tmp_path, lt):
-    builds = []
+def test_a_sweep_is_one_estimate_sweep_call(monkeypatch, tmp_path, lt):
+    calls, builds = [], []
 
-    def recording(*args, **kwargs):
-        report = estimate(*args, **kwargs)
-        builds.append(report.lt_build)
-        return report
+    def recording(market, specs, *args, **kwargs):
+        calls.append([spec.strike for spec in specs])
+        return estimate_sweep(market, specs, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "estimate", recording)
-    assert cli.run(["--assets", "2", "--steps", "2", "--points", "32", "--reps", "2",
-                    "--method", "loc", "--sweep", "90:110:10", "--lt", lt,
-                    "--output", str(tmp_path / "sweep.csv")]) == 0
-    assert len(builds) == 3
-    if lt == "on":
-        assert builds[0] is not None
-        assert all(build is builds[0] for build in builds)
-    else:
-        assert builds == [None, None, None]
+    def counted(*args):
+        builds.append(args)
+        return build_lt_matrix(*args)
+
+    monkeypatch.setattr(cli, "estimate_sweep", recording)
+    monkeypatch.setattr(estimator, "build_lt_matrix", counted)
+    flags = ["--assets", "2", "--steps", "2", "--points", "32", "--reps", "2",
+             "--method", "loc", "--lt", lt]
+    out = tmp_path / "sweep.csv"
+    assert cli.run(flags + ["--sweep", "90:110:10", "--output", str(out)]) == 0
+    assert calls == [[90.0, 100.0, 110.0]]
+    assert len(builds) == (1 if lt == "on" else 0)
+    # each strike's rows are the rows of a run at that strike alone
+    rows = _read(out)
+    for strike in (90, 100, 110):
+        alone = tmp_path / f"{strike}.csv"
+        assert cli.run(flags + ["--strike", str(strike), "--output", str(alone)]) == 0
+        assert [row for row in rows if float(row["strike"]) == strike] == [
+            {"strike": cli._fmt(strike), **row} for row in _read(alone)]
+
+
+@pytest.mark.parametrize("text", ["1:1e12:1", "90:110:1e-7", "-1e308:1e308:1"])
+def test_a_sweep_past_the_strike_cap_is_refused_before_allocating(monkeypatch, capsys,
+                                                                  text):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("estimation started")
+
+    class NoArange:
+        def __getattr__(self, name):
+            if name == "arange":
+                raise AssertionError("sweep strikes allocated")
+            return getattr(np, name)
+
+    monkeypatch.setattr(cli, "np", NoArange())
+    monkeypatch.setattr(cli, "estimate_sweep", unreachable)
+    # hi - lo overflows to inf in the last case
+    assert cli.run([f"--sweep={text}"]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "sweep" in err and str(cli.MAX_SWEEP_STRIKES) in err
+    assert "Traceback" not in err
+
+
+def test_the_strike_cap_admits_a_sweep_of_exactly_its_size():
+    cap = cli.MAX_SWEEP_STRIKES
+    assert cli._parse_sweep(f"1:{cap}:1").size == cap
+    with pytest.raises(cli.ConfigurationError, match="sweep"):
+        cli._parse_sweep(f"1:{cap + 1}:1")
+
+
+@pytest.mark.parametrize("flags, field", [([], "dates"), (["--steps", "1"], "steps")])
+def test_a_one_date_refusal_names_the_entry_that_set_the_dates(monkeypatch, capsys,
+                                                               tmp_path, flags, field):
+    ini = tmp_path / "one-date.ini"
+    ini.write_text("[market]\nassets = 2\nrate = 0.05\nmaturity = 1.0\n"
+                   "dates = 1\ncorrelation = 0.5\n[payoff]\nkind = exotic\n")
+    def unreachable(*args, **kwargs):
+        raise AssertionError("estimation started")
+
+    for name in ("build_lt_matrix", "_replication_means"):
+        monkeypatch.setattr(estimator, name, unreachable)
+    assert cli.run(["--config", str(ini), "--points", "32", "--reps", "2"]
+                   + flags) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: best_of weights need at least 2 "
+                          "monitoring dates; the market has 1")
 
 
 @pytest.mark.parametrize("delta, code", [("1e-310", 0), ("1e200", cli.EXIT_ESTIMATION)])

@@ -12,7 +12,7 @@ from qmcgreeks import estimator as est
 from qmcgreeks import payoffs
 from qmcgreeks import qmc as streams
 from qmcgreeks import weights as wt
-from qmcgreeks.estimator import EstimationError, EstimateReport, estimate
+from qmcgreeks.estimator import EstimationError, EstimateReport, estimate, estimate_sweep
 from qmcgreeks.market import MarketConfig, path_generator, simulate_paths, vol_loadings
 from qmcgreeks.payoffs import PayoffSpec
 from qmcgreeks.presets import ladder_market
@@ -285,7 +285,7 @@ def test_bump_contrast_is_the_pathwise_slope_away_from_the_kink(kind):
     bundle = simulate_paths(config, path_generator(config, vol_loadings(config)), normals)
     ev = payoffs.evaluate(spec, config, bundle)
     h = 1e-6
-    contrast = est._bump_contrast(spec, config, ev, h)
+    contrast = est._bump_contrast(spec.family, spec.strike, config, ev, h)
     family = spec.family
     z, kink = family.variable(ev.average, ev.floating_strike), family.kink(spec.strike)
     reach = 10.0 * h * (np.abs(ev.average_grad) + np.abs(ev.strike_grad)).sum(axis=1)
@@ -393,6 +393,81 @@ def test_draw_buffers_are_freed_when_estimate_returns(monkeypatch):
     for workers in (1, 2):
         estimate(config, spec, _stream(config), method="adaptive", workers=workers)
     assert buffers and all(ref() is None for ref in buffers)
+
+
+_STRIKES = (90.0, 95.0, 100.0, 105.0, 110.0)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("method", est.METHODS)
+@pytest.mark.parametrize("kind", ["call", "digital", "best_of"])
+def test_a_sweep_equals_one_spec_calls_bit_for_bit(kind, method, workers):
+    config = _market(n_assets=3, n_dates=4)
+    qmc = _stream(config, points=128, replications=4)
+    specs = [PayoffSpec(kind=kind, strike=strike) for strike in _STRIKES]
+    sweep = estimate_sweep(config, specs, qmc, method, workers=workers)
+    assert len(sweep) == len(specs)
+    for spec, report in zip(specs, sweep):
+        alone = estimate(config, spec, qmc, method, workers=workers)
+        for name in _REPORT_ARRAYS:
+            assert np.array_equal(getattr(report, name), getattr(alone, name)), name
+        assert report.simulated_paths == alone.simulated_paths
+        assert report.settings == alone.settings
+        assert report.method == alone.method
+        assert np.array_equal(report.lt_build.matrix, alone.lt_build.matrix)
+
+
+@pytest.mark.parametrize("kind, method, pilot", [
+    ("call", "adaptive", est.PILOT_SPLIT),
+    ("digital", "adaptive", 1),
+    ("best_of", "loc", 0),
+    ("call", "fd", 0),
+])
+def test_a_sweep_builds_and_draws_once_whatever_its_strike_count(monkeypatch, kind,
+                                                                 method, pilot):
+    config = _market(n_assets=3, n_dates=4)
+    qmc = _stream(config, points=64, replications=3)
+    builds, draws = [], []
+
+    def counted(calls, original):
+        def call(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(est, "build_lt_matrix", counted(builds, est.build_lt_matrix))
+    monkeypatch.setattr(streams, "replication_normals",
+                        counted(draws, streams.replication_normals))
+    for count in (1, 5):
+        builds.clear()
+        draws.clear()
+        specs = [PayoffSpec(kind=kind, strike=strike) for strike in _STRIKES[:count]]
+        reports = estimate_sweep(config, specs, qmc, method)
+        assert len(builds) == 1
+        assert len(draws) == qmc.replications + pilot
+        # each report counts what its strike alone needs: the sweep's draws
+        scenarios = 2 * config.n_assets if method == "fd" else 1
+        pilot_paths = qmc.points_per_replication if pilot else 0
+        assert {report.simulated_paths for report in reports} == {
+            qmc.replications * qmc.points_per_replication * scenarios + pilot_paths}
+
+
+def test_a_sweep_refuses_specs_that_differ_beyond_the_strike(monkeypatch):
+    config = _market(n_assets=2, n_dates=2)
+    qmc = _stream(config)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("rotation build started")
+
+    monkeypatch.setattr(est, "build_lt_matrix", unreachable)
+    call = PayoffSpec(kind="call", strike=100.0)
+    weighted = PayoffSpec(kind="call", strike=90.0, weights=np.array([[0.1, 0.2],
+                                                                      [0.3, 0.4]]))
+    for specs in ([call, PayoffSpec(kind="digital", strike=100.0)], [call, weighted],
+                  []):
+        with pytest.raises(est.ArgumentError, match="differ only in strike") as refusal:
+            estimate_sweep(config, specs, qmc)
+        assert refusal.value.argument == "specs"
 
 
 def _rotated_generator(config):

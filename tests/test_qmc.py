@@ -295,6 +295,19 @@ def test_draws_need_a_dimension_of_at_least_one(mode):
         qmc.lss_assemble(config, 0, 0)
 
 
+@pytest.mark.parametrize("mode", qmc.MODES)
+def test_block_sizes_refuse_a_dimension_below_one_as_the_draws_do(mode):
+    config = qmc.QmcConfig(points_per_replication=4, replications=2,
+                           lss_block_dimension=3, seed=1, mode=mode)
+    for dimension in (0, -1):
+        with pytest.raises(qmc.DimensionError) as blocks:
+            config.block_sizes(dimension)
+        with pytest.raises(qmc.DimensionError) as draws:
+            qmc.replication_normals(config, 0, dimension)
+        assert str(blocks.value) == str(draws.value) == (
+            f"dimension must be at least 1; got {dimension}")
+
+
 def test_package_import_leaves_scipy_stats_unloaded():
     # the direction table is read from scipy's data file, so neither the
     # package nor its CLI needs scipy.stats and the import cost it brings

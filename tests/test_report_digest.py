@@ -56,3 +56,15 @@ def test_compare_reads_two_digest_files(digest, tmp_path, capsys):
     assert digest.main(["--compare", str(paths[0]), str(paths[0])]) == 0
     assert digest.main(["--compare", *map(str, paths)]) == 1
     assert "differs: new" in capsys.readouterr().out
+
+
+def test_a_sweep_digest_covers_both_csvs_and_keeps_the_deltas(digest):
+    flags = ["--assets", "2", "--steps", "2", "--points", "32", "--reps", "2",
+             "--method", "loc", "--sweep", "90:110:10"]
+    first = digest.sweep_digest(flags)
+    assert len(first["deltas"]) == 3 * 2 and len(first["sha256"]) == 64
+    assert digest.sweep_digest(flags) == first
+    # another seed moves both CSVs, so the digest must move too
+    assert digest.sweep_digest(flags + ["--seed", "8"])["sha256"] != first["sha256"]
+    with pytest.raises(SystemExit, match="exited 2"):
+        digest.sweep_digest(flags + ["--reps", "1"])

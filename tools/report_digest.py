@@ -13,7 +13,10 @@ pseudo-random draws, and scrambled Sobol draws without the rotation
 (the unrotated path build). It prints JSON with, per report, one
 sha256 over the deltas, stderrs, replication means, localization
 widths, rejections by component, simulated path count and settings,
-and the raw deltas.
+and the raw deltas. It also runs the CLI, through `cli.run`, on
+`--sweep 90:110:5` with `--debug-replications` for table1, table4 and
+table5 with each method at workers 2, and keys one sha256 over the
+bytes of both CSVs, with the deltas column, under `sweep/`.
 --compare prints the reports whose digests differ, or that only one
 file has, and the largest absolute delta difference over the reports
 both have; it exits 1 when any report differs.
@@ -21,15 +24,18 @@ both have; it exits 1 when any report differs.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
+from qmcgreeks import cli  # noqa: E402
 from qmcgreeks.estimator import METHODS, estimate  # noqa: E402
 from qmcgreeks.presets import (PRESETS, ladder_market, preset,  # noqa: E402
                                standard_stream)
@@ -40,6 +46,9 @@ VARIANTS = {"sampler=pseudo_random": ({"mode": "pseudo_random"}, True),
             "lt=off": ({}, False)}
 VARIANT_PRESETS = ("table1", "table5")
 VARIANT_METHODS = ("adaptive", "fd")
+SWEEP = "90:110:5"
+SWEEP_PRESETS = ("table1", "table4", "table5")
+SWEEP_WORKERS = 2
 
 
 def report_digest(report) -> str:
@@ -67,7 +76,26 @@ def digest_reports(small: bool) -> dict:
                               workers=workers)
             reports[f"{name}/{method}/workers={workers}{suffix}"] = {
                 "sha256": report_digest(report), "deltas": report.deltas.tolist()}
+    flags = ["--points", "256", "--reps", "4"] if small else []
+    for name in SWEEP_PRESETS:
+        for method in METHODS:
+            reports[f"sweep/{name}/{method}/workers={SWEEP_WORKERS}"] = sweep_digest(
+                ["--preset", name, "--method", method, "--workers", str(SWEEP_WORKERS),
+                 "--sweep", SWEEP, *flags])
     return reports
+
+
+def sweep_digest(flags: list[str]) -> dict:
+    """sha256 over the sweep CSV and its replication dump, plus the deltas."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out, dump = Path(tmp) / "sweep.csv", Path(tmp) / "replications.csv"
+        code = cli.run(flags + ["--output", str(out), "--debug-replications", str(dump)])
+        if code != 0:
+            raise SystemExit(f"qmcgreeks {' '.join(flags)} exited {code}")
+        with open(out, newline="", encoding="utf-8") as handle:
+            deltas = [float(row["delta"]) for row in csv.DictReader(handle)]
+        digest = hashlib.sha256(out.read_bytes() + dump.read_bytes()).hexdigest()
+    return {"sha256": digest, "deltas": deltas}
 
 
 def compare(parent: dict, change: dict) -> int:
