@@ -9,24 +9,24 @@ deviation over sqrt(R), the usual randomized-QMC construction.
 
 Three methods share one replication kernel: `_replication_sample`
 builds the strike-free draws, paths, aggregates and weights, and
-`_replication_means` reduces them through each strike's kink to
-discounted means for its table of localization widths, so a strike
-sweep draws each replication once. "adaptive" and
-"loc" use the integration-by-parts weights with a localized payoff
-split, one expression for every payoff kind, the former choosing the
-localization scale per component in a pilot phase, the latter taking it
-from a caller-supplied fraction. The pilot race runs the same kernel
-over the whole candidate grid on PILOT_SPLIT sub-replications of P /
-PILOT_SPLIT points each, so "adaptive" needs at least 2 * PILOT_SPLIT
-points per replication.
+`_replication_means` reduces them through each strike's excess z - kink,
+split once by the family, to discounted means for its table of
+localization widths, so a strike sweep draws each replication once.
+"adaptive" and "loc" use the integration-by-parts weights with that
+localized split, one expression for every payoff kind, the former
+choosing the localization scale per component in a pilot phase, the
+latter taking it from a caller-supplied fraction. The pilot race runs
+the same kernel over the whole candidate grid on PILOT_SPLIT
+sub-replications of P / PILOT_SPLIT points each, so "adaptive" needs
+at least 2 * PILOT_SPLIT points per replication.
 "fd" is the central finite-difference baseline with common random
 numbers, included for cost and accuracy comparisons. What differs
 between payoff kinds comes from `payoffs.FAMILIES`.
 
 Replications are independent tasks. Each sums its paths by `math.fsum`;
 the replication means come back in order from `map` or the pool's `map`
-and are stacked and averaged by `np.mean`, so reports are bit-identical
-for a fixed seed regardless of the worker count.
+and are stacked and averaged by `np.mean`, so for a fixed seed and
+OpenBLAS thread count reports are bit-identical across worker counts.
 
 Each worker thread draws every replication it runs, pilot
 sub-replications included, into one buffer set for the whole call: a
@@ -153,8 +153,8 @@ def _replication_means(run: _Run, stream: streams.QmcConfig, index: int,
     widths) target, (targets, candidates, assets), and its rejection
     counts per component, (assets,).
 
-    A path contributes smooth(z) * slope + remainder(z) * weight from
-    its family's variable z, kink, slopes, pair and weight. widths
+    A path contributes smooth * slope + remainder * weight, the two
+    factors of its family's split at the excess z - kink. widths
     broadcasts against (candidates, assets): (1, assets) for the main
     run's widths or digital bandwidths, (candidates, 1) for the pilot
     race's grid; "fd" ignores it. Rejected paths contribute exact
@@ -167,18 +167,18 @@ def _replication_means(run: _Run, stream: streams.QmcConfig, index: int,
     rejected = np.zeros((paths, config.n_assets), dtype=bool) if pw is None else pw.rejected
     if pw is not None:
         z = family.variable(ev.average, ev.floating_strike)[:, None, None]
-        slope, (smooth, remainder) = family.slope(ev) / config.spots, family.split
+        slope = family.slope(ev) / config.spots
     sums = []
     for strike, widths in targets:
         if pw is None:
             contributions = _bump_contrast(family, strike, config, ev,
                                            run.fd_bump)[:, None, :]
         else:
-            kink = family.kink(strike)
             # the ramps' discarded np.where branches overflow at extreme widths
             with np.errstate(over="ignore", invalid="ignore"):
-                contributions = (smooth(z, kink, widths) * slope[:, None, :]
-                                 + remainder(z, kink, widths) * pw.values[:, None, :])
+                smooth, remainder = family.split(z - family.kink(strike), widths)
+                contributions = (smooth * slope[:, None, :]
+                                 + remainder * pw.values[:, None, :])
             contributions = np.where(rejected[:, None, :], 0.0, contributions)
         columns = contributions.reshape(paths, -1).T
         # fsum raises on inf - inf, so a column that overflowed is a nan mean
@@ -264,7 +264,10 @@ def estimate_sweep(config: MarketConfig, specs: list[PayoffSpec], qmc: streams.Q
     if not specs or any(other.family is not specs[0].family or not np.array_equal(
             other.weights, specs[0].weights) for other in specs):
         raise ArgumentError("specs", "specs must be payoffs that differ only in strike")
-    spec = specs[0]
+    spec, m = specs[0], config.n_assets
+    if spec.weights is not None and spec.weights.shape != (m, config.n_dates):
+        raise ArgumentError("specs", f"weights shape {spec.weights.shape} does not match "
+                            f"(assets, dates) = ({m}, {config.n_dates})")
     if method not in METHODS:
         raise ArgumentError("method",
                             f"unknown method {method!r}; expected one of {METHODS}")
@@ -291,7 +294,6 @@ def estimate_sweep(config: MarketConfig, specs: list[PayoffSpec], qmc: streams.Q
                             f"race; got {qmc.points_per_replication}")
 
     loadings = vol_loadings(config)
-    m = config.n_assets
     if not use_lt:
         lt_build = None
     elif lt_build is None:
@@ -354,6 +356,11 @@ def estimate_sweep(config: MarketConfig, specs: list[PayoffSpec], qmc: streams.Q
             overflowed = np.flatnonzero(np.isnan(replication_means).any(axis=0))
             raise EstimationError("path contributions overflowed for component(s) "
                                   + ", ".join(str(k + 1) for k in overflowed))
+        silent = np.flatnonzero((replication_means == 0.0).all(axis=0))
+        if silent.size:
+            log.warning("strike %g: every replication mean is 0 for component(s) %s; "
+                        "no path contributed", spec.strike,
+                        ", ".join(str(k + 1) for k in silent))
         reports.append(EstimateReport(
             deltas=replication_means.mean(axis=0),
             stderrs=replication_means.std(axis=0, ddof=1) / math.sqrt(qmc.replications),

@@ -19,13 +19,14 @@ from which spot deltas follow by dividing out x_k.
 Everything else that differs between the kinds sits in one
 `PayoffFamily` record per kind, `FAMILIES`: the strike-free variable z
 the payoff pays on and its pathwise slopes, the strike legs, the
-localization pair, the weight and the rotation driver's legs. The
+localization split, the weight and the rotation driver's legs. The
 strike enters only through `kink`: each payoff is (z - kink)^+ but the
-digital's step 1{z >= kink}, the call's record with the Laplace pair in
-place of the ramp pair. No weight builder reads the strike: each reads
-the bundle's basket jets, `weights.basket_jets`; call and floating take
-the Skorohod integral of one jet ratio, best_of its two-variable
-inversion. The estimator and the rotation never test a kind by name.
+digital's step 1{z >= kink}, the call's record with the Laplace split in
+place of the ramp split, and `split` reads only the excess z - kink. No
+weight builder reads the strike either: each reads the bundle's basket
+jets, `weights.basket_jets`; call and floating take the Skorohod
+integral of one jet ratio, best_of its two-variable inversion. The
+estimator and the rotation never test a kind by name.
 """
 from __future__ import annotations
 
@@ -140,7 +141,7 @@ def discount(config: MarketConfig) -> float:
 @dataclass(frozen=True, eq=False)
 class PayoffFamily:
     """What sets one payoff kind apart; the weight builders and the
-    localization pair look up their `weights` functions when they run,
+    localization split look up their `weights` functions when they run,
     so a wrapper installed on that module sees every call."""
 
     # (average, floating_strike) -> the strike-free variable z paid on
@@ -151,7 +152,7 @@ class PayoffFamily:
     floating_leg: bool
     # pays against a positive strike, which also sets the width scale
     fixed_strike: bool
-    # pays the step 1{z >= kink} with the Laplace pair, whose bandwidth
+    # pays the step 1{z >= kink} with the Laplace split, whose bandwidth
     # comes from the divergence variance, not (z - kink)^+ with the ramp
     laplace: bool
     # (config, jets, bundle) -> every component's weight, (paths, assets),
@@ -173,13 +174,10 @@ class PayoffFamily:
             return (excess >= 0.0).astype(np.float64)
         return np.maximum(excess, 0.0)
 
-    @property
-    def split(self) -> tuple[Callable, Callable]:
-        """(pathwise factor, weight factor) of the localization, each
-        called as (variable, kink, widths)."""
-        if self.laplace:
-            return wt.laplace_slope, wt.laplace_remainder
-        return wt.smoothed_indicator, wt.localization_remainder
+    def split(self, excess: np.ndarray, widths) -> tuple[np.ndarray, np.ndarray]:
+        """(pathwise factor, weight factor) of the localization at the
+        excess z - kink: the Laplace split for the step, else the ramp."""
+        return (wt.laplace_split if self.laplace else wt.ramp_split)(excess, widths)
 
 
 def _terminal_leg(weights: np.ndarray) -> np.ndarray:

@@ -49,9 +49,9 @@ monitoring interval.
 Localization splits a payoff of z into a part differentiated pathwise
 and a remainder the weight carries, smooth(z) * slope + remainder(z) *
 weight, which is where most of the variance reduction comes from; the
-split is exact in expectation for any scale. The ramp pair
-(`smoothed_indicator`, `localization_remainder`) serves the kinks, the
-Laplace pair (`laplace_slope`, `laplace_remainder`) the digital's step.
+split is exact in expectation for any scale. Each split reads only the
+excess z - kink, never the strike, and returns both factors at once:
+`ramp_split` serves the kinks, `laplace_split` the digital's step.
 Adaptive rules pick the ramp half-width from the spread of pilot
 sub-replication means and the Laplace bandwidth from the pilot variance
 of delta(1 / int_avg), for every component at once.
@@ -301,50 +301,27 @@ def best_of_weight(config: MarketConfig, jets: BasketJets,
 # localization
 
 
-def smoothed_indicator(values: np.ndarray, strike: float,
-                       half_width: float) -> np.ndarray:
-    """Linear ramp from 0 to 1 across [strike - w, strike + w]."""
-    return np.clip((values - strike + half_width) / (2.0 * half_width), 0.0, 1.0)
+def ramp_split(excess: np.ndarray, half_width) -> tuple[np.ndarray, np.ndarray]:
+    """(ramp, remainder) of (z - kink)^+ at the excess e = z - kink: the
+    ramp rises from 0 to 1 across [-w, w], and the remainder, e^+ minus
+    the ramp's antiderivative (zero at and below -w), lives on that band
+    only, so its weight term contributes nothing away from the kink."""
+    ramp = np.clip((excess + half_width) / (2.0 * half_width), 0.0, 1.0)
+    inside = (excess + half_width) ** 2 / (4.0 * half_width)
+    return ramp, np.maximum(excess, 0.0) - np.where(
+        excess <= -half_width, 0.0, np.where(excess >= half_width, excess, inside))
 
 
-def ramp_antiderivative(values: np.ndarray, strike: float,
-                        half_width: float) -> np.ndarray:
-    """Antiderivative of the ramp, zero at and below strike - w."""
-    shifted = values - strike
-    inside = (shifted + half_width) ** 2 / (4.0 * half_width)
-    return np.where(shifted <= -half_width, 0.0,
-                    np.where(shifted >= half_width, shifted, inside))
-
-
-def localization_remainder(values: np.ndarray, strike: float,
-                           half_width: float) -> np.ndarray:
-    """(z - strike)^+ minus the ramp antiderivative.
-
-    Supported on the ramp band only, so the weight term it multiplies
-    contributes nothing away from the kink.
-    """
-    return (np.maximum(values - strike, 0.0)
-            - ramp_antiderivative(values, strike, half_width))
-
-
-def _laplace_kernel(values: np.ndarray, strike: float, bandwidth) -> np.ndarray:
-    """exp(-|values - strike| / bandwidth) for a positive bandwidth."""
+def laplace_split(excess: np.ndarray, bandwidth) -> tuple[np.ndarray, np.ndarray]:
+    """(slope, remainder) of the step 1{z >= kink} at the excess e: the
+    remainder 1{e >= 0} exp(-e/b) is the part the weight carries, 1 at
+    the tie, which pays; the slope 1{e > 0} exp(-e/b) / b, 0 at the tie,
+    is the derivative of the step minus it."""
     if (np.asarray(bandwidth) <= 0.0).any():
         raise ValueError("bandwidth must be positive")
-    return np.exp(-np.abs((values - strike) / bandwidth))
-
-
-def laplace_slope(values: np.ndarray, strike: float, bandwidth) -> np.ndarray:
-    """1{z > strike} exp(-(z - strike)/b) / b, the derivative of the step
-    minus its Laplace remainder; 0 at the tie."""
-    kernel = _laplace_kernel(values, strike, bandwidth)
-    return np.where(values > strike, kernel / bandwidth, 0.0)
-
-
-def laplace_remainder(values: np.ndarray, strike: float, bandwidth) -> np.ndarray:
-    """1{z >= strike} exp(-(z - strike)/b), the part of the step the
-    weight carries; 1 at the tie, which pays."""
-    return np.where(values >= strike, _laplace_kernel(values, strike, bandwidth), 0.0)
+    kernel = np.exp(-np.abs(excess / bandwidth))
+    return (np.where(excess > 0.0, kernel / bandwidth, 0.0),
+            np.where(excess >= 0.0, kernel, 0.0))
 
 
 # ---------------------------------------------------------------------------

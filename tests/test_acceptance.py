@@ -3,9 +3,9 @@
 One test per criterion, each printing its own pass/fail line under
 pytest -v. The reference deltas and error bars are frozen below;
 statistical comparisons use three combined standard errors,
-hypot(reference error, run stderr). The full file takes a few minutes
-because several tests run the complete 32x2048 replication protocol
-on the ten-asset benchmark.
+hypot(reference error, run stderr). The full file takes about 30 s on
+a 2-vCPU host because several tests run the complete 32x2048
+replication protocol on the ten-asset benchmark.
 """
 import math
 

@@ -462,8 +462,17 @@ def test_a_one_date_refusal_names_the_entry_that_set_the_dates(monkeypatch, caps
                           "monitoring dates; the market has 1")
 
 
-@pytest.mark.parametrize("delta, code", [("1e-310", 0), ("1e200", cli.EXIT_ESTIMATION)])
-def test_extreme_localization_prints_no_numpy_warning(delta, code):
+@pytest.mark.parametrize("payoff, delta, code", [
+    # the call, the default payoff, keeps the short ids
+    pytest.param("asian-fixed", "1e-310", 0, id="1e-310-0"),
+    pytest.param("asian-fixed", "1e200", cli.EXIT_ESTIMATION, id="1e200-3"),
+    *[(payoff, "1e-310", 0) for payoff in ("asian-floating", "digital", "exotic")],
+    ("asian-floating", "1e200", cli.EXIT_ESTIMATION),
+    ("exotic", "1e200", cli.EXIT_ESTIMATION),
+    # the Laplace kernel at a huge bandwidth is flat, not overflowing
+    ("digital", "1e200", 0),
+])
+def test_extreme_localization_prints_no_numpy_warning(payoff, delta, code):
     # the discarded ramp branches overflow; only a column that really
     # overflowed may fail the run, and then by name, not by a numpy warning
     src = Path(__file__).resolve().parents[1] / "src"
@@ -471,7 +480,8 @@ def test_extreme_localization_prints_no_numpy_warning(delta, code):
     env.pop("PYTHONWARNINGS", None)
     done = subprocess.run(
         [sys.executable, "-m", "qmcgreeks", "--assets", "2", "--steps", "2",
-         "--points", "32", "--reps", "2", "--method", "loc", "--loc-delta", delta],
+         "--points", "32", "--reps", "2", "--payoff", payoff, "--method", "loc",
+         "--loc-delta", delta],
         capture_output=True, text=True, env=env, check=False)
     assert done.returncode == code
     assert "RuntimeWarning" not in done.stderr

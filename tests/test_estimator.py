@@ -470,6 +470,51 @@ def test_a_sweep_refuses_specs_that_differ_beyond_the_strike(monkeypatch):
         assert refusal.value.argument == "specs"
 
 
+def test_averaging_weights_of_the_wrong_shape_are_refused_before_any_work(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("estimation started")
+
+    for name in ("vol_loadings", "build_lt_matrix"):
+        monkeypatch.setattr(est, name, unreachable)
+    config = ladder_market(2, 4)
+    spec = PayoffSpec(kind="call", strike=100.0, weights=np.full((4, 2), 1 / 8))
+    with pytest.raises(est.ArgumentError, match=r"weights shape \(4, 2\) does not "
+                       r"match \(assets, dates\) = \(2, 4\)") as refusal:
+        estimate(config, spec, _stream(config, points=64, replications=4))
+    assert refusal.value.argument == "specs"
+
+
+@pytest.mark.parametrize("kind, method, n_assets, n_dates, settings", [
+    # the Laplace kernel underflows on every path
+    ("digital", "loc", 2, 4, {"loc_fraction": 1e-310}),
+    # the bump is below the aggregates' resolution
+    ("digital", "fd", 2, 4, {"fd_bump": 1e-300}),
+    # the floating payoff on one asset and one date is identically zero
+    ("floating", "loc", 1, 1, {}),
+])
+def test_a_component_no_path_reached_is_named_in_a_warning(caplog, kind, method,
+                                                            n_assets, n_dates, settings):
+    config = _market(n_assets=n_assets, n_dates=n_dates)
+    qmc = _stream(config, points=64, replications=4)
+    spec = PayoffSpec(kind=kind, strike=0.0 if kind == "floating" else 100.0)
+    with caplog.at_level(logging.WARNING, logger="qmcgreeks.estimator"):
+        report = estimate(config, spec, qmc, method, **settings)
+    assert (report.replication_means == 0.0).all()
+    components = ", ".join(str(k + 1) for k in range(n_assets))
+    assert [record.message for record in caplog.records] == [
+        f"strike {spec.strike:g}: every replication mean is 0 for component(s) "
+        f"{components}; no path contributed"]
+
+
+@pytest.mark.parametrize("method", est.METHODS)
+def test_a_run_where_paths_contribute_logs_nothing(caplog, method):
+    config = _market(n_assets=2, n_dates=4)
+    with caplog.at_level(logging.WARNING, logger="qmcgreeks.estimator"):
+        estimate(config, PayoffSpec(kind="digital", strike=100.0),
+                 _stream(config, points=64, replications=4), method)
+    assert not caplog.records
+
+
 def _rotated_generator(config):
     rotation = est.build_lt_matrix(config, PayoffSpec(kind="call", strike=100.0)).matrix
     return path_generator(config, vol_loadings(config), rotation)

@@ -1,3 +1,4 @@
+import inspect
 import math
 from dataclasses import replace
 from typing import NamedTuple
@@ -294,9 +295,8 @@ def _digital_split(jets, w_terminal, average, strike, bandwidth):
     """The digital's localized contribution, P * slope + R * delta(avg/int_avg),
     zero on rejected paths as in the estimator."""
     pw = wt.skorohod_weight(jets.avg, jets.int_avg, w_terminal)
-    z = average[:, None]
-    values = (wt.laplace_slope(z, strike, bandwidth) * jets.avg.value
-              + wt.laplace_remainder(z, strike, bandwidth) * pw.values)
+    slope, remainder = wt.laplace_split(average[:, None] - strike, bandwidth)
+    values = slope * jets.avg.value + remainder * pw.values
     return wt.PathWeights(np.where(pw.rejected, 0.0, values), pw.rejected)
 
 
@@ -314,9 +314,8 @@ def test_digital_weight_limits():
     paying = (average >= 100.0)[:, None]
     assert 0 < paying.sum() < paying.size
     assert np.allclose(wide.values, paying * unlocalized, rtol=1e-9, atol=1e-9)
-    for factor in (wt.laplace_slope, wt.laplace_remainder):
-        with pytest.raises(ValueError, match="bandwidth"):
-            factor(average, 100.0, 0.0)
+    with pytest.raises(ValueError, match="bandwidth"):
+        wt.laplace_split(average - 100.0, 0.0)
 
 
 def test_digital_weight_at_exact_tie_uses_zero_slope():
@@ -589,11 +588,10 @@ def test_jet_weights_match_the_closed_forms():
 def test_localization_piecewise_values():
     strike, width = 100.0, 4.0
     z = np.array([90.0, 96.0, 98.0, 100.0, 102.0, 104.0, 120.0])
-    ramp = wt.smoothed_indicator(z, strike, width)
+    ramp, remainder = wt.ramp_split(z - strike, width)
     assert np.allclose(ramp, [0.0, 0.0, 0.25, 0.5, 0.75, 1.0, 1.0])
-    anti = wt.ramp_antiderivative(z, strike, width)
+    anti = np.maximum(z - strike, 0.0) - remainder
     assert np.allclose(anti, [0.0, 0.0, 0.25, 1.0, 2.25, 4.0, 20.0])
-    remainder = wt.localization_remainder(z, strike, width)
     assert np.allclose(remainder, [0.0, 0.0, -0.25, -1.0, -0.25, 0.0, 0.0])
     assert remainder[3] == -width / 4.0
 
@@ -604,19 +602,16 @@ def test_localization_piecewise_values():
               elements=st.floats(min_value=0.0, max_value=300.0)))
 @settings(max_examples=60, deadline=None)
 def test_localization_remainder_properties(strike, width, z):
-    remainder = wt.localization_remainder(z, strike, width)
+    _, remainder = wt.ramp_split(z - strike, width)
     outside = np.abs(z - strike) >= width
     assert np.abs(remainder[outside]).max(initial=0.0) < 1e-9
-    anti = wt.ramp_antiderivative(z, strike, width)
-    assert np.allclose(remainder, np.maximum(z - strike, 0.0) - anti,
-                       rtol=0, atol=1e-9)
 
 
 def test_ramp_antiderivative_integrates_the_ramp():
     strike, width = 100.0, 5.0
     z = np.linspace(90.0, 110.0, 2001)
-    ramp = wt.smoothed_indicator(z, strike, width)
-    anti = wt.ramp_antiderivative(z, strike, width)
+    ramp, remainder = wt.ramp_split(z - strike, width)
+    anti = np.maximum(z - strike, 0.0) - remainder
     numeric = np.concatenate([[0.0], np.cumsum((ramp[1:] + ramp[:-1]) * 0.5
                                                * np.diff(z))])
     assert np.abs(anti - (anti[0] + numeric)).max() < 1e-4
@@ -628,14 +623,20 @@ def test_laplace_pair_splits_the_step_exactly():
     # grid, so the trapezoid misses only half a cell at the jump of P
     strike, bandwidth, step = 100.0, 2.0, 2.0 ** -10
     z = strike + step * np.arange(-10240, 10241)
-    slope = wt.laplace_slope(z, strike, bandwidth)
-    remainder = wt.laplace_remainder(z, strike, bandwidth)
+    slope, remainder = wt.laplace_split(z - strike, bandwidth)
     indicator = (z >= strike).astype(np.float64)
     integral = np.concatenate([[0.0], np.cumsum((slope[1:] + slope[:-1]) * 0.5 * step)])
     assert np.abs(remainder + integral - indicator).max() < step / bandwidth
-    tie = np.array([strike])
-    assert wt.laplace_slope(tie, strike, bandwidth)[0] == 0.0
-    assert wt.laplace_remainder(tie, strike, bandwidth)[0] == 1.0
+    tie_slope, tie_remainder = wt.laplace_split(np.array([strike]) - strike, bandwidth)
+    assert tie_slope[0] == 0.0 and tie_remainder[0] == 1.0
+
+
+def test_no_weight_reads_the_strike():
+    # localization takes the excess z - kink, so the strike stays out of
+    # every public function here, as the README says
+    for name, function in inspect.getmembers(wt, inspect.isfunction):
+        if function.__module__ == wt.__name__ and not name.startswith("_"):
+            assert "strike" not in inspect.signature(function).parameters, name
 
 
 # ---------------------------------------------------------------------------

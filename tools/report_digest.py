@@ -20,6 +20,11 @@ bytes of both CSVs, with the deltas column, under `sweep/`.
 --compare prints the reports whose digests differ, or that only one
 file has, and the largest absolute delta difference over the reports
 both have; it exits 1 when any report differs.
+
+Reports are bit-identical across worker counts but not across OpenBLAS
+thread counts, so run as a script the tool sets OPENBLAS_NUM_THREADS=1
+in its own process before numpy loads; digests made on any host thread
+setting then compare clean.
 """
 from __future__ import annotations
 
@@ -27,11 +32,14 @@ import argparse
 import csv
 import hashlib
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+if __name__ == "__main__":
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np  # noqa: E402
 
