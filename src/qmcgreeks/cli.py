@@ -10,9 +10,9 @@ row per component (per strike when sweeping), serialized at full double
 precision so parsing the file recovers the report exactly.
 
 Each refusal exits EXIT_CONFIG before any work and has one owner: the
-library refuses what it cannot use, and `estimate_sweep`'s refusals are shown
-under the run field's name; the CLI itself checks only its file entries,
-the sweep syntax and the output paths.
+library refuses what it cannot use, and the refusals of `QmcConfig` and
+`estimate_sweep` are shown under the run field's name; the CLI itself
+checks only its file entries, the sweep syntax and the output paths.
 """
 from __future__ import annotations
 
@@ -69,8 +69,10 @@ _SETTINGS = {
 # every (section, key) a config file may set
 _FILE_KEYS = ({("market", key) for key in _MARKET_KEYS}
               | {(section, key) for _, section, key, _ in _SETTINGS.values()})
-# the run field an `estimate_sweep` refusal names when its argument has another name
-_FIELD_NAMES = {"loc_fraction": "loc_delta", "points_per_replication": "points"}
+# the run field a `QmcConfig` or `estimate_sweep` refusal names when its
+# argument has another name
+_FIELD_NAMES = {"loc_fraction": "loc_delta", "points_per_replication": "points",
+                "replications": "reps", "lss_block_dimension": "lss_block"}
 
 
 class ConfigurationError(Exception):
@@ -234,9 +236,13 @@ def _resolve(args) -> dict:
                                  monitoring_times="dates" if from_file else "steps")
     values["debug_replications"] = args.debug_replications
     _check_run(values)
-    values["qmc"] = standard_stream(points=values["points"], replications=values["reps"],
-                                    block=values["lss_block"], seed=values["seed"],
-                                    mode=values["mode"])
+    try:
+        values["qmc"] = standard_stream(points=values["points"],
+                                        replications=values["reps"],
+                                        block=values["lss_block"], seed=values["seed"],
+                                        mode=values["mode"])
+    except ArgumentError as exc:
+        raise ConfigurationError(_named(exc, values["field_names"])) from None
     strikes = values["strikes"] = _parse_sweep(args.sweep) if args.sweep else None
     values["specs"] = [PayoffSpec(kind=values["kind"], strike=float(strike))
                        for strike in ([values["strike"]] if strikes is None else strikes)]
@@ -244,6 +250,11 @@ def _resolve(args) -> dict:
         raise ConfigurationError(
             f"sweep needs a fixed-strike payoff; {values['kind']} has no strike")
     return values
+
+
+def _named(refusal: ArgumentError, field_names: dict) -> str:
+    """A library refusal's message under the run field it names."""
+    return f"{field_names.get(refusal.argument, refusal.argument)}: {refusal}"
 
 
 def _check_run(values: dict) -> None:
@@ -304,8 +315,7 @@ def run(argv: list[str] | None = None) -> int:
     try:
         rows, replication_rows = _execute(values)
     except ArgumentError as exc:
-        print(f"error: {values['field_names'].get(exc.argument, exc.argument)}: {exc}",
-              file=sys.stderr)
+        print(f"error: {_named(exc, values['field_names'])}", file=sys.stderr)
         return EXIT_CONFIG
     except EstimationError as exc:
         print(f"estimation failed: {exc}", file=sys.stderr)

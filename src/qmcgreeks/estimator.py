@@ -30,11 +30,14 @@ OpenBLAS thread count reports are bit-identical across worker counts.
 
 Each worker thread draws every replication it runs, pilot
 sub-replications included, into one buffer set for the whole call: a
-(P, d) array that holds the uniforms and then, in place, the normals,
-and with a rotation a (P, d + 2m) array for the path product. A sample
-is therefore valid only until its thread's next one, and the buffers go
-with the call's run state when it returns; a report holds nothing that
-views them.
+(P, d) array that holds the uniforms, then in place the normals, and
+once the paths are built the weighted spot grid of the basket jets,
+and with a rotation a (P, d + 2m) array for the path product. With a
+rotation these two buffers are the only arrays of (P, d) size a worker
+holds; the unrotated path build allocates its grids per sample. A
+sample is therefore valid only until its thread's next one, and the
+buffers go with the call's run state when it returns; a report holds
+nothing that views them.
 """
 from __future__ import annotations
 
@@ -54,6 +57,7 @@ from .lt import LtBuild, build_lt_matrix
 from .market import (MarketConfig, PathGenerator, path_generator, simulate_paths,
                      vol_loadings)
 from .payoffs import PayoffEval, PayoffFamily, PayoffSpec, discount, evaluate
+from .qmc import ArgumentError, _check_count
 
 log = logging.getLogger(__name__)
 
@@ -65,14 +69,6 @@ MIN_ADAPTIVE_POINTS = 2 * PILOT_SPLIT
 
 class EstimationError(RuntimeError):
     """Raised when a run cannot produce a trustworthy estimate."""
-
-
-class ArgumentError(ValueError):
-    """An input `estimate` refuses; `argument` names the parameter or field."""
-
-    def __init__(self, argument: str, message: str) -> None:
-        super().__init__(message)
-        self.argument = argument
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,9 +128,9 @@ def _buffers(run: _Run, points: int) -> tuple[np.ndarray, np.ndarray | None]:
 
 def _replication_sample(run: _Run, stream: streams.QmcConfig, index: int):
     """One replication's strike-free (bundle, ev, jets, weights); "fd"
-    needs no weight, so its jets and weights are None. The draws and
-    the bundle's spot grid live in this thread's buffers, so a bundle
-    is valid only until the thread's next sample."""
+    needs no weight, so its jets and weights are None. The draws, the
+    bundle's spot grid and the jets' weighted grid live in this thread's
+    buffers, so a bundle is valid only until the thread's next sample."""
     config = run.config
     normals, product = _buffers(run, stream.points_per_replication)
     normals = streams.replication_normals(stream, index, config.nominal_dimension,
@@ -143,7 +139,9 @@ def _replication_sample(run: _Run, stream: streams.QmcConfig, index: int):
     ev = evaluate(run.spec, config, bundle)
     if run.fd_bump is not None:
         return bundle, ev, None, None
-    jets = wt.basket_jets(config, run.loadings, run.weight_matrix, bundle)
+    # the draws are spent once the paths are built, so their buffer takes
+    # the weighted spot grid
+    jets = wt.basket_jets(config, run.loadings, run.weight_matrix, bundle, normals)
     return bundle, ev, jets, run.spec.family.weights(config, jets, bundle)
 
 
@@ -283,8 +281,7 @@ def estimate_sweep(config: MarketConfig, specs: list[PayoffSpec], qmc: streams.Q
         raise ArgumentError("loc_fraction", "loc_fraction must be positive and finite")
     if method == "fd" and not 0.0 < fd_bump < 1.0:
         raise ArgumentError("fd_bump", "fd_bump must lie in (0, 1)")
-    if workers < 1:
-        raise ArgumentError("workers", "workers must be at least 1")
+    _check_count("workers", workers, 1)
     if qmc.replications < 2:
         raise ArgumentError("replications", "replications must be at least 2 for a "
                             f"standard error; got {qmc.replications}")

@@ -172,6 +172,10 @@ class PathGenerator:
     offset: np.ndarray | None = None
 
 
+# most rows of R^T in one block of the generator build
+GENERATOR_ROWS = 16
+
+
 def _brownian_sums(config: MarketConfig, loadings: np.ndarray,
                    draws: np.ndarray) -> tuple[np.ndarray, ...]:
     """The driftless log-spot grid (rows, m, n), W(T) and the trapezoid
@@ -191,16 +195,36 @@ def _drift(config: MarketConfig) -> np.ndarray:
     return (config.rate - 0.5 * config.vols ** 2)[:, None] * config.monitoring_times
 
 
+def _is_identity(matrix: np.ndarray, d: int) -> bool:
+    """Whether `matrix` equals the d x d identity, without building one."""
+    return (matrix.shape == (d, d) and np.count_nonzero(matrix) == d
+            and bool((np.diagonal(matrix) == 1.0).all()))
+
+
 def path_generator(config: MarketConfig, loadings: np.ndarray,
                    rotation: np.ndarray | None = None) -> PathGenerator:
     """Precompose the rotation with the path build, once per run; an
-    identity rotation is no rotation and gets the unrotated generator."""
-    d = config.nominal_dimension
+    identity rotation is no rotation and gets the unrotated generator.
+
+    G is filled in blocks of at most GENERATOR_ROWS rows of R^T: each
+    row's path build is independent of the others, so the blocks give
+    the one-shot build's bits while the temporaries stay a few blocks in
+    size."""
+    d, m = config.nominal_dimension, config.n_assets
     loadings = _frozen_array(loadings)
-    if rotation is None or np.array_equal(rotation, np.eye(d)):
+    if rotation is None or _is_identity(rotation, d):
         return PathGenerator(loadings)
-    log_grid, w_terminal, w_integral = _brownian_sums(config, loadings, rotation.T)
-    matrix = np.concatenate((log_grid.reshape(d, d), w_terminal, w_integral), axis=1)
+    matrix = np.empty((d, d + 2 * m))
+    # blocks of nearly equal size, so none is a single row: numpy lays out a
+    # lone row's temporaries in another order, which rounds int W ds apart
+    count = -(-d // GENERATOR_ROWS)
+    edges = [d * block // count for block in range(count + 1)]
+    for rows in map(slice, edges, edges[1:]):
+        log_grid, w_terminal, w_integral = _brownian_sums(config, loadings,
+                                                          rotation.T[rows])
+        matrix[rows, :d] = log_grid.reshape(-1, d)
+        matrix[rows, d:d + m] = w_terminal
+        matrix[rows, d + m:] = w_integral
     matrix.setflags(write=False)
     offset = np.log(config.spots)[:, None] + _drift(config)
     return PathGenerator(loadings, matrix, _frozen_array(offset.reshape(d)))

@@ -51,8 +51,25 @@ _TAG_SCRAMBLE = 1
 _TAG_ORDER = 2
 
 
-class DimensionError(ValueError):
+class ArgumentError(ValueError):
+    """A refused input; `argument` names the parameter or field."""
+
+    def __init__(self, argument: str, message: str) -> None:
+        super().__init__(message)
+        self.argument = argument
+
+
+class DimensionError(ArgumentError):
     """Requested dimension is below 1 or outside the supported Sobol table."""
+
+
+def _check_count(name: str, value, least: int) -> None:
+    """Refuse `value` as `name` unless it is an integer of at least `least`;
+    numpy integers pass, bools do not."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ArgumentError(name, f"{name} must be an integer; got {value!r}")
+    if value < least:
+        raise ArgumentError(name, f"{name} must be at least {least}; got {value}")
 
 
 @dataclass(frozen=True)
@@ -66,7 +83,9 @@ class QmcConfig:
     scrambled Sobol blocks of that size whose run orders are permuted
     independently (Latin supercube sampling); the final block is
     truncated to the leftover dimensions. Only a block draws Sobol
-    columns, so the Sobol table caps lss_block_dimension, not d.
+    columns, so the Sobol table caps lss_block_dimension, not d. The
+    counts and the seed must be integers, numpy's included but not
+    bools; each refusal is an ArgumentError naming its field.
     """
 
     points_per_replication: int
@@ -76,25 +95,23 @@ class QmcConfig:
     mode: str = "scrambled_sobol"
 
     def __post_init__(self) -> None:
-        if self.points_per_replication < 1:
-            raise ValueError("points_per_replication must be at least 1")
-        if self.replications < 1:
-            raise ValueError("replications must be at least 1")
-        if self.lss_block_dimension < 1:
-            raise ValueError("lss_block_dimension must be at least 1")
+        for name in ("points_per_replication", "replications", "lss_block_dimension"):
+            _check_count(name, getattr(self, name), 1)
+        _check_count("seed", self.seed, 0)
+        if self.seed >= 2 ** 63:
+            raise ArgumentError("seed", "seed must be a non-negative integer below 2**63")
         if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+            raise ArgumentError("mode", f"mode must be one of {MODES}, got {self.mode!r}")
         if self.mode == "scrambled_sobol" and self.lss_block_dimension > MAX_DIMENSION:
             raise DimensionError(
-                f"lss_block_dimension {self.lss_block_dimension} exceeds the "
-                f"supported Sobol table ({MAX_DIMENSION} dimensions)")
-        if not 0 <= int(self.seed) < 2 ** 63:
-            raise ValueError("seed must be a non-negative integer below 2**63")
+                "lss_block_dimension", f"lss_block_dimension {self.lss_block_dimension} "
+                f"exceeds the supported Sobol table ({MAX_DIMENSION} dimensions)")
 
     def block_sizes(self, dimension: int) -> tuple[int, ...]:
         """Supercube block dimensions covering `dimension`, the last possibly truncated."""
         if dimension < 1:
-            raise DimensionError(f"dimension must be at least 1; got {dimension}")
+            raise DimensionError("dimension",
+                                 f"dimension must be at least 1; got {dimension}")
         b = min(self.lss_block_dimension, dimension)
         full, rest = divmod(dimension, b)
         return (b,) * full + ((rest,) if rest else ())
@@ -194,14 +211,15 @@ class DigitalScramble:
         return np.bitwise_xor.reduce(bits * self.columns, axis=2) ^ self.shift
 
 
-def _output(out: np.ndarray | None, shape: tuple[int, ...]) -> np.ndarray:
+def _output(out: np.ndarray | None, shape: tuple[int, ...],
+            name: str = "out") -> np.ndarray:
     """`out` after checking that it can take a float64 result of `shape`
-    in place, or a new array when it is None."""
+    in place, or a new array when it is None; a refusal names it `name`."""
     if out is None:
         return np.empty(shape)
     if not (isinstance(out, np.ndarray) and out.shape == shape
             and out.dtype == np.float64 and out.flags.c_contiguous):
-        raise ValueError(f"out must be a C-contiguous float64 array of shape {shape}")
+        raise ValueError(f"{name} must be a C-contiguous float64 array of shape {shape}")
     return out
 
 

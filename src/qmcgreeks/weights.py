@@ -71,6 +71,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .market import MarketConfig, PathBundle
+from .qmc import _output
 
 DEGENERATE_FRACTION = 1e-12
 
@@ -155,24 +156,33 @@ class BasketJets(NamedTuple):
     s_int_avg: MalliavinJet
 
 
-def _date_sums(spot_grid: np.ndarray, weights: np.ndarray,
-               times: np.ndarray, powers: int) -> np.ndarray:
+def _date_sums(spot_grid: np.ndarray, weights: np.ndarray, times: np.ndarray,
+               powers: int, scratch: np.ndarray | None = None) -> np.ndarray:
     """sums[r, p, i] = sum_j w_ij S_i(t_j) t_j^r for r < powers.
 
     One (powers, dates) @ (dates, paths*assets) product serves every
-    jet of every component.
+    jet of every component. The weighted grid goes into `scratch` when
+    it is given, a C-contiguous float64 (paths, assets * dates) array.
     """
     p, m, n = spot_grid.shape
     # vander builds t^r by repeated products; numpy's SIMD array power
     # rounds non-dyadic dates differently from machine to machine
     vectors = np.ascontiguousarray(np.vander(times, powers, increasing=True).T)
-    weighted = (spot_grid * weights).reshape(p * m, n)
+    if scratch is not None:
+        scratch = _output(scratch, (p, m * n), "scratch").reshape(p, m, n)
+    weighted = np.multiply(spot_grid, weights, out=scratch).reshape(p * m, n)
     return (vectors @ weighted.T).reshape(powers, p, m)
 
 
-def basket_jets(config: MarketConfig, loadings: np.ndarray,
-                weights: np.ndarray, bundle: PathBundle) -> BasketJets:
-    """One bundle's basket jets for every component at once."""
+def basket_jets(config: MarketConfig, loadings: np.ndarray, weights: np.ndarray,
+                bundle: PathBundle, scratch: np.ndarray | None = None) -> BasketJets:
+    """One bundle's basket jets for every component at once.
+
+    The only (paths, assets * dates) array they need, the weighted spot
+    grid, goes into `scratch` when it is given, a C-contiguous float64
+    array of that shape that the caller no longer reads, such as spent
+    draws; nothing returned views it. So a worker that passes its draw
+    buffer holds no array of that size beyond its two draw buffers."""
     big_t = config.maturity
     m = config.n_assets
     x = config.spots
@@ -181,7 +191,7 @@ def basket_jets(config: MarketConfig, loadings: np.ndarray,
     # one strided gather; every later use of the last date reads it
     # contiguously, several times faster
     terminal = np.ascontiguousarray(bundle.spot_grid[:, :, -1])
-    sums = _date_sums(bundle.spot_grid, weights, config.monitoring_times, 5)
+    sums = _date_sums(bundle.spot_grid, weights, config.monitoring_times, 5, scratch)
     squared_sums = sums[2:] @ squared
     # the projections of a date sum over t_j^r are the sums over t_j^(r+1)
     # and half t_j^(r+2); a terminal leg's are its last-date value times the

@@ -15,8 +15,8 @@ from qmcgreeks.market import PathBundle
 
 def _raw_engine(dimension: int, skip: int) -> scipy_qmc.Sobol:
     if not 1 <= dimension <= qmc.MAX_DIMENSION:
-        raise qmc.DimensionError(
-            f"dimension {dimension} is outside the Sobol table (1 to {qmc.MAX_DIMENSION})")
+        raise qmc.DimensionError("dimension", f"dimension {dimension} is outside "
+                                 f"the Sobol table (1 to {qmc.MAX_DIMENSION})")
     engine = scipy_qmc.Sobol(d=dimension, scramble=False, bits=qmc.BITS)
     engine.fast_forward(skip)
     return engine

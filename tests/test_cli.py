@@ -203,6 +203,30 @@ def test_invalid_market_entries_exit_before_estimation(monkeypatch, capsys, tmp_
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("flags, file_entry, message", [
+    (["--points", "0"], "points = 0",
+     "error: points: points_per_replication must be at least 1; got 0"),
+    (["--reps", "0"], "replications = 0",
+     "error: reps: replications must be at least 1; got 0"),
+    (["--lss-block", "0"], "block = 0",
+     "error: lss_block: lss_block_dimension must be at least 1; got 0"),
+    (["--lss-block", "21202"], "block = 21202",
+     "error: lss_block: lss_block_dimension 21202 exceeds the supported Sobol table"),
+    (["--seed", "-1"], "seed = -1", "error: seed: seed must be at least 0; got -1"),
+])
+def test_sampling_plan_refusals_name_the_run_field(monkeypatch, capsys, tmp_path,
+                                                   flags, file_entry, message):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("estimation started")
+
+    monkeypatch.setattr(cli, "estimate_sweep", unreachable)
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[qmc]\n{file_entry}\n")
+    for argv in (flags, ["--config", str(ini)]):
+        assert cli.run(argv) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(message)
+
+
 @pytest.mark.parametrize("flag, field", [("--output", "output"),
                                          ("--debug-replications",
                                           "debug_replications")])

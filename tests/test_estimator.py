@@ -1,5 +1,6 @@
 import logging
 import math
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -13,6 +14,7 @@ from qmcgreeks import payoffs
 from qmcgreeks import qmc as streams
 from qmcgreeks import weights as wt
 from qmcgreeks.estimator import EstimationError, EstimateReport, estimate, estimate_sweep
+from qmcgreeks.lt import build_lt_matrix
 from qmcgreeks.market import MarketConfig, path_generator, simulate_paths, vol_loadings
 from qmcgreeks.payoffs import PayoffSpec
 from qmcgreeks.presets import ladder_market
@@ -182,6 +184,9 @@ def test_invalid_arguments_are_rejected(monkeypatch):
     for bad in (1.0, 1.5):
         refuses("fd_bump", "fd_bump", config, spec, qmc, method="fd", fd_bump=bad)
     refuses("workers", "workers", config, spec, qmc, workers=0)
+    for bad in (1.5, 2.0, True, "2"):
+        refuses("workers", "workers must be an integer", config, spec, qmc,
+                workers=bad)
     # one replication has no spread, so its stderr would be a silent nan
     refuses("replications", "replications", config, spec,
             _stream(config, replications=1), method="loc")
@@ -393,6 +398,26 @@ def test_draw_buffers_are_freed_when_estimate_returns(monkeypatch):
     for workers in (1, 2):
         estimate(config, spec, _stream(config), method="adaptive", workers=workers)
     assert buffers and all(ref() is None for ref in buffers)
+
+
+@pytest.mark.parametrize("kind", ["call", "floating", "digital", "best_of"])
+def test_a_sample_allocates_nothing_the_size_of_its_draws(kind):
+    # two assets on 64 dates: the draws are 64 times as wide as a jet
+    config = ladder_market(2, 64)
+    spec = PayoffSpec(kind=kind, strike=0.0 if kind == "floating" else 100.0)
+    qmc = _stream(config, points=512)
+    loadings = vol_loadings(config)
+    run = est._Run(config, spec, loadings, spec.weight_matrix(2, 64),
+                   path_generator(config, loadings, build_lt_matrix(config, spec).matrix),
+                   None, qmc.points_per_replication)
+    est._replication_sample(run, qmc, 0)   # the thread's buffers now exist
+    tracemalloc.start()
+    try:
+        est._replication_sample(run, qmc, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < qmc.points_per_replication * config.nominal_dimension * 8
 
 
 _STRIKES = (90.0, 95.0, 100.0, 105.0, 110.0)

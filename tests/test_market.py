@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from qmcgreeks import market
+from qmcgreeks import market, presets
 
 import helpers
 
@@ -239,3 +241,49 @@ def test_generator_matches_the_reference_build(vols, times, rho, rotation):
         config, market.path_generator(config, loadings, np.eye(d)), normals)
     for field in fields:
         assert np.array_equal(getattr(plain, field), getattr(identity, field))
+
+
+@pytest.mark.parametrize("n_assets, n_dates", [
+    (3, 7),     # d = 21, not a multiple of the block
+    (7, 7),     # d = 49, one past a multiple of the block
+    (10, 64),   # the benchmark ladder
+])
+def test_row_block_generator_equals_the_one_shot_build(n_assets, n_dates):
+    correlation = np.full((n_assets, n_assets), 0.3)
+    np.fill_diagonal(correlation, 1.0)
+    times = np.cumsum(np.random.default_rng(n_dates).uniform(0.05, 0.3, n_dates))
+    config = market.MarketConfig(spots=np.linspace(90.0, 110.0, n_assets), rate=0.03,
+                                 vols=np.linspace(0.1, 0.5, n_assets),
+                                 correlation=correlation, maturity=times[-1],
+                                 monitoring_times=times)
+    loadings = market.vol_loadings(config)
+    d = config.nominal_dimension
+    rotation = _haar_orthogonal(d, 7)
+    log_grid, w_terminal, w_integral = market._brownian_sums(config, loadings,
+                                                             rotation.T)
+    one_shot = np.concatenate((log_grid.reshape(d, d), w_terminal, w_integral), axis=1)
+    assert np.array_equal(market.path_generator(config, loadings, rotation).matrix,
+                          one_shot)
+
+
+def test_only_the_identity_itself_skips_the_rotation():
+    config = _simple_config()
+    loadings = market.vol_loadings(config)
+    for rotation, skips in ((np.eye(6), True), (np.where(np.eye(6), 1.0, -0.0), True),
+                            (np.eye(6)[::-1], False), (-np.eye(6), False),
+                            (np.where(np.eye(6), 1.0, np.nan), False)):
+        assert (market.path_generator(config, loadings, rotation).matrix is None) == skips
+
+
+def test_generator_build_needs_little_more_than_its_matrix():
+    config = presets.ladder_market()
+    loadings = market.vol_loadings(config)
+    d = config.nominal_dimension
+    rotation = _haar_orthogonal(d, 3)
+    tracemalloc.start()
+    try:
+        market.path_generator(config, loadings, rotation)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < d * (d + 2 * config.n_assets) * 8 + d * d * 8

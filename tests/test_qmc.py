@@ -129,11 +129,20 @@ def test_config_validation():
     qmc.QmcConfig(**good)
     for field, bad in (("points_per_replication", 0),
                        ("replications", 0), ("lss_block_dimension", 0),
-                       ("seed", -1)):
-        with pytest.raises(ValueError):
+                       ("seed", -1), ("seed", 2 ** 63), ("mode", "antithetic")):
+        with pytest.raises(qmc.ArgumentError, match=field) as refusal:
             qmc.QmcConfig(**{**good, field: bad})
-    with pytest.raises(ValueError):
-        qmc.QmcConfig(**{**good, "mode": "antithetic"})
+        assert refusal.value.argument == field
+    # a count or seed must be a whole number, not one a float or bool stands for
+    for field in ("points_per_replication", "replications", "lss_block_dimension",
+                  "seed"):
+        for bad in (1.5, 4.0, np.float64(4.0), True, np.True_, "4", None):
+            with pytest.raises(qmc.ArgumentError,
+                               match=f"{field} must be an integer") as refusal:
+                qmc.QmcConfig(**{**good, field: bad})
+            assert refusal.value.argument == field
+        assert qmc.QmcConfig(**{**good, field: np.int64(good[field])}) == (
+            qmc.QmcConfig(**good))
 
 
 def test_block_sizes_with_truncated_tail():

@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from qmcgreeks import weights as wt
 from qmcgreeks.market import MarketConfig, path_generator, simulate_paths, vol_loadings
+from qmcgreeks.payoffs import PayoffSpec
 
 import helpers
 
@@ -345,6 +346,43 @@ def test_date_sums_are_repeated_products():
                        times * times * times * times])
     expected = (powers @ (spot * weights).reshape(10, 3).T).reshape(5, 5, 2)
     assert np.array_equal(wt._date_sums(spot, weights, times, 5), expected)
+
+
+@pytest.mark.parametrize("kind", ["call", "floating", "digital", "best_of"])
+def test_jets_built_in_a_scratch_equal_the_allocated_ones(kind):
+    config = _config(n_assets=3, n_dates=5, vols=(0.1, 0.25, 0.4))
+    loadings = vol_loadings(config)
+    weights = PayoffSpec(kind, 0.0 if kind == "floating" else 100.0).weight_matrix(3, 5)
+    d = config.nominal_dimension
+    rotation = np.linalg.qr(np.random.default_rng(8).standard_normal((d, d)))[0]
+    normals = _normals(config, 64, seed=9)
+    # the rotated spot grid is a strided view of the product, the unrotated one
+    # an array of its own
+    for generator in (path_generator(config, loadings),
+                      path_generator(config, loadings, rotation)):
+        bundle = simulate_paths(config, generator, normals)
+        allocated = wt.basket_jets(config, loadings, weights, bundle)
+        scratch = np.full((64, d), np.nan)
+        reused = wt.basket_jets(config, loadings, weights, bundle, scratch)
+        for name, want, got in zip(wt.BasketJets._fields, allocated, reused):
+            assert np.array_equal(got.value, want.value), name
+            assert np.array_equal(got.samples, want.samples), name
+        # nothing returned views the scratch
+        scratch[:] = np.nan
+        assert all(np.isfinite(jet.value).all() and np.isfinite(jet.samples).all()
+                   for jet in reused)
+
+
+def test_a_scratch_that_cannot_take_the_weighted_grid_is_refused():
+    config = _config()
+    loadings, bundle = _bundle(config, n_paths=16)
+    weights = np.full((2, 3), 1.0 / 6.0)
+    d = config.nominal_dimension
+    for scratch in (np.empty((16, d + 1)), np.empty((8, d)),
+                    np.empty((16, d), dtype=np.float32),
+                    np.empty((d, 16)).T, np.empty((16, 2 * d))[:, ::2]):
+        with pytest.raises(ValueError, match=rf"scratch must be .* shape \(16, {d}\)"):
+            wt.basket_jets(config, loadings, weights, bundle, scratch)
 
 
 # ---------------------------------------------------------------------------
