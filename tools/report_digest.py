@@ -7,13 +7,13 @@
 The first form runs `estimate` on table1 and table3-table5 with each
 method (adaptive, loc, fd) at workers 1 and 2 on `ladder_market()`,
 with the full `standard_stream()` protocol (32 replications of 2048
-points, seed 42), or with 4 replications of 256 points under --small. table1 and
-table5 with adaptive and fd also run on the other draw branches:
-pseudo-random draws, and scrambled Sobol draws without the rotation
-(the unrotated path build). It prints JSON with, per report, one
-sha256 over the deltas, stderrs, replication means, localization
-widths, rejections by component, simulated path count and settings,
-and the raw deltas. It also runs the CLI, through `cli.run`, on
+points, seed 42), or with 4 replications of 256 points under --small.
+Adaptive and fd also run on the other draw branches: table1 and table5
+on pseudo-random draws, and all four presets on scrambled Sobol draws
+without the rotation (the unrotated path build). It prints JSON with,
+per report, one sha256 over the deltas, stderrs, replication means,
+localization widths, rejections by component, simulated path count
+and settings, and the raw deltas. It also runs the CLI, through `cli.run`, on
 `--sweep 90:110:5` with `--debug-replications` for table1, table4 and
 table5 with each method at workers 2, and keys one sha256 over the
 bytes of both CSVs, with the deltas column, under `sweep/`.
@@ -49,10 +49,9 @@ from qmcgreeks.presets import (PRESETS, ladder_market, preset,  # noqa: E402
                                standard_stream)
 
 WORKERS = (1, 2)
-# key suffix -> (stream settings, use_lt) of the other draw branches
-VARIANTS = {"sampler=pseudo_random": ({"mode": "pseudo_random"}, True),
-            "lt=off": ({}, False)}
-VARIANT_PRESETS = ("table1", "table5")
+# key suffix -> (stream settings, use_lt, presets) of the other draw branches
+VARIANTS = {"sampler=pseudo_random": ({"mode": "pseudo_random"}, True, ("table1", "table5")),
+            "lt=off": ({}, False, PRESETS)}
 VARIANT_METHODS = ("adaptive", "fd")
 SWEEP = "90:110:5"
 SWEEP_PRESETS = ("table1", "table4", "table5")
@@ -75,8 +74,8 @@ def digest_reports(small: bool) -> dict:
     size = {"points": 256, "replications": 4} if small else {}
     runs = [(name, method, "", {}, True) for name in PRESETS for method in METHODS]
     runs += [(name, method, f"/{suffix}", stream, use_lt)
-             for name in VARIANT_PRESETS for method in VARIANT_METHODS
-             for suffix, (stream, use_lt) in VARIANTS.items()]
+             for suffix, (stream, use_lt, names) in VARIANTS.items()
+             for name in names for method in VARIANT_METHODS]
     for name, method, suffix, stream, use_lt in runs:
         qmc = standard_stream(**size, **stream)
         for workers in WORKERS:
