@@ -287,9 +287,9 @@ def replication_uniforms(config: QmcConfig, replication: int, dimension: int,
     """Uniform (points, dimension) draws for one replication, written
     into `out` when given."""
     if config.mode == "pseudo_random":
-        shape = _draw_shape(config, dimension)
-        u = _substream(config.seed, replication, _TAG_PSEUDO).random(shape)
-        return np.clip(u, UNIT_LOW, UNIT_HIGH, out=u if out is None else _output(out, shape))
+        u = _substream(config.seed, replication, _TAG_PSEUDO).random(
+            out=_output(out, _draw_shape(config, dimension)))
+        return np.clip(u, UNIT_LOW, UNIT_HIGH, out=u)
     return lss_assemble(config, replication, dimension, out=out)
 
 

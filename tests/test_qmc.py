@@ -204,8 +204,9 @@ def test_every_uniform_source_clips_inside_the_open_interval(monkeypatch):
     # (0, 1): to_unit's clip is pinned above, the pseudo-random clip here on
     # the generator's extreme outputs
     class Extremes:
-        def random(self, shape):
-            return np.resize([0.0, np.nextafter(1.0, 0.0)], shape)
+        def random(self, out):
+            out[...] = np.resize([0.0, np.nextafter(1.0, 0.0)], out.shape)
+            return out
 
     config = qmc.QmcConfig(points_per_replication=4, replications=1,
                            lss_block_dimension=1, seed=0, mode="pseudo_random")
