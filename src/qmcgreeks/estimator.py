@@ -29,15 +29,15 @@ and are stacked and averaged by `np.mean`, so for a fixed seed and
 OpenBLAS thread count reports are bit-identical across worker counts.
 
 Each worker thread draws every replication it runs, pilot
-sub-replications included, into one buffer set for the whole call: a
+sub-replications included, into two buffers kept for the whole call: a
 (P, d) array that holds the uniforms, then in place the normals, and
-once the paths are built the weighted spot grid of the basket jets,
-and with a rotation a (P, d + 2m) array for the path product. With a
-rotation these two buffers are the only arrays of (P, d) size a worker
-holds; the unrotated path build allocates its grids per sample. A
-sample is therefore valid only until its thread's next one, and the
-buffers go with the call's run state when it returns; a report holds
-nothing that views them.
+once the paths are built the weighted spot grid of the basket jets;
+and a (P, width) array for the path product, which either generator
+writes. With a rotation these are the only arrays of (P, d) size a
+worker holds; the unrotated build adds two temporaries, as it never
+writes the draws. A sample is therefore valid only until its thread's
+next one, and the buffers go with the call's run state when it
+returns; a report holds nothing that views them.
 """
 from __future__ import annotations
 
@@ -99,13 +99,13 @@ class EstimateReport:
 class _Run:
     """What every replication of one call shares; spec, the call's
     first, is read for its kind and weights only. fd_bump is set for
-    method "fd", whose contributions are bump contrasts. Each worker
-    thread keeps its draw buffers of `points` rows, the main run's
-    points per replication, in workspace, so they go with the run."""
+    method "fd", whose contributions are bump contrasts; the generator
+    holds the loadings and the product width. Each worker thread keeps
+    its draw buffers of `points` rows, the main run's points per
+    replication, in workspace, so they go with the run."""
 
     config: MarketConfig
     spec: PayoffSpec
-    loadings: np.ndarray
     weight_matrix: np.ndarray
     generator: PathGenerator
     fd_bump: float | None
@@ -113,17 +113,15 @@ class _Run:
     workspace: threading.local = field(default_factory=threading.local)
 
 
-def _buffers(run: _Run, points: int) -> tuple[np.ndarray, np.ndarray | None]:
+def _buffers(run: _Run, points: int) -> tuple[np.ndarray, np.ndarray]:
     """Leading `points` rows of this thread's normals (run.points, d)
-    and, with a rotation, path product (run.points, d + 2m) buffers,
-    allocated on the thread's first request."""
+    and path product (run.points, generator width) buffers, allocated
+    on the thread's first request."""
     space = run.workspace
     if not hasattr(space, "normals"):
         space.normals = np.empty((run.points, run.config.nominal_dimension))
-        space.product = (None if run.generator.matrix is None
-                         else np.empty((run.points, run.generator.matrix.shape[1])))
-    product = None if space.product is None else space.product[:points]
-    return space.normals[:points], product
+        space.product = np.empty((run.points, run.generator.width))
+    return space.normals[:points], space.product[:points]
 
 
 def _replication_sample(run: _Run, stream: streams.QmcConfig, index: int):
@@ -141,7 +139,8 @@ def _replication_sample(run: _Run, stream: streams.QmcConfig, index: int):
         return bundle, ev, None, None
     # the draws are spent once the paths are built, so their buffer takes
     # the weighted spot grid
-    jets = wt.basket_jets(config, run.loadings, run.weight_matrix, bundle, normals)
+    jets = wt.basket_jets(config, run.generator.loadings, run.weight_matrix, bundle,
+                          normals)
     return bundle, ev, jets, run.spec.family.weights(config, jets, bundle)
 
 
@@ -290,14 +289,13 @@ def estimate_sweep(config: MarketConfig, specs: list[PayoffSpec], qmc: streams.Q
                             f"at least {MIN_ADAPTIVE_POINTS} for the adaptive pilot "
                             f"race; got {qmc.points_per_replication}")
 
-    loadings = vol_loadings(config)
     if not use_lt:
         lt_build = None
     elif lt_build is None:
         lt_build = build_lt_matrix(config, spec)
     rotation = None if lt_build is None else lt_build.matrix
-    run = _Run(config, spec, loadings, spec.weight_matrix(m, config.n_dates),
-               path_generator(config, loadings, rotation),
+    run = _Run(config, spec, spec.weight_matrix(m, config.n_dates),
+               path_generator(config, vol_loadings(config), rotation),
                fd_bump if method == "fd" else None, qmc.points_per_replication)
 
     pilot_paths = 0

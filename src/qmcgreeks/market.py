@@ -19,7 +19,8 @@ matrix G = R^T [A | B | C] of shape (d, d + 2m), d = assets * dates:
 block A maps the draws to the log-spot grid, B to W(T), C to int W ds.
 A rotated replication is then one product normals @ G, plus the drift
 offset and exp on the spot columns. Unrotated draws are the increments
-themselves, so they skip the d x d product.
+themselves, so they skip the d x d product, but their build writes the
+same columns, so either generator fills one product buffer.
 """
 from __future__ import annotations
 
@@ -162,14 +163,17 @@ class PathBundle:
 class PathGenerator:
     """What one run needs to turn normal draws into paths.
 
-    matrix is the read-only G = R^T [A | B | C], (d, d + 2m); A's column
-    i*n + j is log S_i(t_j) less offset[i*n + j], the read-only
-    log S_i(0) + (r - sigma_i^2/2) t_j. Both are None without a rotation.
+    A path product has `width` columns: the log-spot grid, asset-major,
+    then W(T) and int W ds. matrix is the read-only G = R^T [A | B | C],
+    (d, width), None without a rotation. offset, read-only (d,), is
+    added to the grid: log S_i(0) + (r - sigma_i^2/2) t_j with a
+    rotation, only the drift without, whose build scales by S_i(0) last.
     """
 
     loadings: np.ndarray
+    offset: np.ndarray
+    width: int
     matrix: np.ndarray | None = None
-    offset: np.ndarray | None = None
 
 
 # most rows of R^T in one block of the generator build
@@ -177,22 +181,19 @@ GENERATOR_ROWS = 16
 
 
 def _brownian_sums(config: MarketConfig, loadings: np.ndarray,
-                   draws: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The driftless log-spot grid (rows, m, n), W(T) and the trapezoid
-    int W ds, both (rows, m), for time-major draws (rows, d)."""
-    rows = draws.shape[0]
-    m, n = config.n_assets, config.n_dates
+                   draws: np.ndarray, out: np.ndarray) -> None:
+    """Write the driftless log-spot grid, asset-major, W(T) and the
+    trapezoid int W ds of time-major draws (rows, d) into the leading
+    d + 2m columns of `out` (rows, width); `draws` is only read."""
+    m, n, d = config.n_assets, config.n_dates, config.nominal_dimension
     dt = config.interval_lengths
-    increments = draws.reshape(rows, n, m).transpose(0, 2, 1) * np.sqrt(dt)
-    log_grid = np.cumsum(loadings @ increments, axis=2)
+    increments = draws.reshape(-1, n, m).transpose(0, 2, 1) * np.sqrt(dt)
+    log_grid = out[:, :d].reshape(-1, m, n)
+    np.cumsum(np.matmul(loadings, increments, out=log_grid), axis=2, out=log_grid)
     w_grid = np.cumsum(increments, axis=2)
+    out[:, d:d + m] = w_grid[:, :, -1]
     # trapezoid sum_j (W_{j-1} + W_j) dt_j / 2 with W_0 = 0, regrouped by W_j
-    trapezoid = 0.5 * (dt + np.append(dt[1:], 0.0))
-    return log_grid, w_grid[:, :, -1], w_grid @ trapezoid
-
-
-def _drift(config: MarketConfig) -> np.ndarray:
-    return (config.rate - 0.5 * config.vols ** 2)[:, None] * config.monitoring_times
+    np.matmul(w_grid, 0.5 * (dt + np.append(dt[1:], 0.0)), out=out[:, d + m:d + 2 * m])
 
 
 def _is_identity(matrix: np.ndarray, d: int) -> bool:
@@ -211,48 +212,48 @@ def path_generator(config: MarketConfig, loadings: np.ndarray,
     the one-shot build's bits while the temporaries stay a few blocks in
     size."""
     d, m = config.nominal_dimension, config.n_assets
+    width = d + 2 * m
     loadings = _frozen_array(loadings)
+    drift = ((config.rate - 0.5 * config.vols ** 2)[:, None]
+             * config.monitoring_times).reshape(d)
     if rotation is None or _is_identity(rotation, d):
-        return PathGenerator(loadings)
-    matrix = np.empty((d, d + 2 * m))
+        return PathGenerator(loadings, _frozen_array(drift), width)
+    matrix = np.empty((d, width))
     # blocks of nearly equal size, so none is a single row: numpy lays out a
     # lone row's temporaries in another order, which rounds int W ds apart
     count = -(-d // GENERATOR_ROWS)
     edges = [d * block // count for block in range(count + 1)]
     for rows in map(slice, edges, edges[1:]):
-        log_grid, w_terminal, w_integral = _brownian_sums(config, loadings,
-                                                          rotation.T[rows])
-        matrix[rows, :d] = log_grid.reshape(-1, d)
-        matrix[rows, d:d + m] = w_terminal
-        matrix[rows, d + m:] = w_integral
+        _brownian_sums(config, loadings, rotation.T[rows], matrix[rows])
     matrix.setflags(write=False)
-    offset = np.log(config.spots)[:, None] + _drift(config)
-    return PathGenerator(loadings, matrix, _frozen_array(offset.reshape(d)))
+    offset = np.repeat(np.log(config.spots), config.n_dates) + drift
+    return PathGenerator(loadings, _frozen_array(offset), width, matrix)
 
 
 def simulate_paths(config: MarketConfig, generator: PathGenerator,
                    normals: np.ndarray, out: np.ndarray | None = None) -> PathBundle:
     """Simulate a replication from standard normal draws (paths, d),
     time-major: coordinate (j-1)*M + m feeds driver m over (t_{j-1}, t_j].
-    With a rotation this is one product normals @ G, then the offset
-    and exp in place on the spot columns. The product goes into `out`
-    when it is given, a C-contiguous float64 (paths, d + 2m) array, and
-    the bundle's spot grid is then a view of it; an unrotated generator
-    forms no product and takes no `out`."""
+    Either generator writes the path product, normals @ G or the draws'
+    Brownian sums, into `out` when it is given, a C-contiguous float64
+    (paths, generator.width) array, else into a new one; the offset and
+    exp then act in place on its spot columns, which the bundle's spot
+    grid views."""
     p, d = normals.shape
     m, n = config.n_assets, config.n_dates
     if d != m * n:
         raise ValueError(
             f"normal draws have dimension {d}, expected assets*dates = {m * n}")
+    y = _output(out, (p, generator.width))
     if generator.matrix is None:
-        if out is not None:
-            raise ValueError("out holds the rotated product; "
-                             "an unrotated generator takes none")
-        log_grid, *w = _brownian_sums(config, generator.loadings, normals)
-        return PathBundle(config.spots[:, None] * np.exp(log_grid + _drift(config)), *w)
-    y = np.matmul(normals, generator.matrix, out=_output(out, (p, d + 2 * m)))
+        _brownian_sums(config, generator.loadings, normals, y)
+    else:
+        np.matmul(normals, generator.matrix, out=y)
     spots = y[:, :d]
     spots += generator.offset
     np.exp(spots, out=spots)
+    spots = spots.reshape(p, m, n)
+    if generator.matrix is None:
+        spots *= config.spots[:, None]
     # the W columns are copied out as contiguous (paths, assets) arrays
-    return PathBundle(spots.reshape(p, m, n), y[:, d:d + m].copy(), y[:, d + m:].copy())
+    return PathBundle(spots, y[:, d:d + m].copy(), y[:, d + m:d + 2 * m].copy())

@@ -400,15 +400,20 @@ def test_draw_buffers_are_freed_when_estimate_returns(monkeypatch):
     assert buffers and all(ref() is None for ref in buffers)
 
 
-@pytest.mark.parametrize("kind", ["call", "floating", "digital", "best_of"])
-def test_a_sample_allocates_nothing_the_size_of_its_draws(kind):
+@pytest.mark.parametrize("kind, mode, use_lt", [
+    pytest.param(kind, mode, use_lt, id="-".join((kind, *branch)))
+    for mode, use_lt, branch in (("scrambled_sobol", True, ()),
+                                 ("pseudo_random", True, ("pseudo_random",)),
+                                 ("scrambled_sobol", False, ("lt_off",)))
+    for kind in ("call", "floating", "digital", "best_of")])
+def test_a_sample_allocates_nothing_the_size_of_its_draws(kind, mode, use_lt):
     # two assets on 64 dates: the draws are 64 times as wide as a jet
     config = ladder_market(2, 64)
     spec = PayoffSpec(kind=kind, strike=0.0 if kind == "floating" else 100.0)
-    qmc = _stream(config, points=512)
-    loadings = vol_loadings(config)
-    run = est._Run(config, spec, loadings, spec.weight_matrix(2, 64),
-                   path_generator(config, loadings, build_lt_matrix(config, spec).matrix),
+    qmc = _stream(config, points=512, mode=mode)
+    rotation = build_lt_matrix(config, spec).matrix if use_lt else None
+    run = est._Run(config, spec, spec.weight_matrix(2, 64),
+                   path_generator(config, vol_loadings(config), rotation),
                    None, qmc.points_per_replication)
     est._replication_sample(run, qmc, 0)   # the thread's buffers now exist
     tracemalloc.start()
@@ -417,7 +422,10 @@ def test_a_sample_allocates_nothing_the_size_of_its_draws(kind):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < qmc.points_per_replication * config.nominal_dimension * 8
+    # the unrotated build holds two draw-sized temporaries, the scaled
+    # increments and their Brownian cumsum, since it never writes the draws
+    assert peak < (1.0 if use_lt else 2.5) * qmc.points_per_replication \
+        * config.nominal_dimension * 8
 
 
 _STRIKES = (90.0, 95.0, 100.0, 105.0, 110.0)
@@ -550,24 +558,25 @@ def test_out_forms_draw_the_same_bits_into_out(mode):
     config = _market(n_assets=3, n_dates=4)
     d = config.nominal_dimension
     qmc = _stream(config, points=64, replications=2, mode=mode)
-    generator = _rotated_generator(config)
     normals = streams.replication_normals(qmc, 1, d)
-    bundle = simulate_paths(config, generator, normals)
-
     out = np.full((64, d), np.nan)
     drawn = streams.replication_normals(qmc, 1, d, out=out)
     assert np.shares_memory(drawn, out) and np.array_equal(drawn, normals)
-    product = np.full((64, d + 2 * config.n_assets), np.nan)
-    written = simulate_paths(config, generator, drawn, out=product)
-    assert np.shares_memory(written.spot_grid, product)
-    for name in ("spot_grid", "w_terminal", "w_time_integral"):
-        assert np.array_equal(getattr(written, name), getattr(bundle, name)), name
+    for generator in (_rotated_generator(config),
+                      path_generator(config, vol_loadings(config))):
+        bundle = simulate_paths(config, generator, normals)
+        product = np.full((64, generator.width), np.nan)
+        written = simulate_paths(config, generator, drawn, out=product)
+        assert np.shares_memory(written.spot_grid, product)
+        for name in ("spot_grid", "w_terminal", "w_time_integral"):
+            assert np.array_equal(getattr(written, name), getattr(bundle, name)), name
+    # the path build only reads the draws
+    assert np.array_equal(drawn, normals)
 
 
 def test_an_unusable_out_is_refused_by_name():
     config = _market(n_assets=3, n_dates=4)
-    d, width = config.nominal_dimension, config.nominal_dimension + 2 * config.n_assets
-    generator = _rotated_generator(config)
+    d = config.nominal_dimension
     normals = np.zeros((64, d))
     for mode in streams.MODES:
         qmc = _stream(config, points=64, replications=2, mode=mode)
@@ -575,14 +584,13 @@ def test_an_unusable_out_is_refused_by_name():
                     np.empty((64, 2 * d))[:, ::2]):
             with pytest.raises(ValueError, match="out"):
                 streams.replication_normals(qmc, 0, d, out=out)
-    for out in (np.empty((64, width + 1)), np.empty((64, width), dtype=np.float32),
-                np.empty((64, 2 * width))[:, ::2]):
-        with pytest.raises(ValueError, match="out"):
-            simulate_paths(config, generator, normals, out=out)
-    # the unrotated build forms no product to write
-    with pytest.raises(ValueError, match="out"):
-        simulate_paths(config, path_generator(config, vol_loadings(config)), normals,
-                       out=np.empty((64, width)))
+    for generator in (_rotated_generator(config),
+                      path_generator(config, vol_loadings(config))):
+        width = generator.width
+        for out in (np.empty((64, width + 1)), np.empty((64, width), dtype=np.float32),
+                    np.empty((64, 2 * width))[:, ::2]):
+            with pytest.raises(ValueError, match="out"):
+                simulate_paths(config, generator, normals, out=out)
 
 
 def _correlation(draw, n):

@@ -259,11 +259,10 @@ def test_row_block_generator_equals_the_one_shot_build(n_assets, n_dates):
     loadings = market.vol_loadings(config)
     d = config.nominal_dimension
     rotation = _haar_orthogonal(d, 7)
-    log_grid, w_terminal, w_integral = market._brownian_sums(config, loadings,
-                                                             rotation.T)
-    one_shot = np.concatenate((log_grid.reshape(d, d), w_terminal, w_integral), axis=1)
-    assert np.array_equal(market.path_generator(config, loadings, rotation).matrix,
-                          one_shot)
+    generator = market.path_generator(config, loadings, rotation)
+    one_shot = np.zeros((d, generator.width))
+    market._brownian_sums(config, loadings, rotation.T, one_shot)
+    assert np.array_equal(generator.matrix, one_shot)
 
 
 def test_only_the_identity_itself_skips_the_rotation():
