@@ -25,8 +25,8 @@ between payoff kinds comes from `payoffs.FAMILIES`.
 
 Replications are independent tasks. Each sums its paths by `math.fsum`;
 the replication means come back in order from `map` or the pool's `map`
-and are stacked and averaged by `np.mean`, so for a fixed seed and
-OpenBLAS thread count reports are bit-identical across worker counts.
+and are stacked and averaged by `np.mean`, so for a fixed seed reports
+are bit-identical across worker counts.
 
 Each worker thread draws every replication it runs, pilot
 sub-replications included, into two buffers kept for the whole call: a

@@ -15,8 +15,9 @@ Everything between the normal draws and log S is linear: the
 orthogonal rotation R of the draws, the sqrt(dt) scaling, the loadings
 and the Brownian cumsum, and so are W(T) and the trapezoid
 int_0^T W ds. `path_generator` precomposes them once per run into one
-matrix G = R^T [A | B | C] of shape (d, d + 2m), d = assets * dates:
-block A maps the draws to the log-spot grid, B to W(T), C to int W ds.
+matrix G = R^T [A | B | C | 0] of shape (d, width), d = assets * dates:
+block A maps the draws to the log-spot grid, B to W(T), C to int W ds,
+and zero columns pad d + 2m to a multiple of PRODUCT_COLUMNS.
 A rotated replication is then one product normals @ G, plus the drift
 offset and exp on the spot columns. Unrotated draws are the increments
 themselves, so they skip the d x d product, but their build writes the
@@ -164,9 +165,9 @@ class PathGenerator:
     """What one run needs to turn normal draws into paths.
 
     A path product has `width` columns: the log-spot grid, asset-major,
-    then W(T) and int W ds. matrix is the read-only G = R^T [A | B | C],
-    (d, width), None without a rotation. offset, read-only (d,), is
-    added to the grid: log S_i(0) + (r - sigma_i^2/2) t_j with a
+    W(T), int W ds, then padding. matrix is the read-only G = R^T [A | B |
+    C | 0], (d, width), None without a rotation. The read-only offset,
+    (d,), is added to the grid: log S_i(0) + (r - sigma_i^2/2) t_j with a
     rotation, only the drift without, whose build scales by S_i(0) last.
     """
 
@@ -178,6 +179,9 @@ class PathGenerator:
 
 # most rows of R^T in one block of the generator build
 GENERATOR_ROWS = 16
+# the product width is padded to a multiple of this many columns: OpenBLAS
+# picks the kernel of a GEMM's edge columns by how its threads split them
+PRODUCT_COLUMNS = 32
 
 
 def _brownian_sums(config: MarketConfig, loadings: np.ndarray,
@@ -212,13 +216,13 @@ def path_generator(config: MarketConfig, loadings: np.ndarray,
     the one-shot build's bits while the temporaries stay a few blocks in
     size."""
     d, m = config.nominal_dimension, config.n_assets
-    width = d + 2 * m
+    width = -(-(d + 2 * m) // PRODUCT_COLUMNS) * PRODUCT_COLUMNS
     loadings = _frozen_array(loadings)
     drift = ((config.rate - 0.5 * config.vols ** 2)[:, None]
              * config.monitoring_times).reshape(d)
     if rotation is None or _is_identity(rotation, d):
         return PathGenerator(loadings, _frozen_array(drift), width)
-    matrix = np.empty((d, width))
+    matrix = np.zeros((d, width))
     # blocks of nearly equal size, so none is a single row: numpy lays out a
     # lone row's temporaries in another order, which rounds int W ds apart
     count = -(-d // GENERATOR_ROWS)

@@ -1,8 +1,12 @@
 import logging
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -379,6 +383,25 @@ def test_reports_do_not_depend_on_earlier_calls_of_other_sizes():
         for report in runs[1:]:
             for name in _REPORT_ARRAYS:
                 assert np.array_equal(getattr(report, name), getattr(runs[0], name))
+
+
+def test_reports_do_not_depend_on_the_blas_thread_count():
+    # best_of reads the product's last columns, the ones a GEMM's edge
+    # kernel computes, which the BLAS thread split chooses on an odd width
+    probe = ("import hashlib; from qmcgreeks import PayoffSpec, estimate; "
+             "from qmcgreeks.presets import ladder_market, standard_stream; "
+             "report = estimate(ladder_market(), PayoffSpec('best_of', 90.0), "
+             "standard_stream(points=512, replications=4), 'adaptive'); "
+             "print(hashlib.sha256(report.replication_means.tobytes()).hexdigest())")
+    src = Path(est.__file__).resolve().parents[1]
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads}
+        run = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        digests.append(run.stdout.strip())
+    assert digests[0] == digests[1]
 
 
 def test_draw_buffers_are_freed_when_estimate_returns(monkeypatch):

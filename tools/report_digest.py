@@ -21,10 +21,12 @@ bytes of both CSVs, with the deltas column, under `sweep/`.
 file has, and the largest absolute delta difference over the reports
 both have; it exits 1 when any report differs.
 
-Reports are bit-identical across worker counts but not across OpenBLAS
-thread counts, so run as a script the tool sets OPENBLAS_NUM_THREADS=1
-in its own process before numpy loads; digests made on any host thread
-setting then compare clean.
+Reports are bit-identical across worker counts, and across OpenBLAS
+thread counts since the path product is padded to a multiple of 32
+columns. That was checked against one host's GEMM kernel only, so run
+as a script the tool still sets OPENBLAS_NUM_THREADS=1 in its own
+process before numpy loads; digests made on any host thread setting
+then compare clean.
 """
 from __future__ import annotations
 
