@@ -15,7 +15,7 @@ from scipy.special import ndtr
 
 from qmcgreeks import qmc as streams
 from qmcgreeks import weights as wt
-from qmcgreeks.estimator import estimate
+from qmcgreeks.estimator import estimate, estimate_sweep
 from qmcgreeks.lt import build_lt_matrix
 from qmcgreeks.market import cholesky, path_generator, simulate_paths, vol_loadings
 from qmcgreeks.payoffs import PayoffSpec, discount, evaluate
@@ -70,6 +70,11 @@ def floating_adaptive():
     return _run("table3", method="adaptive")
 
 
+@pytest.fixture(scope="module")
+def digital_adaptive():
+    return _run("table4", method="adaptive")
+
+
 def test_criterion_01_fixed_strike_deltas_match_reference(fixed_adaptive):
     z = _z(fixed_adaptive, REF_FIXED, REF_FIXED_ERR)
     assert z.max() < 3.0, (
@@ -93,8 +98,8 @@ def test_criterion_02_floating_strike_deltas_match_reference(floating_adaptive):
             f"band {band:.2e}")
 
 
-def test_criterion_03_digital_deltas_match_reference():
-    report = _run("table4", method="adaptive")
+def test_criterion_03_digital_deltas_match_reference(digital_adaptive):
+    report = digital_adaptive
     z = _z(report, REF_DIGITAL, REF_DIGITAL_ERR)
     hundredth = np.abs(report.deltas - REF_DIGITAL / 100.0) / np.hypot(
         report.stderrs, REF_DIGITAL_ERR / 100.0)
@@ -107,6 +112,27 @@ def test_criterion_03_digital_deltas_match_reference():
         f"(z = {np.round(hundredth, 2).tolist()}), so the reference point "
         "scale and error-bar scale are mutually inconsistent and no "
         "correct estimator can land inside this band")
+
+
+def test_digital_delta_is_the_strike_slope_of_the_call_delta(digital_adaptive):
+    # Delta^dig_k(K) = (Delta^call_k(K - h) - Delta^call_k(K + h)) / 2h + O(h^2).
+    # Call and digital share their rotation, and one sweep draws both
+    # calls on the digital's stream, so the replications are paired.
+    h = 1.0
+    strike = digital_adaptive.settings["strike"]
+    below, above = estimate_sweep(
+        ladder_market(), [PayoffSpec(kind="call", strike=strike + shift)
+                          for shift in (-h, h)], standard_stream(), workers=WORKERS)
+    # a rejected path would drop out of one side's means only
+    for report in (digital_adaptive, below, above):
+        assert not report.rejected_by_component.any()
+    slope = (below.replication_means - above.replication_means) / (2.0 * h)
+    gaps = digital_adaptive.replication_means - slope
+    z = gaps.mean(axis=0) / (gaps.std(axis=0, ddof=1) / math.sqrt(gaps.shape[0]))
+    assert np.abs(z).max() <= 4.0, (
+        f"digital deltas {np.round(digital_adaptive.deltas, 5).tolist()} are not "
+        f"the call's strike slope {np.round(slope.mean(axis=0), 5).tolist()}; "
+        f"paired z = {np.round(z, 2).tolist()}")
 
 
 def test_criterion_04_best_of_deltas_match_reference():
