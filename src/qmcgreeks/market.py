@@ -20,8 +20,8 @@ block A maps the draws to the log-spot grid, B to W(T), C to int W ds,
 and zero columns pad d + 2m to a multiple of PRODUCT_COLUMNS.
 A rotated replication is then one product normals @ G, plus the drift
 offset and exp on the spot columns. Unrotated draws are the increments
-themselves, so they skip the d x d product, but their build writes the
-same columns, so either generator fills one product buffer.
+themselves and skip the d x d product; their build writes the same
+columns, so either generator fills one product buffer.
 """
 from __future__ import annotations
 
@@ -165,10 +165,11 @@ class PathGenerator:
     """What one run needs to turn normal draws into paths.
 
     A path product has `width` columns: the log-spot grid, asset-major,
-    W(T), int W ds, then padding. matrix is the read-only G = R^T [A | B |
-    C | 0], (d, width), None without a rotation. The read-only offset,
-    (d,), is added to the grid: log S_i(0) + (r - sigma_i^2/2) t_j with a
-    rotation, only the drift without, whose build scales by S_i(0) last.
+    W(T), int W ds, then padding. matrix is the read-only
+    G = R^T [A | B | C | 0], (d, width), None without a rotation. The
+    read-only offset (d,) is added to the grid: log S_i(0) +
+    (r - sigma_i^2/2) t_j with a rotation, the drift alone without,
+    whose build scales by S_i(0) last.
     """
 
     loadings: np.ndarray

@@ -52,8 +52,10 @@ from qmcgreeks.presets import (PRESETS, ladder_market, preset,  # noqa: E402
 
 WORKERS = (1, 2)
 # key suffix -> (stream settings, use_lt, presets) of the other draw branches
-VARIANTS = {"sampler=pseudo_random": ({"mode": "pseudo_random"}, True, ("table1", "table5")),
-            "lt=off": ({}, False, PRESETS)}
+VARIANTS = {
+    "sampler=pseudo_random": ({"mode": "pseudo_random"}, True, ("table1", "table5")),
+    "lt=off": ({}, False, PRESETS),
+}
 VARIANT_METHODS = ("adaptive", "fd")
 SWEEP = "90:110:5"
 SWEEP_PRESETS = ("table1", "table4", "table5")
