@@ -23,21 +23,25 @@ at least 2 * PILOT_SPLIT points per replication.
 numbers, included for cost and accuracy comparisons. What differs
 between payoff kinds comes from `payoffs.FAMILIES`.
 
-Replications are independent tasks. Each sums its paths by `math.fsum`;
-the replication means come back in order from `map` or the pool's `map`
-and are stacked and averaged by `np.mean`, so for a fixed seed reports
-are bit-identical across worker counts.
+Replications and pilot sub-replications are independent tasks, each
+a function of its index alone. Each sums its paths by `math.fsum`; the
+pilot's and then the main run's results come back in order from `map`
+or, when workers > 1, from one pool's `map`, and are stacked and
+averaged by `np.mean`, so for a fixed seed reports are bit-identical
+across worker counts.
 
-Each worker thread draws every replication it runs, pilot
-sub-replications included, into two buffers kept for the whole call: a
-(P, d) array that holds the uniforms, then in place the normals, and
-once the paths are built the weighted spot grid of the basket jets;
-and a (P, width) array for the path product, which either generator
-writes. With a rotation these are the only arrays of (P, d) size a
-worker holds; the unrotated build adds two temporaries, as it never
-writes the draws. A sample is therefore valid only until its thread's
-next one, and the buffers go with the call's run state when it
-returns; a report holds nothing that views them.
+Each worker thread draws every task it runs, pilot included, into two
+buffers kept for the whole call, so a call holds one buffer set per
+worker thread at any worker count; with workers > 1 the calling thread
+draws nothing. The buffers are a (P, d) array that holds the
+uniforms, then in place the normals, and once the paths are built the
+weighted spot grid of the basket jets; and a (P, width) array for the
+path product, which either generator writes. With a rotation these
+are the only arrays of (P, d) size a worker holds; the unrotated build
+adds two temporaries, as it never writes the draws. A sample is
+therefore valid only until its thread's next one, and the buffers go
+with the call's run state when it returns; a report holds nothing that
+views them.
 """
 from __future__ import annotations
 
@@ -46,6 +50,7 @@ import math
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -188,8 +193,8 @@ def _replication_means(run: _Run, stream: streams.QmcConfig, index: int,
     return means, counts
 
 
-def _pilot_widths(run: _Run, qmc: streams.QmcConfig,
-                  specs: list[PayoffSpec]) -> tuple[list[np.ndarray], int]:
+def _pilot_widths(run: _Run, qmc: streams.QmcConfig, specs: list[PayoffSpec],
+                  run_all) -> tuple[list[np.ndarray], int]:
     """Per-component localization scales of each spec plus the pilot
     path count, one spec's.
 
@@ -201,21 +206,27 @@ def _pilot_widths(run: _Run, qmc: streams.QmcConfig,
     cannot rank widths this way because the point set equidistributes
     each candidate integrand to a different degree than its per-path
     variance suggests. Pilot indices start past the main set so the
-    main estimate stays independent of the tuning. A degenerate pilot
-    falls back to 1% of the width scale.
+    main estimate stays independent of the tuning. The pilot tasks go
+    through `run_all`, the main run's `map`, so they draw into the same
+    per-thread buffers; each depends only on its index, so the pool
+    returns the serial result. A degenerate pilot falls back to 1% of
+    the width scale.
     """
     config = run.config
     base = qmc.replications
     if run.spec.family.laplace:
-        bundle, _, jets, _ = _replication_sample(run, qmc, base)
-        div = wt.reciprocal_divergence(jets, bundle.w_terminal)
-        widths, paths = [wt.adaptive_bandwidth(div)] * len(specs), qmc.points_per_replication
+        def bandwidth(index: int) -> np.ndarray:
+            bundle, _, jets, _ = _replication_sample(run, qmc, index)
+            return wt.adaptive_bandwidth(wt.reciprocal_divergence(jets, bundle.w_terminal))
+        [width] = run_all(bandwidth, [base])
+        widths, paths = [width] * len(specs), qmc.points_per_replication
     else:
         fractions = np.array(wt.WIDTH_SEARCH_FRACTIONS)[:, None]
         targets = [(spec.strike, spec.width_scale(config) * fractions) for spec in specs]
         sub = replace(qmc, points_per_replication=qmc.points_per_replication // PILOT_SPLIT)
-        table = np.stack([_replication_means(run, sub, base + r, targets)[0]
-                          for r in range(PILOT_SPLIT)])
+        table = np.stack([means for means, _ in run_all(
+            partial(_replication_means, run, sub, targets=targets),
+            range(base, base + PILOT_SPLIT))])
         widths = [wt.width_by_replication_spread(table[:, k], grid[:, 0])
                   for k, (_, grid) in enumerate(targets)]
         paths = PILOT_SPLIT * sub.points_per_replication
@@ -300,20 +311,18 @@ def estimate_sweep(config: MarketConfig, specs: list[PayoffSpec], qmc: streams.Q
 
     pilot_paths = 0
     widths: list[np.ndarray | None] = [None] * len(specs)
-    if method == "adaptive":
-        widths, pilot_paths = _pilot_widths(run, qmc, specs)
-    elif method == "loc":
+    if method == "loc":
         widths = [np.full(m, loc_fraction * other.width_scale(config)) for other in specs]
+    # the pilot runs on the main run's pool, so at any worker count only
+    # the workers hold draw buffers
+    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        run_all = map if pool is None else pool.map
+        if method == "adaptive":
+            widths, pilot_paths = _pilot_widths(run, qmc, specs, run_all)
+        results = list(run_all(partial(_replication_means, run, qmc, targets=[
+            (other.strike, None if scales is None else scales[None, :])
+            for other, scales in zip(specs, widths)]), range(qmc.replications)))
     points = qmc.points_per_replication
-    replicate = partial(_replication_means, run, qmc, targets=[
-        (other.strike, None if scales is None else scales[None, :])
-        for other, scales in zip(specs, widths)])
-    indices = range(qmc.replications)
-    if workers == 1:
-        results = list(map(replicate, indices))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(replicate, indices))
     rejected_by_component = np.sum([counts for _, counts in results], axis=0)
 
     total = qmc.replications * points

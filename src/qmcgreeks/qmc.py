@@ -123,17 +123,19 @@ def _substream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-@lru_cache(maxsize=1)
-def _joe_kuo() -> tuple[np.ndarray, np.ndarray]:
-    """Primitive polynomials (dims,) and initial direction numbers
-    (dims, max degree) of the Joe-Kuo table, loaded once per process.
+def _joe_kuo(dimension: int) -> tuple[np.ndarray, np.ndarray]:
+    """Primitive polynomials (dimension,) and initial direction numbers
+    (dimension, max degree) of the leading `dimension` rows of the
+    Joe-Kuo table, read from the file on every call and sliced before
+    the conversion, so nothing of the whole table outlives the call.
 
     A polynomial is stored with its leading and constant terms, so its
     degree s is its bit length minus one; row 0 is the first dimension,
     whose direction numbers are all 1.
     """
     with np.load(_JOE_KUO_TABLE) as table:
-        return table["poly"].astype(np.uint64), table["vinit"].astype(np.uint64)
+        return (table["poly"][:dimension].astype(np.uint64),
+                table["vinit"][:dimension].astype(np.uint64))
 
 
 @lru_cache(maxsize=8)
@@ -155,8 +157,8 @@ def _gray_code_table(dimension: int, count: int) -> tuple[np.ndarray, np.ndarray
     and v_c = m_c << (31 - c).
     """
     columns = int(count).bit_length()
-    poly, vinit = _joe_kuo()
-    poly = poly[1:dimension]
+    poly, vinit = _joe_kuo(dimension)
+    poly = poly[1:]
     degree = np.frexp(poly.astype(np.float64))[1] - 1
     powers = np.arange(1, degree.max(initial=0) + 1)
     lag = degree[:, None] - powers
@@ -165,7 +167,7 @@ def _gray_code_table(dimension: int, count: int) -> tuple[np.ndarray, np.ndarray
     coeff[lag < 0] = 0
     m = np.ones((dimension, columns), dtype=np.uint64)
     seeded = min(columns, vinit.shape[1])
-    m[1:, :seeded] = vinit[1:dimension, :seeded]
+    m[1:, :seeded] = vinit[1:, :seeded]
     tail = m[1:]
     for c in range(columns):
         rows = np.flatnonzero(degree <= c)

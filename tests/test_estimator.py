@@ -73,13 +73,17 @@ def test_same_inputs_give_identical_reports():
 
 
 def test_worker_count_does_not_change_results():
+    # at workers > 1 the pilot runs on the pool too, so the widths it
+    # races must match the serial pilot's bit for bit
     config = _market()
-    spec = PayoffSpec(kind="digital", strike=100.0)
     qmc = _stream(config)
-    serial = estimate(config, spec, qmc, method="adaptive", workers=1)
-    threaded = estimate(config, spec, qmc, method="adaptive", workers=3)
-    assert np.array_equal(serial.deltas, threaded.deltas)
-    assert np.array_equal(serial.replication_means, threaded.replication_means)
+    for kind in ("digital", "call", "best_of"):
+        spec = PayoffSpec(kind=kind, strike=100.0)
+        serial = estimate(config, spec, qmc, method="adaptive", workers=1)
+        threaded = estimate(config, spec, qmc, method="adaptive", workers=3)
+        for name in ("localization_widths", "deltas", "replication_means"):
+            assert np.array_equal(getattr(serial, name), getattr(threaded, name)), \
+                (kind, name)
 
 
 def test_simulated_path_accounting():
@@ -449,6 +453,26 @@ def test_a_sample_allocates_nothing_the_size_of_its_draws(kind, mode, use_lt):
     # increments and their Brownian cumsum, since it never writes the draws
     assert peak < (1.0 if use_lt else 2.5) * qmc.points_per_replication \
         * config.nominal_dimension * 8
+
+
+@pytest.mark.parametrize("kind", ["call", "digital"])
+def test_a_pooled_call_holds_one_buffer_set_per_worker(kind):
+    # the pilot runs on the workers, so the calling thread never draws a
+    # third set next to the workers' two
+    config = ladder_market(2, 64)
+    spec = PayoffSpec(kind=kind, strike=100.0)
+    qmc = _stream(config, points=512, replications=4)
+    width = path_generator(config, vol_loadings(config)).width
+    buffer_set = qmc.points_per_replication * (config.nominal_dimension + width) * 8
+    # the first call reads the Sobol directions; the traced one reuses them
+    estimate(config, spec, qmc, method="adaptive", workers=2)
+    tracemalloc.start()
+    try:
+        estimate(config, spec, qmc, method="adaptive", workers=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.4 * buffer_set, f"peak {peak / buffer_set:.2f} buffer sets"
 
 
 _STRIKES = (90.0, 95.0, 100.0, 105.0, 110.0)

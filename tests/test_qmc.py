@@ -329,3 +329,20 @@ def test_package_import_leaves_scipy_stats_unloaded():
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[]"
+
+
+def test_a_first_draw_keeps_nothing_of_the_whole_direction_table():
+    # a run reads only its block's rows of the 21,201-row Joe-Kuo table,
+    # so after the first draw a process keeps the block's direction
+    # table (about 20 KB) and nothing of the 3 MB file
+    src = Path(qmc.__file__).resolve().parents[1]
+    probe = ("import tracemalloc, numpy as np; from qmcgreeks import qmc; "
+             "config = qmc.QmcConfig(points_per_replication=2048, replications=1, "
+             "lss_block_dimension=50, seed=42); out = np.empty((2048, 640)); "
+             "tracemalloc.start(); qmc.lss_assemble(config, 0, 640, out=out); "
+             "print(tracemalloc.get_traced_memory()[0])")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert int(run.stdout) < 256 * 1024
