@@ -2,6 +2,7 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "report_digest.py"
@@ -58,11 +59,45 @@ def test_compare_reads_two_digest_files(digest, tmp_path, capsys):
     assert "differs: new" in capsys.readouterr().out
 
 
+def _full(sha, deltas, stderrs, means):
+    return {"sha256": sha, "deltas": deltas, "stderrs": stderrs,
+            "replication_means": means}
+
+
+def test_each_statistic_gap_is_printed_on_its_own(digest, capsys):
+    parent = {"table5/adaptive/workers=1": _full("a", [0.1, 0.2], [0.01, 0.02],
+                                                 [[0.1, 0.2], [0.1, 0.2]])}
+    # one replication mean moves by 2**-55 (a last bit) while the deltas do not
+    change = {"table5/adaptive/workers=1": _full("b", [0.1, 0.2], [0.01, 0.02],
+                                                 [[0.1, 0.2], [0.1, 0.2 + 2.0 ** -55]])}
+    assert digest.compare(parent, change) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "differs: table5/adaptive/workers=1",
+        "1 differing reports of 1; max |delta difference| = 0; "
+        "max |stderr difference| = 0; "
+        f"max |replication mean difference| = {2.0 ** -55:g}"]
+
+
+def test_a_statistic_an_older_digest_lacks_is_skipped(digest, capsys):
+    newer = {key: _full(report["sha256"], report["deltas"], [0.0, 0.0],
+                        [report["deltas"]]) for key, report in PARENT.items()}
+    for parent, change in ((PARENT, newer), (newer, PARENT)):
+        assert digest.compare(parent, change) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "0 differing reports of 2; max |delta difference| = 0"]
+
+
 def test_a_sweep_digest_covers_both_csvs_and_keeps_the_deltas(digest):
+    # and the stderrs and replication means, for --compare's gaps
     flags = ["--assets", "2", "--steps", "2", "--points", "32", "--reps", "2",
              "--method", "loc", "--sweep", "90:110:10"]
     first = digest.sweep_digest(flags)
-    assert len(first["deltas"]) == 3 * 2 and len(first["sha256"]) == 64
+    assert len(first["deltas"]) == len(first["stderrs"]) == 3 * 2
+    assert len(first["replication_means"]) == 3 * 2 * 2 and len(first["sha256"]) == 64
+    # the deltas are the means of each strike's replication means
+    means = np.reshape(first["replication_means"], (3, 2, 2))
+    np.testing.assert_allclose(first["deltas"], means.mean(axis=1).ravel(),
+                               rtol=1e-14, atol=0)
     assert digest.sweep_digest(flags) == first
     # another seed moves both CSVs, so the digest must move too
     assert digest.sweep_digest(flags + ["--seed", "8"])["sha256"] != first["sha256"]

@@ -13,13 +13,17 @@ on pseudo-random draws, and all four presets on scrambled Sobol draws
 without the rotation (the unrotated path build). It prints JSON with,
 per report, one sha256 over the deltas, stderrs, replication means,
 localization widths, rejections by component, simulated path count
-and settings, and the raw deltas. It also runs the CLI, through `cli.run`, on
-`--sweep 90:110:5` with `--debug-replications` for table1, table4 and
-table5 with each method at workers 2, and keys one sha256 over the
-bytes of both CSVs, with the deltas column, under `sweep/`.
+and settings, and the raw deltas, stderrs and replication means. It
+also runs the CLI, through `cli.run`, on `--sweep 90:110:5` with
+`--debug-replications` for table1, table4 and table5 with each method
+at workers 2, and keys one sha256 over the bytes of both CSVs, with
+the deltas and stderrs columns of the CSV and the means column of the
+dump, flat in file order, under `sweep/`.
 --compare prints the reports whose digests differ, or that only one
-file has, and the largest absolute delta difference over the reports
-both have; it exits 1 when any report differs.
+file has, and the largest absolute difference of deltas, of stderrs
+and of replication means over the reports both have, each on its own;
+a statistic that an older digest lacks is skipped. It exits 1 when any
+report differs.
 
 Reports are bit-identical across worker counts, and across OpenBLAS
 thread counts since the path product is padded to a multiple of 32
@@ -60,6 +64,9 @@ VARIANT_METHODS = ("adaptive", "fd")
 SWEEP = "90:110:5"
 SWEEP_PRESETS = ("table1", "table4", "table5")
 SWEEP_WORKERS = 2
+# report field -> its name in --compare's gaps
+STATISTICS = {"deltas": "delta", "stderrs": "stderr",
+              "replication_means": "replication mean"}
 
 
 def report_digest(report) -> str:
@@ -86,7 +93,8 @@ def digest_reports(small: bool) -> dict:
             report = estimate(market, preset(name), qmc, method, use_lt=use_lt,
                               workers=workers)
             reports[f"{name}/{method}/workers={workers}{suffix}"] = {
-                "sha256": report_digest(report), "deltas": report.deltas.tolist()}
+                "sha256": report_digest(report),
+                **{field: getattr(report, field).tolist() for field in STATISTICS}}
     flags = ["--points", "256", "--reps", "4"] if small else []
     for name in SWEEP_PRESETS:
         for method in METHODS:
@@ -97,16 +105,20 @@ def digest_reports(small: bool) -> dict:
 
 
 def sweep_digest(flags: list[str]) -> dict:
-    """sha256 over the sweep CSV and its replication dump, plus the deltas."""
+    """sha256 over the sweep CSV and its replication dump, plus the
+    deltas, stderrs and replication means they hold."""
     with tempfile.TemporaryDirectory() as tmp:
         out, dump = Path(tmp) / "sweep.csv", Path(tmp) / "replications.csv"
         code = cli.run(flags + ["--output", str(out), "--debug-replications", str(dump)])
         if code != 0:
             raise SystemExit(f"qmcgreeks {' '.join(flags)} exited {code}")
         with open(out, newline="", encoding="utf-8") as handle:
-            deltas = [float(row["delta"]) for row in csv.DictReader(handle)]
+            rows = list(csv.DictReader(handle))
+        with open(dump, newline="", encoding="utf-8") as handle:
+            means = [float(row["mean"]) for row in csv.DictReader(handle)]
         digest = hashlib.sha256(out.read_bytes() + dump.read_bytes()).hexdigest()
-    return {"sha256": digest, "deltas": deltas}
+    return {"sha256": digest, "deltas": [float(row["delta"]) for row in rows],
+            "stderrs": [float(row["stderr"]) for row in rows], "replication_means": means}
 
 
 def compare(parent: dict, change: dict) -> int:
@@ -115,12 +127,18 @@ def compare(parent: dict, change: dict) -> int:
                        != change.get(key, {}).get("sha256"))
     for key in differing:
         print(f"differs: {key}")
-    gap = max((float(np.max(np.abs(np.subtract(parent[key]["deltas"],
-                                               change[key]["deltas"]))))
-               for key in parent.keys() & change.keys()), default=0.0)
-    print(f"{len(differing)} differing reports of {len(parent.keys() | change.keys())}; "
-          f"max |delta difference| = {gap:g}")
+    gaps = [f"max |{label} difference| = {largest_gap(parent, change, field):g}"
+            for field, label in STATISTICS.items()
+            if all(field in report for report in (*parent.values(), *change.values()))]
+    print("; ".join([f"{len(differing)} differing reports of "
+                     f"{len(parent.keys() | change.keys())}", *gaps]))
     return 1 if differing else 0
+
+
+def largest_gap(parent: dict, change: dict, field: str) -> float:
+    """Largest absolute difference of `field` over the reports both have."""
+    return max((float(np.max(np.abs(np.subtract(parent[key][field], change[key][field]))))
+                for key in parent.keys() & change.keys()), default=0.0)
 
 
 def main(argv: list[str] | None = None) -> int:
