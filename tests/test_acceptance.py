@@ -75,6 +75,11 @@ def digital_adaptive():
     return _run("table4", method="adaptive")
 
 
+@pytest.fixture(scope="module")
+def best_of_adaptive():
+    return _run("table5", method="adaptive")
+
+
 def test_criterion_01_fixed_strike_deltas_match_reference(fixed_adaptive):
     z = _z(fixed_adaptive, REF_FIXED, REF_FIXED_ERR)
     assert z.max() < 3.0, (
@@ -135,8 +140,36 @@ def test_digital_delta_is_the_strike_slope_of_the_call_delta(digital_adaptive):
         f"paired z = {np.round(z, 2).tolist()}")
 
 
-def test_criterion_04_best_of_deltas_match_reference():
-    report = _run("table5", method="adaptive")
+@pytest.mark.parametrize("name", ["fixed_adaptive", "best_of_adaptive"])
+def test_deltas_satisfy_euler_homogeneity(request, name):
+    # Each payoff (z - K)^+ is homogeneous of degree one in (spots, K), so
+    # sum_k x_k Delta_k = e^{-rT} E[(z - K)^+ + K 1{z > K}]. The right side
+    # is priced on each replication's own draws and rotation, so the
+    # replications are paired.
+    report = request.getfixturevalue(name)
+    # a rejected path would drop out of the delta side only
+    assert not report.rejected_by_component.any()
+    config, qmc = ladder_market(), standard_stream()
+    spec = PayoffSpec(report.settings["payoff"], report.settings["strike"])
+    generator = path_generator(config, vol_loadings(config), report.lt_build.matrix)
+    priced = []
+    for index in range(qmc.replications):
+        normals = streams.replication_normals(qmc, index, config.nominal_dimension)
+        ev = evaluate(spec, config, simulate_paths(config, generator, normals))
+        z = spec.family.variable(ev.average, ev.floating_strike)
+        priced.append(discount(config) * np.mean(
+            spec.family.value(spec.strike, ev.average, ev.floating_strike)
+            + spec.strike * (z > spec.strike)))
+    weighted = report.replication_means @ config.spots
+    gaps = weighted - np.array(priced)
+    z = gaps.mean() / (gaps.std(ddof=1) / math.sqrt(gaps.size))
+    assert abs(z) <= 4.0, (
+        f"{spec.kind}: sum_k x_k Delta_k = {weighted.mean():.6f} against "
+        f"e^(-rT) E[(z - K)^+ + K 1{{z > K}}] = {np.mean(priced):.6f}; paired z = {z:.2f}")
+
+
+def test_criterion_04_best_of_deltas_match_reference(best_of_adaptive):
+    report = best_of_adaptive
     z = _z(report, REF_BEST_OF, REF_BEST_OF_ERR)
     assert z.max() < 3.0, (
         f"best-of deltas {np.round(report.deltas, 5).tolist()} leave the "
