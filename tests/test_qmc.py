@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from qmcgreeks import qmc
 
@@ -121,6 +121,72 @@ def test_inverse_normal_domain():
     # nan fails both bounds, and the check warns about nothing
     with pytest.raises(ValueError):
         qmc.to_normal(np.array([0.5, np.nan]))
+
+
+# (p, its standard normal quantile to 22 digits), computed offline by
+# Newton steps on the normal CDF at 40 digits; the two points near
+# e**-25 lie on either side of the r = sqrt(-log p) = 5 branch edge
+_QUANTILES = (
+    (2.0 ** -53, -8.209536151601386855631),
+    (2.0 ** -32, -6.230260137989043163025),
+    (1.3887943864963947e-11, -6.657904643501104370431),
+    (1.3887943864963948e-11, -6.657904643501104353328),
+    (0.075, -1.439531470938455934950),
+    (0.5, 0.0),
+    (0.925, 1.439531470938456229063),
+    (0.9999999999861121, 6.657905204845547456602),
+    (1.0 - 2.0 ** -32, 6.230260137989043163025),
+    (1.0 - 2.0 ** -53, 8.209536151601386855631),
+)
+
+
+def test_inverse_normal_matches_high_precision_quantiles():
+    p, exact = (np.array(column) for column in zip(*_QUANTILES))
+    z = qmc.to_normal(p)
+    assert z[p == 0.5] == 0.0
+    assert np.all(np.abs(z - exact) <= 4 * np.spacing(np.abs(exact)))
+
+
+def test_inverse_normal_agrees_with_scipy_ndtri_on_the_sobol_lattice():
+    # 2**20 lattice points k / 2**32, the values scrambled Sobol points take
+    p = np.arange(1, 2 ** 32, 2 ** 12, dtype=np.float64) / 2.0 ** 32
+    z, reference = qmc.to_normal(p), ndtri(p)
+    assert np.all(np.abs(z - reference) <= 8 * np.spacing(np.abs(reference)))
+
+
+def test_inverse_normal_is_exactly_antisymmetric_and_increasing():
+    # on the lattice both p and 1 - p are exact, so q = p - 1/2 flips sign exactly
+    low = np.arange(1, 2 ** 31, 2 ** 11, dtype=np.float64) / 2.0 ** 32
+    z = qmc.to_normal(low)
+    high = qmc.to_normal(1.0 - low)
+    assert np.array_equal(high, -z)
+    assert np.all(np.diff(np.concatenate([z, high[::-1]])) > 0)
+    # the branch edges at |p - 1/2| = 0.425 and at r = 5
+    for centre in (0.075, 0.925, 1.3887943864963947e-11):
+        p = centre * (1.0 + np.arange(-512, 513) * 2.0 ** -40)
+        assert np.all(np.diff(qmc.to_normal(p)) > 0)
+
+
+@pytest.mark.parametrize("size", [0, 1, qmc._CHUNK - 1, qmc._CHUNK, qmc._CHUNK + 1,
+                                  4 * qmc._CHUNK - 1, 4 * qmc._CHUNK + 1])
+def test_inverse_normal_chunks_cover_every_element(size):
+    p = np.random.default_rng(size).random(size)
+    z, reference = qmc.to_normal(p), ndtri(p)
+    assert z.shape == (size,)
+    assert np.all(np.abs(z - reference) <= 8 * np.spacing(np.abs(reference)))
+
+
+def test_inverse_normal_in_place_equals_out_of_place():
+    # 300 x 217 is no multiple of the chunk, and two tails share every chunk
+    unit = np.random.default_rng(5).random((300, 217))
+    fresh = qmc.to_normal(unit)
+    into = np.empty_like(unit)
+    assert qmc.to_normal(unit, out=into) is into
+    drawn = unit.copy()
+    assert qmc.to_normal(drawn, out=drawn) is drawn
+    assert fresh.shape == unit.shape
+    assert np.array_equal(fresh, into) and np.array_equal(fresh, drawn)
+    assert np.array_equal(fresh, qmc.to_normal(np.asfortranarray(unit)))
 
 
 def test_config_validation():
@@ -319,11 +385,12 @@ def test_block_sizes_refuse_a_dimension_below_one_as_the_draws_do(mode):
 
 
 def test_package_import_leaves_scipy_stats_unloaded():
-    # the direction table is read from scipy's data file, so neither the
-    # package nor its CLI needs scipy.stats and the import cost it brings
+    # the direction table is read from scipy's data file and the inverse
+    # normal is numpy's, so neither the package nor its CLI loads any
+    # scipy module and the import cost it brings
     src = Path(qmc.__file__).resolve().parents[1]
     probe = ("import sys, qmcgreeks, qmcgreeks.cli; "
-             "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     env = {**os.environ, "PYTHONPATH": str(src)}
     run = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, timeout=120)
