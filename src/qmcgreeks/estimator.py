@@ -24,11 +24,12 @@ numbers, included for cost and accuracy comparisons. What differs
 between payoff kinds comes from `payoffs.FAMILIES`.
 
 Replications and pilot sub-replications are independent tasks, each
-a function of its index alone. Each sums its paths by `math.fsum`; the
-pilot's and then the main run's results come back in order from `map`
-or, when workers > 1, from one pool's `map`, and are stacked and
-averaged by `np.mean`, so for a fixed seed reports are bit-identical
-across worker counts.
+a function of its index alone. Each sums its paths with one numpy
+reduction, whose order is fixed by the array's shape; the pilot's and
+then the main run's results come back in order from `map` or, when
+workers > 1, from one pool's `map`, and are stacked and averaged by
+`np.mean`, so for a fixed seed reports are bit-identical across worker
+counts.
 
 Each worker thread draws every task it runs, pilot included, into two
 buffers kept for the whole call, so a call holds one buffer set per
@@ -159,37 +160,34 @@ def _replication_means(run: _Run, stream: streams.QmcConfig, index: int,
     factors of its family's split at the excess z - kink. widths
     broadcasts against (candidates, assets): (1, assets) for the main
     run's widths or digital bandwidths, (candidates, 1) for the pilot
-    race's grid; "fd" ignores it. Rejected paths contribute exact
-    zeros, which the compensated sum ignores; a component that lost
-    every path, or whose contributions overflowed, gets nan.
+    race's grid; "fd" ignores it. Rejected paths add exact zeros to one
+    numpy sum over the paths; a component that lost every path (0/0),
+    or whose contributions or their sum overflowed, gets nan.
     """
     config, family = run.config, run.spec.family
     _, ev, _, pw = _replication_sample(run, stream, index)
     paths = ev.average.shape[0]
-    rejected = np.zeros((paths, config.n_assets), dtype=bool) if pw is None else pw.rejected
     if pw is not None:
         z = family.variable(ev.average, ev.floating_strike)[:, None, None]
         slope = family.slope(ev) / config.spots
     sums = []
     for strike, widths in targets:
-        if pw is None:
-            contributions = _bump_contrast(family, strike, config, ev,
-                                           run.fd_bump)[:, None, :]
-        else:
-            # the ramps' discarded np.where branches overflow at extreme widths
-            with np.errstate(over="ignore", invalid="ignore"):
+        # the ramps' discarded np.where branches overflow at extreme widths,
+        # and so can a sum; the non-finite means become nan below
+        with np.errstate(over="ignore", invalid="ignore"):
+            if pw is None:
+                contributions = _bump_contrast(family, strike, config, ev,
+                                               run.fd_bump)[:, None, :]
+            else:
                 smooth, remainder = family.split(z - family.kink(strike), widths)
-                contributions = (smooth * slope[:, None, :]
-                                 + remainder * pw.values[:, None, :])
-            contributions = np.where(rejected[:, None, :], 0.0, contributions)
-        columns = contributions.reshape(paths, -1).T
-        # fsum raises on inf - inf, so a column that overflowed is a nan mean
-        sums.append([math.fsum(column) if finite else math.nan for column, finite
-                     in zip(columns.tolist(), np.isfinite(columns).all(axis=1))])
-    counts = rejected.sum(axis=0)
+                contributions = np.where(pw.rejected[:, None, :], 0.0,
+                                         smooth * slope[:, None, :]
+                                         + remainder * pw.values[:, None, :])
+            sums.append(contributions.sum(axis=0))
+    counts = np.zeros(config.n_assets, dtype=int) if pw is None else pw.rejected.sum(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        means = (discount(config) * np.reshape(sums, (len(targets), -1, config.n_assets))
-                 / (paths - counts))
+        means = discount(config) * np.stack(sums) / (paths - counts)
+    means[~np.isfinite(means)] = math.nan
     return means, counts
 
 

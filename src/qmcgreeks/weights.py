@@ -379,10 +379,8 @@ def width_by_replication_spread(rep_means: np.ndarray,
     if means.shape[0] < 2:
         return np.full(means.shape[2], np.nan)
     order = np.argsort(widths, kind="stable")
-    # C-contiguous (candidates, assets, rows): each spread sums like np.std of a column
-    rows = np.ascontiguousarray(np.moveaxis(means[:, order], 0, -1))
     with np.errstate(invalid="ignore", over="ignore"):
-        spread = np.std(rows, axis=-1, ddof=1)
+        spread = np.std(means[:, order], axis=0, ddof=1)
     spread[np.isnan(spread)] = np.inf
     best_spread = spread.min(axis=0)
     usable = np.isfinite(best_spread) & (best_spread > 0.0)

@@ -4,6 +4,7 @@ The package computes these quantities in factorized, direction-table
 or precomposed-matrix form; the tests compare it against the plain
 per-point, per-interval and increment-by-increment versions here.
 """
+import math
 import warnings
 
 import numpy as np
@@ -157,6 +158,41 @@ def time_integral(jet, interval_lengths: np.ndarray) -> np.ndarray:
 def weighted_time_integral(jet, interval_moments: np.ndarray) -> np.ndarray:
     """int_0^T s D_s f ds; pass (t_l^2 - t_{l-1}^2)/2 per interval."""
     return interval_moments @ jet.samples
+
+
+# ---------------------------------------------------------------------------
+# exactly rounded replication means
+
+
+def fsum_replication_means(family, targets: list, ev, pw, spots: np.ndarray,
+                           discount: float) -> tuple[np.ndarray, np.ndarray]:
+    """(means, bounds) of one replication, each (targets, candidates,
+    assets), for (strike, widths) targets whose widths broadcast against
+    (candidates, assets).
+
+    Each column's kept paths contribute smooth * slope + remainder *
+    weight of the family's split at z - kink, built one column at a
+    time and summed by the exactly rounded math.fsum. bounds is the
+    error a plain float sum may make on the same scale, paths * eps *
+    sum |contribution|, so it is exactly 0 where no path contributed.
+    """
+    paths, m = pw.values.shape
+    z = family.variable(ev.average, ev.floating_strike)
+    slope = family.slope(ev) / spots
+    kept = ~pw.rejected
+    means, bounds = [], []
+    for strike, widths in targets:
+        for row in np.broadcast_to(widths, (np.shape(widths)[0], m)):
+            for k, width in enumerate(row):
+                keep = kept[:, k]
+                smooth, remainder = family.split(z[keep] - family.kink(strike), width)
+                column = smooth * slope[keep, k] + remainder * pw.values[keep, k]
+                scale = discount / keep.sum()
+                means.append(scale * math.fsum(column))
+                bounds.append(scale * paths * np.finfo(float).eps
+                              * math.fsum(np.abs(column)))
+    shape = (len(targets), -1, m)
+    return np.reshape(means, shape), np.reshape(bounds, shape)
 
 
 # ---------------------------------------------------------------------------

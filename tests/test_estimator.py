@@ -24,6 +24,8 @@ from qmcgreeks.payoffs import PayoffSpec
 from qmcgreeks.presets import ladder_market
 from qmcgreeks.qmc import MAX_DIMENSION, QmcConfig
 
+import helpers
+
 
 def _market(n_assets=2, n_dates=2, rho=0.5):
     correlation = np.full((n_assets, n_assets), rho)
@@ -276,6 +278,43 @@ def test_rejection_limit_aborts_the_run(monkeypatch):
         estimate(config, spec, qmc, method="loc")
 
 
+@pytest.mark.parametrize("kind", payoffs.KINDS)
+def test_replication_means_match_an_exact_sum_of_the_kept_paths(monkeypatch, kind):
+    config = _market(n_assets=3, n_dates=4)
+    spec = PayoffSpec(kind=kind, strike=0.0 if kind == "floating" else 100.0)
+    original = payoffs.FAMILIES[kind].weights
+
+    def leaky(config_, jets, bundle):
+        pw = original(config_, jets, bundle)
+        rejected = pw.rejected.copy()
+        rejected[::7, 0] = rejected[:3, 2] = True
+        return wt.PathWeights(values=pw.values, rejected=rejected)
+
+    monkeypatch.setitem(payoffs.FAMILIES, kind,
+                        replace(payoffs.FAMILIES[kind], weights=leaky))
+    qmc = _stream(config, points=256, replications=2)
+    run = est._Run(config, spec, spec.weight_matrix(3, 4),
+                   path_generator(config, vol_loadings(config)), None,
+                   qmc.points_per_replication)
+    scale = spec.width_scale(config)
+    main_run = scale * np.array([[0.02, 0.05, 0.1]])
+    race = scale * np.array(wt.WIDTH_SEARCH_FRACTIONS)[:, None]
+    for widths in (main_run, race):
+        # no path reaches a fixed strike this far out; the floating kind has none
+        targets = [(spec.strike, widths), (1e6, widths)]
+        means, counts = est._replication_means(run, qmc, 1, targets)
+        _, ev, _, pw = est._replication_sample(run, qmc, 1)
+        expected, bounds = helpers.fsum_replication_means(
+            spec.family, targets, ev, pw, config.spots, payoffs.discount(config))
+        np.testing.assert_array_equal(counts, pw.rejected.sum(axis=0))
+        assert counts[0] >= 256 // 7 and counts[2] >= 3
+        assert means.shape == expected.shape == (2, widths.shape[0], 3)
+        assert (bounds[0] > 0.0).all()
+        assert (np.abs(means - expected) <= bounds).all()
+        if spec.family.fixed_strike:
+            assert (bounds[1] == 0.0).all() and (means[1] == 0.0).all()
+
+
 @pytest.mark.parametrize("fraction", [1e200, 1e306])
 def test_overflowing_contributions_are_named_not_blamed_on_rejection(fraction):
     # a huge finite width overflows the ramp antiderivative; no path is
@@ -285,6 +324,25 @@ def test_overflowing_contributions_are_named_not_blamed_on_rejection(fraction):
     qmc = _stream(config, points=32, replications=2)
     with pytest.raises(EstimationError, match=r"overflowed for component\(s\) 1, 2"):
         estimate(config, spec, qmc, method="loc", loc_fraction=fraction)
+
+
+def test_a_sum_that_overflows_from_finite_contributions_is_named(monkeypatch):
+    # the ramp's remainder is never positive and at most w / 4 = 1.25 in
+    # size, so each path's contribution stays finite while the sum of
+    # the hundred or so that carry a remainder term overflows
+    config = _market()
+    spec = PayoffSpec(kind="call", strike=100.0)
+    original = payoffs.FAMILIES["call"].weights
+
+    def huge(config_, jets, bundle):
+        pw = original(config_, jets, bundle)
+        return wt.PathWeights(values=np.full_like(pw.values, 1e307), rejected=pw.rejected)
+
+    monkeypatch.setitem(payoffs.FAMILIES, "call",
+                        replace(payoffs.FAMILIES["call"], weights=huge))
+    with pytest.raises(EstimationError, match=r"overflowed for component\(s\) 1, 2"):
+        estimate(config, spec, _stream(config, points=256, replications=2),
+                 method="loc", loc_fraction=0.05)
 
 
 @pytest.mark.parametrize("kind", payoffs.KINDS)

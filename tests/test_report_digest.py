@@ -87,6 +87,50 @@ def test_a_statistic_an_older_digest_lacks_is_skipped(digest, capsys):
             "0 differing reports of 2; max |delta difference| = 0"]
 
 
+def _widths(sha, widths):
+    return {"sha256": sha, "deltas": [0.1, 0.2], "localization_widths": widths}
+
+
+WIDTHS = {"table1/adaptive/workers=1": _widths("a", [5.0, 2.0]),
+          "table1/loc/workers=1": _widths("b", [1.0, 1.0])}
+
+
+def test_equal_widths_print_a_zero_width_gap(digest, capsys):
+    assert digest.compare(WIDTHS, json.loads(json.dumps(WIDTHS))) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "0 differing reports of 2; max |delta difference| = 0; "
+        "max |width difference| = 0"]
+
+
+def test_a_moved_width_prints_its_gap(digest, capsys):
+    change = dict(WIDTHS, **{"table1/adaptive/workers=1": _widths("c", [5.0, 10.0])})
+    assert digest.compare(WIDTHS, change) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "differs: table1/adaptive/workers=1",
+        "1 differing reports of 2; max |delta difference| = 0; "
+        "max |width difference| = 8"]
+
+
+def test_fd_and_older_digests_without_widths_are_skipped(digest, capsys):
+    # fd carries null widths, an older digest none; only the loc report
+    # has widths on both sides, and its moved width is the gap
+    parent = dict(WIDTHS, **{"table1/fd/workers=1": _widths("d", None)})
+    change = {"table1/adaptive/workers=1": _report("a", [0.1, 0.2]),
+              "table1/loc/workers=1": _widths("e", [1.0, 1.5]),
+              "table1/fd/workers=1": _widths("d", None)}
+    assert digest.compare(parent, change) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "differs: table1/loc/workers=1",
+        "1 differing reports of 3; max |delta difference| = 0; "
+        "max |width difference| = 0.5"]
+    # with no report carrying widths on both sides, no width gap is printed
+    older = {key: _report(report["sha256"], report["deltas"])
+             for key, report in WIDTHS.items()}
+    assert digest.compare(WIDTHS, older) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "0 differing reports of 2; max |delta difference| = 0"]
+
+
 def test_a_sweep_digest_covers_both_csvs_and_keeps_the_deltas(digest):
     # and the stderrs and replication means, for --compare's gaps
     flags = ["--assets", "2", "--steps", "2", "--points", "32", "--reps", "2",

@@ -77,6 +77,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.child:
         print(json.dumps(one_call(args.child[0], int(args.child[1]), args.small)))
         return 0
+    if args.workers and min(args.workers) < 1:
+        parser.error(f"--workers counts must be at least 1; got {min(args.workers)}")
     counts = args.workers or sorted({1, nproc()})
     runs = [run_child(name, workers, args.small)
             for name in args.presets for workers in counts]

@@ -13,17 +13,20 @@ on pseudo-random draws, and all four presets on scrambled Sobol draws
 without the rotation (the unrotated path build). It prints JSON with,
 per report, one sha256 over the deltas, stderrs, replication means,
 localization widths, rejections by component, simulated path count
-and settings, and the raw deltas, stderrs and replication means. It
-also runs the CLI, through `cli.run`, on `--sweep 90:110:5` with
-`--debug-replications` for table1, table4 and table5 with each method
-at workers 2, and keys one sha256 over the bytes of both CSVs, with
-the deltas and stderrs columns of the CSV and the means column of the
-dump, flat in file order, under `sweep/`.
+and settings, and the raw deltas, stderrs, replication means and
+localization widths (null for fd). It also runs the CLI, through
+`cli.run`, on `--sweep 90:110:5` with `--debug-replications` for
+table1, table4 and table5 with each method at workers 2, and keys one
+sha256 over the bytes of both CSVs, with the deltas and stderrs
+columns of the CSV and the means column of the dump, flat in file
+order, under `sweep/`.
 --compare prints the reports whose digests differ, or that only one
 file has, and the largest absolute difference of deltas, of stderrs
 and of replication means over the reports both have, each on its own;
-a statistic that an older digest lacks is skipped. It exits 1 when any
-report differs.
+a statistic that an older digest lacks is skipped. It also prints the
+largest absolute width difference over the reports whose digests both
+carry widths, which fd reports, sweep entries and older digests do not.
+It exits 1 when any report differs.
 
 Reports are bit-identical across worker counts, and across OpenBLAS
 thread counts since the path product is padded to a multiple of 32
@@ -67,6 +70,7 @@ SWEEP_WORKERS = 2
 # report field -> its name in --compare's gaps
 STATISTICS = {"deltas": "delta", "stderrs": "stderr",
               "replication_means": "replication mean"}
+WIDTHS = "localization_widths"
 
 
 def report_digest(report) -> str:
@@ -92,9 +96,11 @@ def digest_reports(small: bool) -> dict:
         for workers in WORKERS:
             report = estimate(market, preset(name), qmc, method, use_lt=use_lt,
                               workers=workers)
+            widths = report.localization_widths
             reports[f"{name}/{method}/workers={workers}{suffix}"] = {
                 "sha256": report_digest(report),
-                **{field: getattr(report, field).tolist() for field in STATISTICS}}
+                **{field: getattr(report, field).tolist() for field in STATISTICS},
+                WIDTHS: None if widths is None else widths.tolist()}
     flags = ["--points", "256", "--reps", "4"] if small else []
     for name in SWEEP_PRESETS:
         for method in METHODS:
@@ -127,18 +133,24 @@ def compare(parent: dict, change: dict) -> int:
                        != change.get(key, {}).get("sha256"))
     for key in differing:
         print(f"differs: {key}")
-    gaps = [f"max |{label} difference| = {largest_gap(parent, change, field):g}"
+    shared = parent.keys() & change.keys()
+    gaps = [f"max |{label} difference| = {largest_gap(parent, change, field, shared):g}"
             for field, label in STATISTICS.items()
             if all(field in report for report in (*parent.values(), *change.values()))]
+    with_widths = [key for key in shared if parent[key].get(WIDTHS) is not None
+                   and change[key].get(WIDTHS) is not None]
+    if with_widths:
+        gaps.append(f"max |width difference| = "
+                    f"{largest_gap(parent, change, WIDTHS, with_widths):g}")
     print("; ".join([f"{len(differing)} differing reports of "
                      f"{len(parent.keys() | change.keys())}", *gaps]))
     return 1 if differing else 0
 
 
-def largest_gap(parent: dict, change: dict, field: str) -> float:
-    """Largest absolute difference of `field` over the reports both have."""
+def largest_gap(parent: dict, change: dict, field: str, keys) -> float:
+    """Largest absolute difference of `field` over the reports `keys`."""
     return max((float(np.max(np.abs(np.subtract(parent[key][field], change[key][field]))))
-                for key in parent.keys() & change.keys()), default=0.0)
+                for key in keys), default=0.0)
 
 
 def main(argv: list[str] | None = None) -> int:
