@@ -181,7 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--strike", type=float)
     parser.add_argument("--method", choices=METHODS)
     parser.add_argument("--loc-delta", type=float, dest="loc_delta",
-                        help="localization width as a fraction of the strike level")
+                        help="localization width as a fraction of the strike level, "
+                        "or of the mean spot for asian-floating")
     parser.add_argument("--fd-bump", type=float, dest="fd_bump",
                         help="relative spot bump for finite differences")
     parser.add_argument("--assets", type=int, help="ladder-market asset count")
@@ -258,9 +259,12 @@ def _named(refusal: ArgumentError, field_names: dict) -> str:
 
 
 def _check_run(values: dict) -> None:
-    """Refuse output paths in a missing directory or naming one file, before any work."""
+    """Refuse output paths that are directories, in a missing directory or
+    naming one file, before any work."""
     for field in ("output", "debug_replications"):
         path = values[field]
+        if path is not None and os.path.isdir(path):
+            raise ConfigurationError(f"{field}: cannot write {path!r}: it is a directory")
         if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
             raise ConfigurationError(
                 f"{field}: directory of {path!r} does not exist")

@@ -9,11 +9,9 @@ key splitting so any replication can be regenerated in isolation.
 
 The direction integers are the Joe & Kuo numbers (SIAM J. Sci. Comput.
 2008), expanded by the Bratley & Fox recurrence (ACM TOMS 1988,
-Algorithm 659). Their primitive polynomials and initial values are read
-from the data file that scipy's own Sobol engine reads,
-_sobol_direction_numbers.npz in scipy's statistics subpackage. Only the
-file is read, located without importing scipy: no scipy module, nor
-the import time and memory it brings, enters the process.
+Algorithm 659). Their primitive polynomials and initial values ship
+with the package as joe_kuo.npz, a byte copy of the file scipy's own
+Sobol engine reads, under scipy's BSD-3 licence (joe_kuo.LICENSE.txt).
 
 The inverse normal is Wichura's AS241 (Applied Statistics 37, 1988),
 three rational functions of degree 7 over 7 that need only arithmetic,
@@ -36,7 +34,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from importlib.util import find_spec
 from pathlib import Path
 
 import numpy as np
@@ -52,11 +49,7 @@ _SCALE = 2.0 ** BITS
 _ONE = np.uint64(1)
 # bit shift of digit 0 (the most significant) through digit BITS - 1
 _DIGIT_SHIFTS = np.arange(BITS - 1, -1, -1, dtype=np.uint64)
-_SCIPY = find_spec("scipy")
-if _SCIPY is None:
-    raise ImportError("qmcgreeks reads its Sobol direction numbers from scipy's "
-                      "data file; install scipy")
-_JOE_KUO_TABLE = Path(_SCIPY.origin).parent / "stats" / "_sobol_direction_numbers.npz"
+_JOE_KUO_TABLE = Path(__file__).with_name("joe_kuo.npz")
 
 # Wichura's AS241 (PPND16): (numerator, denominator) coefficients of its
 # three rationals, constant term first
@@ -172,8 +165,9 @@ def _substream(seed: int, *key: int) -> Generator:
 def _joe_kuo(dimension: int) -> tuple[np.ndarray, np.ndarray]:
     """Primitive polynomials (dimension,) and initial direction numbers
     (dimension, max degree) of the leading `dimension` rows of the
-    Joe-Kuo table, read from the file on every call and sliced before
-    the conversion, so nothing of the whole table outlives the call.
+    Joe-Kuo table, read from the packaged joe_kuo.npz on every call and
+    sliced before the conversion, so nothing of the whole table outlives
+    the call.
 
     A polynomial is stored with its leading and constant terms, so its
     degree s is its bit length minus one; row 0 is the first dimension,

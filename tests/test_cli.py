@@ -244,10 +244,38 @@ def test_missing_output_directory_exits_before_estimation(monkeypatch, capsys,
 
 
 def test_unwritable_output_exits_with_config_code(capsys, tmp_path):
-    # the directory exists, so only the write itself can fail
+    # the path names an existing directory, refused before any work
     assert cli.run(FAST + ["--output", str(tmp_path)]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert "cannot write" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("field", ["output", "debug_replications"])
+def test_an_output_path_that_is_a_directory_is_refused_before_any_work(
+        monkeypatch, capsys, tmp_path, field):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("estimate_sweep ran before the refusal")
+
+    monkeypatch.setattr(cli, "estimate_sweep", unreachable)
+    flag = "--" + field.replace("_", "-")
+    assert cli.run(FAST + [flag, str(tmp_path)]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{field}: cannot write" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_a_write_that_fails_after_the_run_exits_with_config_code(monkeypatch, capsys,
+                                                                 tmp_path):
+    # a write can still fail once the run is done, on a full disk say
+    def refuse(path, header, rows):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "_write_csv", refuse)
+    assert cli.run(FAST + ["--output", str(tmp_path / "out.csv")]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "error: cannot write output" in err
     assert "Traceback" not in err
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from scipy.special import ndtr, ndtri
 
 from qmcgreeks import qmc
@@ -385,17 +386,42 @@ def test_block_sizes_refuse_a_dimension_below_one_as_the_draws_do(mode):
 
 
 def test_package_import_leaves_scipy_stats_unloaded():
-    # the direction table is read from scipy's data file and the inverse
-    # normal is numpy's, so neither the package nor its CLI loads any
-    # scipy module and the import cost it brings
+    # the direction table ships with the package and the inverse normal
+    # is numpy's, so neither the package nor its CLI loads any scipy
+    # module, and with scipy blocked from the import system every kind
+    # still imports and estimates
     src = Path(qmc.__file__).resolve().parents[1]
-    probe = ("import sys, qmcgreeks, qmcgreeks.cli; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    loaded = ("import sys, qmcgreeks, qmcgreeks.cli; "
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    blocked = ("import sys; sys.modules['scipy'] = None; "
+               "import qmcgreeks, qmcgreeks.cli; "
+               "from qmcgreeks.estimator import estimate; "
+               "from qmcgreeks.payoffs import PayoffSpec; "
+               "from qmcgreeks.presets import ladder_market, standard_stream; "
+               "market = ladder_market(2, 2); "
+               "qmc = standard_stream(points=16, replications=2); "
+               "print([estimate(market, PayoffSpec(kind, 100.0), qmc).deltas.shape "
+               "for kind in ('call', 'floating', 'digital', 'best_of')])")
     env = {**os.environ, "PYTHONPATH": str(src)}
-    run = subprocess.run([sys.executable, "-c", probe], env=env,
-                         capture_output=True, text=True, timeout=120)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "[]"
+    for probe, printed in ((loaded, "[]"), (blocked, "[(2,), (2,), (2,), (2,)]")):
+        run = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == printed
+
+
+def test_shipped_direction_table_matches_scipys_file():
+    # joe_kuo.npz is a byte copy of scipy's table: both members agree in
+    # dtype, shape and values, and its rows bound the supported dimension
+    scipy_table = Path(scipy.__file__).parent / "stats" / "_sobol_direction_numbers.npz"
+    with np.load(qmc._JOE_KUO_TABLE) as shipped, np.load(scipy_table) as reference:
+        assert sorted(shipped.files) == sorted(reference.files) == ["poly", "vinit"]
+        for member in ("poly", "vinit"):
+            ours, theirs = shipped[member], reference[member]
+            assert ours.dtype == theirs.dtype
+            assert ours.shape == theirs.shape
+            assert np.array_equal(ours, theirs)
+        assert len(shipped["poly"]) == len(shipped["vinit"]) == qmc.MAX_DIMENSION == 21201
 
 
 def test_a_first_draw_keeps_nothing_of_the_whole_direction_table():

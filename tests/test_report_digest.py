@@ -48,6 +48,34 @@ def test_a_report_in_one_file_only_differs(digest, capsys):
             "1 differing reports of 3; max |delta difference| = 0"]
 
 
+@pytest.mark.parametrize("text, message", [
+    ("{}", "is an empty digest"),
+    ("[]", "holds no report digest"),
+    ('{"table1/fd/workers=1": 1}', "holds no report digest"),
+    ('{"table1/fd/workers=1": {"deltas": [0.3]}}', "holds no report digest"),
+    ("{", "cannot read digest"),
+    (None, "cannot read digest"),
+    ("directory", "cannot read digest"),
+])
+def test_compare_refuses_a_file_that_is_no_digest(digest, tmp_path, capsys, text, message):
+    # an empty digest would compare clean against another; each refusal,
+    # of a missing file or a directory too, is an argparse error naming
+    # the file, on either side
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps(PARENT), encoding="utf-8")
+    if text == "directory":
+        bad.mkdir()
+    elif text is not None:
+        bad.write_text(text, encoding="utf-8")
+    for pair in ((bad, good), (good, bad)):
+        with pytest.raises(SystemExit) as refusal:
+            digest.main(["--compare", *map(str, pair)])
+        assert refusal.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{bad}" in captured.err and message in captured.err
+
+
 def test_compare_reads_two_digest_files(digest, tmp_path, capsys):
     paths = []
     for name, reports in (("parent.json", PARENT),

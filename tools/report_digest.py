@@ -26,7 +26,8 @@ and of replication means over the reports both have, each on its own;
 a statistic that an older digest lacks is skipped. It also prints the
 largest absolute width difference over the reports whose digests both
 carry widths, which fd reports, sweep entries and older digests do not.
-It exits 1 when any report differs.
+It exits 1 when any report differs, and 2, naming the file, when a file
+cannot be read, holds no digest object or holds an empty one.
 
 Reports are bit-identical across worker counts, and across OpenBLAS
 thread counts since the path product is padded to a multiple of 32
@@ -153,6 +154,21 @@ def largest_gap(parent: dict, change: dict, field: str, keys) -> float:
                 for key in keys), default=0.0)
 
 
+def load_digest(parser: argparse.ArgumentParser, path: str) -> dict:
+    """The digest in `path`; an unreadable file, a value that is not a
+    digest object and an empty digest are argparse errors naming it."""
+    try:
+        reports = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        parser.error(f"cannot read digest {path}: {exc}")
+    if not isinstance(reports, dict) or not all(
+            isinstance(report, dict) and "sha256" in report for report in reports.values()):
+        parser.error(f"{path} holds no report digest")
+    if not reports:
+        parser.error(f"{path} is an empty digest")
+    return reports
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--small", action="store_true",
@@ -161,9 +177,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="compare two digest files instead of running")
     args = parser.parse_args(argv)
     if args.compare:
-        parent, change = (json.loads(Path(path).read_text(encoding="utf-8"))
-                          for path in args.compare)
-        return compare(parent, change)
+        return compare(*(load_digest(parser, path) for path in args.compare))
     json.dump(digest_reports(args.small), sys.stdout, indent=1, sort_keys=True)
     print()
     return 0
