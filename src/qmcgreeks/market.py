@@ -19,7 +19,7 @@ matrix G = R^T [A | B | C | 0] of shape (d, width), d = assets * dates:
 block A maps the draws to the log-spot grid, B to W(T), C to int W ds,
 and zero columns pad d + 2m to a multiple of PRODUCT_COLUMNS.
 A rotated replication is then one product normals @ G, plus the drift
-offset and exp on the spot columns. Unrotated draws are the increments
+offset and exp over the whole product. Unrotated draws are the increments
 themselves and skip the d x d product; their build writes the same
 columns, so either generator fills one product buffer.
 """
@@ -167,9 +167,10 @@ class PathGenerator:
     A path product has `width` columns: the log-spot grid, asset-major,
     W(T), int W ds, then padding. matrix is the read-only
     G = R^T [A | B | C | 0], (d, width), None without a rotation. The
-    read-only offset (d,) is added to the grid: log S_i(0) +
-    (r - sigma_i^2/2) t_j with a rotation, the drift alone without,
-    whose build scales by S_i(0) last.
+    read-only offset (width,) is added to the product before exp: on the
+    grid columns log S_i(0) + (r - sigma_i^2/2) t_j with a rotation, the
+    drift alone without, whose build scales by S_i(0) last; 0 on the
+    others.
     """
 
     loadings: np.ndarray
@@ -189,7 +190,8 @@ def _brownian_sums(config: MarketConfig, loadings: np.ndarray,
                    draws: np.ndarray, out: np.ndarray) -> None:
     """Write the driftless log-spot grid, asset-major, W(T) and the
     trapezoid int W ds of time-major draws (rows, d) into the leading
-    d + 2m columns of `out` (rows, width); `draws` is only read."""
+    d + 2m columns of `out` (rows, width), and zeros into the rest;
+    `draws` is only read."""
     m, n, d = config.n_assets, config.n_dates, config.nominal_dimension
     dt = config.interval_lengths
     increments = draws.reshape(-1, n, m).transpose(0, 2, 1) * np.sqrt(dt)
@@ -199,6 +201,7 @@ def _brownian_sums(config: MarketConfig, loadings: np.ndarray,
     out[:, d:d + m] = w_grid[:, :, -1]
     # trapezoid sum_j (W_{j-1} + W_j) dt_j / 2 with W_0 = 0, regrouped by W_j
     np.matmul(w_grid, 0.5 * (dt + np.append(dt[1:], 0.0)), out=out[:, d + m:d + 2 * m])
+    out[:, d + 2 * m:] = 0.0
 
 
 def _is_identity(matrix: np.ndarray, d: int) -> bool:
@@ -219,10 +222,11 @@ def path_generator(config: MarketConfig, loadings: np.ndarray,
     d, m = config.nominal_dimension, config.n_assets
     width = -(-(d + 2 * m) // PRODUCT_COLUMNS) * PRODUCT_COLUMNS
     loadings = _frozen_array(loadings)
-    drift = ((config.rate - 0.5 * config.vols ** 2)[:, None]
-             * config.monitoring_times).reshape(d)
+    offset = np.zeros(width)
+    offset[:d] = ((config.rate - 0.5 * config.vols ** 2)[:, None]
+                  * config.monitoring_times).reshape(d)
     if rotation is None or _is_identity(rotation, d):
-        return PathGenerator(loadings, _frozen_array(drift), width)
+        return PathGenerator(loadings, _frozen_array(offset), width)
     matrix = np.zeros((d, width))
     # blocks of nearly equal size, so none is a single row: numpy lays out a
     # lone row's temporaries in another order, which rounds int W ds apart
@@ -231,7 +235,7 @@ def path_generator(config: MarketConfig, loadings: np.ndarray,
     for rows in map(slice, edges, edges[1:]):
         _brownian_sums(config, loadings, rotation.T[rows], matrix[rows])
     matrix.setflags(write=False)
-    offset = np.repeat(np.log(config.spots), config.n_dates) + drift
+    offset[:d] += np.repeat(np.log(config.spots), config.n_dates)
     return PathGenerator(loadings, _frozen_array(offset), width, matrix)
 
 
@@ -241,9 +245,9 @@ def simulate_paths(config: MarketConfig, generator: PathGenerator,
     time-major: coordinate (j-1)*M + m feeds driver m over (t_{j-1}, t_j].
     Either generator writes the path product, normals @ G or the draws'
     Brownian sums, into `out` when it is given, a C-contiguous float64
-    (paths, generator.width) array, else into a new one; the offset and
-    exp then act in place on its spot columns, which the bundle's spot
-    grid views."""
+    (paths, generator.width) array, else into a new one. The W columns
+    are copied out, then the offset and exp act in place on the whole
+    product, whose spot columns the bundle's spot grid views."""
     p, d = normals.shape
     m, n = config.n_assets, config.n_dates
     if d != m * n:
@@ -254,11 +258,11 @@ def simulate_paths(config: MarketConfig, generator: PathGenerator,
         _brownian_sums(config, generator.loadings, normals, y)
     else:
         np.matmul(normals, generator.matrix, out=y)
-    spots = y[:, :d]
-    spots += generator.offset
-    np.exp(spots, out=spots)
-    spots = spots.reshape(p, m, n)
+    # the W columns are copied out as contiguous (paths, assets) arrays
+    w_terminal, w_time_integral = y[:, d:d + m].copy(), y[:, d + m:d + 2 * m].copy()
+    y += generator.offset
+    np.exp(y, out=y)
+    spots = y[:, :d].reshape(p, m, n)
     if generator.matrix is None:
         spots *= config.spots[:, None]
-    # the W columns are copied out as contiguous (paths, assets) arrays
-    return PathBundle(spots, y[:, d:d + m].copy(), y[:, d + m:d + 2 * m].copy())
+    return PathBundle(spots, w_terminal, w_time_integral)

@@ -23,12 +23,13 @@ between CPUs that numpy runs on different loops, though never between
 runs on one machine.
 
 The scramble acts on direction integers, not on points. The Sobol
-stream is generated in Gray-code order, each point the previous one
-XOR one direction integer, and the scramble is affine over GF(2), so a
-block of n points needs only its floor(log2 n) + 1 directions
-scrambled and one running XOR down the point axis (Hong & Hickernell,
-Algorithm 823, ACM TOMS 2003). The result equals scrambling every
-point bit for bit.
+stream is generated in Gray-code order, and the Gray code reflects: net
+point 2^c + t is net point 2^c - 1 - t XOR the direction v_c. The
+scramble is affine over GF(2), so a block of n points needs only its
+floor(log2 n) + 1 directions scrambled, and each doubling of the
+scrambled net is its reversed first half XOR one scrambled direction
+(Hong & Hickernell, Algorithm 823, ACM TOMS 2003). The result equals
+scrambling every point bit for bit.
 """
 from __future__ import annotations
 
@@ -45,7 +46,6 @@ UNIT_LOW = 2.0 ** -53
 UNIT_HIGH = 1.0 - 2.0 ** -53
 MODES = ("scrambled_sobol", "pseudo_random")
 
-_SCALE = 2.0 ** BITS
 _ONE = np.uint64(1)
 # bit shift of digit 0 (the most significant) through digit BITS - 1
 _DIGIT_SHIFTS = np.arange(BITS - 1, -1, -1, dtype=np.uint64)
@@ -179,15 +179,15 @@ def _joe_kuo(dimension: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=8)
-def _gray_code_table(dimension: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Direction integers and Gray-code steps of the first `count` stream points.
+def _gray_code_table(dimension: int, count: int) -> np.ndarray:
+    """Direction integers that span the first `count` stream points.
 
-    The Sobol stream runs in Gray-code order (Antonov & Saleev): with
-    the all-zero origin skipped, stream point 0 is the direction v_0
-    and stream point i is stream point i-1 XOR v_c(i), where
-    c(i) = ctz(i+1). Returns the (c_max+1, dimension) table of the v_c
-    as 32-bit integers and the (count,) step index c(i), both cached
-    read-only because every replication reuses them under different
+    The Sobol stream runs in Gray-code order (Antonov & Saleev): net
+    point k is the XOR of the v_c over the set bits c of k XOR (k >> 1),
+    and the stream skips the all-zero origin, net point 0, so stream
+    point i is net point i + 1. Returns the (c_max+1, dimension) table
+    of the v_c as 32-bit integers, c_max = floor(log2 count), cached
+    read-only because every replication reuses it under different
     scrambles.
 
     Only the columns c <= c_max are built. A dimension whose polynomial
@@ -216,11 +216,8 @@ def _gray_code_table(dimension: int, count: int) -> tuple[np.ndarray, np.ndarray
             new ^= coeff[rows, k - 1] * (tail[rows, c - k] << np.uint64(k))
         tail[rows, c] = new
     directions = (m << (BITS - 1 - np.arange(columns, dtype=np.uint64))).T.copy()
-    stream = np.arange(1, count + 1)
-    steps = np.log2(stream & -stream).astype(np.intp)
-    for table in (directions, steps):
-        table.setflags(write=False)
-    return directions, steps
+    directions.setflags(write=False)
+    return directions
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,7 +239,7 @@ class DigitalScramble:
         # one draw in digit-major order, the order of a per-digit loop
         below = rng.integers(0, diagonal[:, None], size=(BITS, dims), dtype=np.uint64)
         columns = (diagonal[:, None] | below).T
-        shift = rng.integers(0, int(_SCALE), size=dims, dtype=np.uint64)
+        shift = rng.integers(0, 1 << BITS, size=dims, dtype=np.uint64)
         return cls(columns=columns, shift=shift)
 
     def apply(self, raw: np.ndarray) -> np.ndarray:
@@ -263,15 +260,6 @@ def _output(out: np.ndarray | None, shape: tuple[int, ...],
             and out.dtype == np.float64 and out.flags.c_contiguous):
         raise ValueError(f"{name} must be a C-contiguous float64 array of shape {shape}")
     return out
-
-
-def to_unit(ints: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Map scrambled integers to the open unit interval, into `out` when
-    given; `out` may be `ints` itself when it holds them as float64.
-    Scaling by the power of two 2**-BITS is exact, so it equals dividing."""
-    unit = np.multiply(ints, 1.0 / _SCALE,
-                       out=None if out is None else _output(out, np.shape(ints)))
-    return np.clip(unit, UNIT_LOW, UNIT_HIGH, out=unit)
 
 
 def _polynomial(coefficients: tuple[float, ...], x: np.ndarray,
@@ -360,28 +348,35 @@ def lss_assemble(config: QmcConfig, replication: int, dimension: int,
     independently so that block couplings are randomized rather than
     inherited from the generator.
 
-    The scramble x -> Mx XOR shift is affine over GF(2) and the stream
-    is a running XOR of direction integers along the Gray code, so the
-    scrambled point i is XOR_{j<=i} M v_c(j), XOR the shift: only the
-    few directions of a block are scrambled, not its points.
+    The scramble x -> Mx XOR shift is affine over GF(2) and the Gray
+    code reflects, so a block's scrambled net of n + 1 points starts at
+    the scrambled origin, the shift, and rows 2^c ... 2^(c+1) - 1 are
+    M v_c XOR rows 2^c - 1 ... 0: only the few directions of a block
+    are scrambled, not its points. Rows 1 ... n are the stream points,
+    and their map k -> k / 2**BITS is exact and below 1 - 2**-53, so
+    only a 0 needs lifting into the open unit interval.
     """
     shape = _draw_shape(config, dimension)
     n = shape[0]
     widths = config.block_sizes(dimension)
-    directions, steps = _gray_code_table(widths[0], n)
+    directions = _gray_code_table(widths[0], n)
     out = _output(out, shape)
     start = 0
     for block, width in enumerate(widths):
         rng = _substream(config.seed, replication, _TAG_SCRAMBLE, block)
         scramble = DigitalScramble.random(width, rng)
-        linear = scramble.apply(directions[:, :width]) ^ scramble.shift
-        ints = linear[steps]
-        np.bitwise_xor.accumulate(ints, axis=0, out=ints)
-        ints ^= scramble.shift
+        linear = (scramble.apply(directions[:, :width]) ^ scramble.shift).astype(np.uint32)
+        net = np.empty((n + 1, width), dtype=np.uint32)
+        net[0] = scramble.shift
+        for c, direction in enumerate(linear):
+            half = 1 << c
+            size = min(half, n + 1 - half)
+            np.bitwise_xor(net[half - size:half][::-1], direction,
+                           out=net[half:half + size])
         order = _substream(config.seed, replication, _TAG_ORDER, block).permutation(n)
-        out[:, start:start + width] = ints[order]
+        np.multiply(net[1:][order], 2.0 ** -BITS, out=out[:, start:start + width])
         start += width
-    return to_unit(out, out=out)
+    return np.maximum(out, UNIT_LOW, out=out)
 
 
 def replication_uniforms(config: QmcConfig, replication: int, dimension: int,

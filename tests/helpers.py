@@ -47,6 +47,12 @@ def scramble(raw: np.ndarray, seed) -> np.ndarray:
     return qmc.DigitalScramble.random(raw.shape[1], rng).apply(raw)
 
 
+def to_unit(ints: np.ndarray) -> np.ndarray:
+    """Scrambled integers k as k / 2**BITS, clipped into the open unit
+    interval as every uniform source of the package clips."""
+    return np.clip(ints * 2.0 ** -qmc.BITS, qmc.UNIT_LOW, qmc.UNIT_HIGH)
+
+
 def per_point_uniforms(config: qmc.QmcConfig, replication: int,
                        dimension: int) -> np.ndarray:
     """lss_assemble with every raw point of every block scrambled."""
@@ -60,7 +66,7 @@ def per_point_uniforms(config: qmc.QmcConfig, replication: int,
         ints = qmc.DigitalScramble.random(width, rng).apply(raw[:, :width])
         order = qmc._substream(config.seed, replication, qmc._TAG_ORDER,
                                block).permutation(n)
-        out[:, start:start + width] = qmc.to_unit(ints[order])
+        out[:, start:start + width] = to_unit(ints[order])
         start += width
     return out
 

@@ -670,11 +670,14 @@ def test_out_forms_draw_the_same_bits_into_out(mode):
     for generator in (_rotated_generator(config),
                       path_generator(config, vol_loadings(config))):
         bundle = simulate_paths(config, generator, normals)
-        product = np.full((64, generator.width), np.nan)
-        written = simulate_paths(config, generator, drawn, out=product)
-        assert np.shares_memory(written.spot_grid, product)
-        for name in ("spot_grid", "w_terminal", "w_time_integral"):
-            assert np.array_equal(getattr(written, name), getattr(bundle, name)), name
+        # exp runs over the whole product, so a stale 1e300 left in its
+        # padding would overflow, which the test settings turn into an error
+        for stale in (np.nan, 1e300):
+            product = np.full((64, generator.width), stale)
+            written = simulate_paths(config, generator, drawn, out=product)
+            assert np.shares_memory(written.spot_grid, product)
+            for name in ("spot_grid", "w_terminal", "w_time_integral"):
+                assert np.array_equal(getattr(written, name), getattr(bundle, name)), name
     # the path build only reads the draws
     assert np.array_equal(drawn, normals)
 

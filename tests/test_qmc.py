@@ -81,7 +81,7 @@ def test_scrambling_preserves_net_property():
     block = _underlying_block(4)
     raw = np.round(block * 2.0 ** 32).astype(np.uint64)
     for seed in (1, 7, 99):
-        unit = qmc.to_unit(helpers.scramble(raw, seed))
+        unit = helpers.to_unit(helpers.scramble(raw, seed))
         assert _box_counts_all_one(unit, 4)
 
 
@@ -93,10 +93,19 @@ def test_stream_uniformity():
     assert np.abs(u.mean(axis=0) - 0.5).max() < bound
 
 
-def test_to_unit_stays_inside_open_interval():
-    ints = np.array([[0, 2 ** 32 - 1]], dtype=np.uint64)
-    u = qmc.to_unit(ints)
+def test_to_unit_stays_inside_open_interval(monkeypatch):
+    # the identity scramble's stream point 0 is v_0 XOR shift = 2**31 XOR
+    # shift, so shifts 2**31 and 2**31 - 1 give the extreme integers 0 and
+    # 2**32 - 1, which lss_assemble must map inside (0, 1)
+    shift = np.array([2 ** 31, 2 ** 31 - 1], dtype=np.uint64)
+    monkeypatch.setattr(qmc.DigitalScramble, "random", classmethod(
+        lambda cls, dims, rng: qmc.DigitalScramble(
+            helpers.identity_scramble(dims).columns, shift[:dims])))
+    config = qmc.QmcConfig(points_per_replication=1, replications=1,
+                           lss_block_dimension=2, seed=0)
+    u = qmc.lss_assemble(config, 0, 2)
     assert u[0, 0] == 2.0 ** -53
+    assert u[0, 1] == (2 ** 32 - 1) * 2.0 ** -32
     assert u[0, 1] <= 1.0 - 2.0 ** -53
     assert 0.0 < u[0, 0] < u[0, 1] < 1.0
 
@@ -238,7 +247,7 @@ def test_supercube_columns_are_block_permutations():
     for block, width in enumerate(config.block_sizes(7)):
         rng = qmc._substream(config.seed, 1, qmc._TAG_SCRAMBLE, block)
         ints = qmc.DigitalScramble.random(width, rng).apply(raw[:, :width])
-        expected = qmc.to_unit(ints)
+        expected = helpers.to_unit(ints)
         start = block * 4
         got = u[:, start:start + width]
         assert np.array_equal(np.sort(got, axis=0), np.sort(expected, axis=0))
@@ -268,8 +277,21 @@ def test_pseudo_random_mode():
 
 def test_every_uniform_source_clips_inside_the_open_interval(monkeypatch):
     # to_normal refuses 0 and 1, so every uniform source must clip inside
-    # (0, 1): to_unit's clip is pinned above, the pseudo-random clip here on
-    # the generator's extreme outputs
+    # (0, 1). A scrambled Sobol point reads at most 1 - 2**-32, but it can
+    # be 0: the identity scramble with shift v_0 = 2**31 zeroes stream
+    # point 0 in every dimension, and only that entry of each column
+    shift = np.full(3, 2 ** 31, dtype=np.uint64)
+    monkeypatch.setattr(qmc.DigitalScramble, "random", classmethod(
+        lambda cls, dims, rng: qmc.DigitalScramble(
+            helpers.identity_scramble(dims).columns, shift[:dims])))
+    config = qmc.QmcConfig(points_per_replication=8, replications=1,
+                           lss_block_dimension=2, seed=0)
+    u = qmc.replication_uniforms(config, 0, 3)
+    assert ((u > 0.0) & (u < 1.0)).all()
+    assert ((u == 2.0 ** -53).sum(axis=0) == 1).all()
+    assert np.isfinite(qmc.replication_normals(config, 0, 3)).all()
+
+    # the pseudo-random clip, on the generator's extreme outputs
     class Extremes:
         def random(self, out):
             out[...] = np.resize([0.0, np.nextafter(1.0, 0.0)], out.shape)
@@ -318,17 +340,19 @@ def test_scramble_apply_matches_per_digit_loop():
 ])
 def test_stream_is_gray_code_ordered(dimension, count):
     raw = helpers.raw_sobol_block(dimension, count)
-    directions, steps = qmc._gray_code_table(dimension, count)
+    directions = qmc._gray_code_table(dimension, count)
     assert directions.shape == (count.bit_length(), dimension)
     assert directions.dtype == raw.dtype
-    assert steps.tolist() == [((i + 1) & -(i + 1)).bit_length() - 1
-                              for i in range(count)]
-    # stream point i is stream point i-1 XOR v_ctz(i+1), the origin before 0
-    previous = np.vstack([np.zeros((1, dimension), dtype=np.uint64), raw[:-1]])
-    assert np.array_equal(raw ^ previous, directions[steps])
+    # net point k + 1 is stream point k, net point 0 the origin; the Gray
+    # code reflects: net point 2^c + t is v_c XOR net point 2^c - 1 - t,
+    # which fixes every stream point from the origin
+    net = np.vstack([np.zeros((1, dimension), dtype=np.uint64), raw])
+    for c, direction in enumerate(directions):
+        t = np.arange(min(2 ** c, count + 1 - 2 ** c))
+        assert np.array_equal(net[2 ** c + t], direction ^ net[2 ** c - 1 - t])
 
 
-@pytest.mark.parametrize("points", [1, 2, 256, 1000])
+@pytest.mark.parametrize("points", [1, 2, 3, 255, 256, 257, 1000, 2048])
 @pytest.mark.parametrize("nominal, block", [(1, 1), (7, 3), (50, 50), (107, 50)])
 def test_lss_assemble_matches_per_point_scramble(points, nominal, block):
     config = qmc.QmcConfig(points_per_replication=points,
