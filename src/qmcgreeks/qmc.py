@@ -10,8 +10,9 @@ key splitting so any replication can be regenerated in isolation.
 The direction integers are the Joe & Kuo numbers (SIAM J. Sci. Comput.
 2008), expanded by the Bratley & Fox recurrence (ACM TOMS 1988,
 Algorithm 659). Their primitive polynomials and initial values ship
-with the package as joe_kuo.npz, a byte copy of the file scipy's own
-Sobol engine reads, under scipy's BSD-3 licence (joe_kuo.LICENSE.txt).
+with the package as joe_kuo.npy, one uint32 row per dimension repacked
+from the file scipy's own Sobol engine reads, under scipy's BSD-3
+licence (joe_kuo.LICENSE.txt).
 
 The inverse normal is Wichura's AS241 (Applied Statistics 37, 1988),
 three rational functions of degree 7 over 7 that need only arithmetic,
@@ -49,7 +50,7 @@ MODES = ("scrambled_sobol", "pseudo_random")
 _ONE = np.uint64(1)
 # bit shift of digit 0 (the most significant) through digit BITS - 1
 _DIGIT_SHIFTS = np.arange(BITS - 1, -1, -1, dtype=np.uint64)
-_JOE_KUO_TABLE = Path(__file__).with_name("joe_kuo.npz")
+_JOE_KUO_TABLE = Path(__file__).with_name("joe_kuo.npy")
 
 # Wichura's AS241 (PPND16): (numerator, denominator) coefficients of its
 # three rationals, constant term first
@@ -122,7 +123,8 @@ class QmcConfig:
     scrambled Sobol blocks of that size whose run orders are permuted
     independently (Latin supercube sampling); the final block is
     truncated to the leftover dimensions. Only a block draws Sobol
-    columns, so the Sobol table caps lss_block_dimension, not d. The
+    columns, so the Sobol table caps lss_block_dimension, not d, and
+    the 32-bit net caps points_per_replication below 2**BITS. The
     counts and the seed must be integers, numpy's included but not
     bools; each refusal is an ArgumentError naming its field.
     """
@@ -145,6 +147,11 @@ class QmcConfig:
             raise DimensionError(
                 "lss_block_dimension", f"lss_block_dimension {self.lss_block_dimension} "
                 f"exceeds the supported Sobol table ({MAX_DIMENSION} dimensions)")
+        if self.mode == "scrambled_sobol" and self.points_per_replication >= 2 ** BITS:
+            raise ArgumentError(
+                "points_per_replication", f"points_per_replication "
+                f"{self.points_per_replication} exceeds the {BITS}-bit Sobol net "
+                f"({2 ** BITS - 1} points)")
 
     def block_sizes(self, dimension: int) -> tuple[int, ...]:
         """Supercube block dimensions covering `dimension`, the last possibly truncated."""
@@ -165,17 +172,23 @@ def _substream(seed: int, *key: int) -> Generator:
 def _joe_kuo(dimension: int) -> tuple[np.ndarray, np.ndarray]:
     """Primitive polynomials (dimension,) and initial direction numbers
     (dimension, max degree) of the leading `dimension` rows of the
-    Joe-Kuo table, read from the packaged joe_kuo.npz on every call and
-    sliced before the conversion, so nothing of the whole table outlives
-    the call.
+    Joe-Kuo table.
 
-    A polynomial is stored with its leading and constant terms, so its
-    degree s is its bit length minus one; row 0 is the first dimension,
-    whose direction numbers are all 1.
+    The packaged joe_kuo.npy is a C-order uint32 (MAX_DIMENSION, 19)
+    array: row i is dimension i's polynomial, then its 18 initial
+    direction numbers. Every call reads its header and then only the
+    leading rows, so no call decodes or keeps the whole table; it is
+    read rather than memory-mapped, because a mapping raised the best_of
+    benchmark's peak RSS. A polynomial is stored with its leading and
+    constant terms, so its degree s is its bit length minus one; row 0
+    is the first dimension, whose direction numbers are all 1.
     """
-    with np.load(_JOE_KUO_TABLE) as table:
-        return (table["poly"][:dimension].astype(np.uint64),
-                table["vinit"][:dimension].astype(np.uint64))
+    with open(_JOE_KUO_TABLE, "rb") as table:
+        np.lib.format.read_magic(table)
+        shape, _, dtype = np.lib.format.read_array_header_1_0(table)
+        rows = np.fromfile(table, dtype, dimension * shape[1]).reshape(dimension, -1)
+    rows = rows.astype(np.uint64)
+    return rows[:, 0], rows[:, 1:]
 
 
 @lru_cache(maxsize=8)

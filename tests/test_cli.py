@@ -213,6 +213,8 @@ def test_invalid_market_entries_exit_before_estimation(monkeypatch, capsys, tmp_
     (["--lss-block", "21202"], "block = 21202",
      "error: lss_block: lss_block_dimension 21202 exceeds the supported Sobol table"),
     (["--seed", "-1"], "seed = -1", "error: seed: seed must be at least 0; got -1"),
+    (["--points", "4294967296"], "points = 4294967296",
+     "error: points: points_per_replication 4294967296 exceeds the 32-bit Sobol net"),
 ])
 def test_sampling_plan_refusals_name_the_run_field(monkeypatch, capsys, tmp_path,
                                                    flags, file_entry, message):
@@ -225,6 +227,20 @@ def test_sampling_plan_refusals_name_the_run_field(monkeypatch, capsys, tmp_path
     for argv in (flags, ["--config", str(ini)]):
         assert cli.run(argv) == cli.EXIT_CONFIG
         assert capsys.readouterr().err.startswith(message)
+
+
+def test_pseudo_random_points_pass_the_sobol_net_cap(monkeypatch, tmp_path):
+    class Reached(Exception):
+        pass
+
+    def reached(market, specs, qmc, *args, **kwargs):
+        raise Reached(qmc.points_per_replication)
+
+    monkeypatch.setattr(cli, "estimate_sweep", reached)
+    ini = tmp_path / "run.ini"
+    ini.write_text("[qmc]\nmode = pseudo_random\npoints = 4294967296\n")
+    with pytest.raises(Reached, match="^4294967296$"):
+        cli.run(["--config", str(ini)])
 
 
 @pytest.mark.parametrize("flag, field", [("--output", "output"),

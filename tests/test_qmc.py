@@ -221,6 +221,26 @@ def test_config_validation():
             qmc.QmcConfig(**good))
 
 
+def test_the_32_bit_sobol_net_caps_the_point_count():
+    # 2**BITS - 1 stream points fill the net, whose BITS directions are all
+    # nonzero; one more would need a direction the net does not have
+    good = dict(replications=2, lss_block_dimension=3, seed=1)
+    largest = 2 ** qmc.BITS - 1
+    full = qmc.QmcConfig(points_per_replication=largest, **good)
+    assert full.points_per_replication == largest
+    directions = qmc._gray_code_table(3, largest)
+    assert directions.shape == (qmc.BITS, 3) and directions.all()
+    for count in (2 ** qmc.BITS, np.int64(2 ** qmc.BITS), 2 ** 64):
+        with pytest.raises(qmc.ArgumentError, match=(
+                f"points_per_replication {count} exceeds the 32-bit Sobol net "
+                f"\\({largest} points\\)")) as refusal:
+            qmc.QmcConfig(points_per_replication=count, **good)
+        assert refusal.value.argument == "points_per_replication"
+    # pseudo-random draws have no net, so their count stays uncapped
+    pseudo = qmc.QmcConfig(points_per_replication=2 ** 64, mode="pseudo_random", **good)
+    assert pseudo.points_per_replication == 2 ** 64
+
+
 def test_block_sizes_with_truncated_tail():
     config = qmc.QmcConfig(points_per_replication=8,
                            replications=1, lss_block_dimension=50, seed=0)
@@ -435,31 +455,40 @@ def test_package_import_leaves_scipy_stats_unloaded():
 
 
 def test_shipped_direction_table_matches_scipys_file():
-    # joe_kuo.npz is a byte copy of scipy's table: both members agree in
-    # dtype, shape and values, and its rows bound the supported dimension
+    # joe_kuo.npy repacks scipy's two members into one C-order uint32
+    # array: row i is dimension i's polynomial, then its 18 initial
+    # direction numbers; this builds it from scipy's file and compares
     scipy_table = Path(scipy.__file__).parent / "stats" / "_sobol_direction_numbers.npz"
-    with np.load(qmc._JOE_KUO_TABLE) as shipped, np.load(scipy_table) as reference:
-        assert sorted(shipped.files) == sorted(reference.files) == ["poly", "vinit"]
-        for member in ("poly", "vinit"):
-            ours, theirs = shipped[member], reference[member]
-            assert ours.dtype == theirs.dtype
-            assert ours.shape == theirs.shape
-            assert np.array_equal(ours, theirs)
-        assert len(shipped["poly"]) == len(shipped["vinit"]) == qmc.MAX_DIMENSION == 21201
+    with np.load(scipy_table) as reference:
+        expected = np.column_stack([reference["poly"], reference["vinit"]])
+    assert expected.min() >= 0 and expected.max() < 2 ** 32
+    shipped = np.load(qmc._JOE_KUO_TABLE)
+    assert shipped.dtype == np.uint32 and shipped.flags.c_contiguous
+    assert shipped.shape == expected.shape == (qmc.MAX_DIMENSION, 19)
+    assert qmc.MAX_DIMENSION == 21201
+    assert np.array_equal(shipped, expected)
 
 
 def test_a_first_draw_keeps_nothing_of_the_whole_direction_table():
     # a run reads only its block's rows of the 21,201-row Joe-Kuo table,
     # so after the first draw a process keeps the block's direction
-    # table (about 20 KB) and nothing of the 3 MB file
+    # table (about 20 KB) and nothing of the 1.6 MB file, and the first
+    # draw's traced peak stays within 10% of a second one's, which finds
+    # that table cached
     src = Path(qmc.__file__).resolve().parents[1]
     probe = ("import tracemalloc, numpy as np; from qmcgreeks import qmc; "
-             "config = qmc.QmcConfig(points_per_replication=2048, replications=1, "
+             "config = qmc.QmcConfig(points_per_replication=2048, replications=2, "
              "lss_block_dimension=50, seed=42); out = np.empty((2048, 640)); "
              "tracemalloc.start(); qmc.lss_assemble(config, 0, 640, out=out); "
-             "print(tracemalloc.get_traced_memory()[0])")
+             "kept, first = tracemalloc.get_traced_memory(); tracemalloc.reset_peak(); "
+             "qmc.lss_assemble(config, 1, 640, out=out); "
+             "print(kept, first, tracemalloc.get_traced_memory()[1])")
     env = {**os.environ, "PYTHONPATH": str(src)}
     run = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    assert int(run.stdout) < 256 * 1024
+    kept, first, second = map(int, run.stdout.split())
+    print(f"kept {kept} B; traced peak of the first draw {first} B, "
+          f"of the second {second} B")
+    assert kept < 256 * 1024
+    assert first <= 1.1 * second, (first, second)
