@@ -12,7 +12,8 @@ precision so parsing the file recovers the report exactly.
 Each refusal exits EXIT_CONFIG before any work and has one owner: the
 library refuses what it cannot use, and the refusals of `QmcConfig` and
 `estimate_sweep` are shown under the run field's name; the CLI itself
-checks only its file entries, the sweep syntax and the output paths.
+checks only its file entries, the sweep syntax, a strike or sweep on
+the strike-free floating payoff, and the output paths.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ import numpy as np
 
 from .estimator import METHODS, ArgumentError, EstimationError, estimate_sweep
 from .market import MarketConfig
-from .payoffs import PayoffSpec
+from .payoffs import FAMILIES, PayoffSpec
 from .presets import PRESETS, equicorrelated_market, ladder_market, preset, standard_stream
 from .qmc import MODES
 
@@ -206,6 +207,7 @@ def _resolve(args) -> dict:
     values = {field: default for field, (default, *_) in _SETTINGS.items()}
     market: MarketConfig | None = None
 
+    updates = {}
     if args.preset:
         chosen = preset(args.preset)
         values.update(kind=chosen.kind, strike=chosen.strike)
@@ -222,6 +224,14 @@ def _resolve(args) -> dict:
         flag = getattr(args, field, None)
         if flag is not None:
             values[field] = parse(flag)
+    if not FAMILIES[values["kind"]].fixed_strike:
+        # a strike this payoff would ignore is refused, not dropped
+        for field, given in (("strike", args.strike is not None or "strike" in updates),
+                             ("sweep", args.sweep)):
+            if given:
+                raise ConfigurationError(
+                    f"{field} needs a fixed-strike payoff; {values['kind']} has no strike")
+        values["strike"] = 0.0
     geometry = {}
     if args.assets is not None:
         geometry["n_assets"] = _count("assets", args.assets)
@@ -247,9 +257,6 @@ def _resolve(args) -> dict:
     strikes = values["strikes"] = _parse_sweep(args.sweep) if args.sweep else None
     values["specs"] = [PayoffSpec(kind=values["kind"], strike=float(strike))
                        for strike in ([values["strike"]] if strikes is None else strikes)]
-    if strikes is not None and not values["specs"][0].family.fixed_strike:
-        raise ConfigurationError(
-            f"sweep needs a fixed-strike payoff; {values['kind']} has no strike")
     return values
 
 

@@ -3,10 +3,16 @@
 A spot delta of E[psi] moves the differentiation off the (possibly
 discontinuous) payoff and onto the path law: the derivative becomes
 E[psi * weight] for a Skorohod-integral weight built from the path.
-Every weight here comes from one identity: for an integrand u that is
-constant in time, the Skorohod integral against driver k is
+Every weight here comes from one identity, the Skorohod integral
+against driver k of a path functional F times a deterministic
+direction u,
 
-    delta(u) = u W_k(T) - int_0^T D_s u ds.
+    delta(F u) = F delta(u) - int_0^T u_s D_s F ds,
+
+for one of two directions: u = 1, where delta(u) = W_k(T), and u = s,
+where delta(u) = int_0^T s dW_k = T W_k(T) - int_0^T W_k ds. `_skorohod`
+is that identity, and each weight is jet arithmetic building F plus
+one call of it per term.
 
 The integrands are built from six linear path functionals per
 component, the basket jets of `basket_jets`: term and avg, asset k's
@@ -19,11 +25,12 @@ families read them as follows:
 * call:     delta(avg / int_avg), which the digital shares;
 * floating: delta((avg - term) / (int_avg - int_term));
 * best_of:  a genuine two-dimensional inversion over all six jets,
-  the difference of two Skorohod integrals of dual processes.
+  delta(dual_term term) - delta(dual_avg avg s), the first in
+  direction 1 and the second in direction s.
 
-For a ratio of jets g/d the identity expands to (g/d)(W_k(T) + di/d)
-- gi/d, with gi and di the derivative integrals of g and d; the tests
-keep that closed form as the oracle.
+The tests keep the expanded closed forms as oracles, such as
+(g/d)(W_k(T) + di/d) - gi/d for a ratio of jets g/d with derivative
+integrals gi and di.
 
 Every weight is built for all components at once: jets and weights
 carry a component axis, shape (paths, assets), so one call per path
@@ -89,10 +96,11 @@ class MalliavinJet:
     interval, so one sample per interval determines it; any fixed
     linear functionals of the derivative can stand in for those
     samples, since every rule below is linear in them. The basket jets
-    have value (paths, assets) and samples (2, paths, assets).
-    Arithmetic follows the exact product and quotient rules, which is
-    what makes chained expressions like (a*d - b*c) / e differentiable
-    without symbolic work.
+    have value (paths, assets) and samples (2, paths, assets): the
+    projections int D_s ds and int s D_s ds that the Skorohod integrals
+    in the directions 1 and s read. Arithmetic follows the exact
+    product and quotient rules, which is what makes chained expressions
+    like (a*d - b*c) / e differentiable without symbolic work.
     """
 
     value: np.ndarray
@@ -210,7 +218,7 @@ def basket_jets(config: MarketConfig, loadings: np.ndarray, weights: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# the Skorohod integral of a ratio and the single-variable weights
+# the Skorohod integral and the single-variable weights
 
 
 def _scaled_tolerance(values: np.ndarray) -> np.ndarray:
@@ -234,36 +242,37 @@ def _degenerate_split(grad: MalliavinJet,
     return degenerate, degenerate & ~harmless
 
 
-def _skorohod_integral(numerator, denom: MalliavinJet, w_terminal: np.ndarray,
-                       degenerate: np.ndarray) -> np.ndarray:
-    """delta(u) = u W_k(T) - int_0^T D_s u ds for u = numerator / denom,
-    zero on degenerate paths; numerator is a jet or a constant."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ratio = numerator / denom
-        values = ratio.value * w_terminal - ratio.samples[_DT]
-    return np.where(degenerate, 0.0, values)
+def _skorohod(integrand: MalliavinJet, driver: np.ndarray, projection: int) -> np.ndarray:
+    """delta(F u) = F delta(u) - int_0^T u_s D_s F ds for F = integrand.
+
+    The direction u is 1, with driver W_k(T) and projection _DT, or s,
+    with driver T W_k(T) - int_0^T W_k ds and projection _SDS; column k
+    is the integral against driver k."""
+    return integrand.value * driver - integrand.samples[projection]
 
 
 def skorohod_weight(grad: MalliavinJet, denom: MalliavinJet,
                     w_terminal: np.ndarray) -> PathWeights:
-    """delta(g/d) = (g/d)(W_k(T) + di/d) - gi/d.
+    """delta(g/d) in the direction 1, zero on degenerate paths.
 
     w_terminal holds W_k(T) in column k, like the jets.
     """
     degenerate, rejected = _degenerate_split(grad, denom)
-    return PathWeights(_skorohod_integral(grad, denom, w_terminal, degenerate),
-                       rejected)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        values = _skorohod(grad / denom, w_terminal, _DT)
+    return PathWeights(np.where(degenerate, 0.0, values), rejected)
 
 
 def reciprocal_divergence(jets: BasketJets, w_terminal: np.ndarray) -> PathWeights:
-    """delta(1/int_avg) = W_k(T)/d + di/d^2, with the call weight's mask.
+    """delta(1/int_avg) in the direction 1, with the call weight's mask.
 
     Mean zero by duality; its sample variance over the paths the call
     weight keeps sets the digital bandwidth.
     """
     degenerate, rejected = _degenerate_split(jets.avg, jets.int_avg)
-    return PathWeights(_skorohod_integral(1.0, jets.int_avg, w_terminal, degenerate),
-                       rejected)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        values = _skorohod(1.0 / jets.int_avg, w_terminal, _DT)
+    return PathWeights(np.where(degenerate, 0.0, values), rejected)
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +286,9 @@ def best_of_weight(config: MarketConfig, jets: BasketJets,
     Differentiating through max(average, terminal mean) needs a pair of
     dual processes, one per variable, obtained by inverting the 2x2
     system of their Malliavin covariations; the weight is the
-    difference of the two resulting Skorohod integrals. The first uses
-    a constant-in-time direction, the second a direction proportional
-    to s, which brings in the pathwise integral int_0^T s dW_k =
-    T W_k(T) - int_0^T W_k ds.
+    difference of the two resulting Skorohod integrals,
+    delta(dual_term term) in the direction 1 minus delta(dual_avg avg s)
+    in the direction s.
     """
     if config.n_dates < 2:
         raise ValueError(
@@ -294,16 +302,12 @@ def best_of_weight(config: MarketConfig, jets: BasketJets,
         rejected |= np.abs(det.value) <= _scaled_tolerance(det.value)
         dual_term = (s_int_avg - s_int_term * (avg / term)) / det
         dual_avg = (int_avg * (term / avg) - int_term) / det
-
+        # the product jets below fit in det's room
+        del det
         w = bundle.w_terminal
-        first = (dual_term.value * term.value * w
-                 - dual_term.value * term.samples[_DT]
-                 - term.value * dual_term.samples[_DT])
-        s_increment = config.maturity * w - bundle.w_time_integral
-        second = (dual_avg.value * avg.value * s_increment
-                  - avg.value * dual_avg.samples[_SDS]
-                  - dual_avg.value * avg.samples[_SDS])
-        values = first - second
+        values = (_skorohod(dual_term * term, w, _DT)
+                  - _skorohod(dual_avg * avg,
+                              config.maturity * w - bundle.w_time_integral, _SDS))
     return PathWeights(values=np.where(rejected, 0.0, values), rejected=rejected)
 
 

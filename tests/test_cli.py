@@ -243,6 +243,44 @@ def test_pseudo_random_points_pass_the_sobol_net_cap(monkeypatch, tmp_path):
         cli.run(["--config", str(ini)])
 
 
+@pytest.mark.parametrize("flags, payoff_entries", [
+    (["--payoff", "asian-floating", "--strike", "90"], None),
+    (["--preset", "table3", "--strike", "90"], None),
+    ([], "kind = asian-floating\nstrike = 90"),
+    (["--payoff", "asian-floating"], "strike = 90"),
+    (["--preset", "table3"], "strike = 90"),
+])
+def test_a_strike_for_the_floating_payoff_is_refused(monkeypatch, capsys, tmp_path,
+                                                     flags, payoff_entries):
+    # the floating strike is the terminal basket mean, so a set strike
+    # would be dropped without a word
+    def unreachable(*args, **kwargs):
+        raise AssertionError("estimation started")
+
+    monkeypatch.setattr(cli, "estimate_sweep", unreachable)
+    if payoff_entries is not None:
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[payoff]\n{payoff_entries}\n")
+        flags = flags + ["--config", str(ini)]
+    assert cli.run(flags) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: strike needs a fixed-strike payoff; floating has no strike")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--payoff", "asian-floating"],
+    ["--preset", "table3"],
+    # the preset's strike gives way with its payoff
+    ["--preset", "table1", "--payoff", "asian-floating"],
+])
+def test_a_strike_free_floating_run_takes_strike_zero(flags):
+    values = cli._resolve(cli.build_parser().parse_args(flags))
+    assert values["kind"] == "floating" and values["strike"] == 0.0
+    assert [spec.strike for spec in values["specs"]] == [0.0]
+    assert values["specs"][0].strike == preset("table3").strike
+
+
 @pytest.mark.parametrize("flag, field", [("--output", "output"),
                                          ("--debug-replications",
                                           "debug_replications")])

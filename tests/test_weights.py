@@ -619,6 +619,46 @@ def test_jet_weights_match_the_closed_forms():
             assert jet.rejected[1, 0] and jet.values[1, 0] == 0.0, name
 
 
+def _direction_s_weight(config, jets, bundle):
+    """delta(F s) for F = (avg - term) / (s_int_avg - s_int_term), the
+    floating integrand for the direction s, with the package's primitive."""
+    s_driver = config.maturity * bundle.w_terminal - bundle.w_time_integral
+    ratio = (jets.avg - jets.term) / (jets.s_int_avg - jets.s_int_term)
+    return wt._skorohod(ratio, s_driver, wt._SDS)
+
+
+def test_direction_s_integral_of_a_ratio_matches_per_interval_jets():
+    # best_of reads the direction s only through products; a ratio
+    # differentiates the denominator's s-projection too
+    config = _config(n_assets=3, n_dates=4, vols=(0.2, 0.3, 0.4), rho=-0.3)
+    loadings, bundle = _bundle(config, n_paths=32, seed=23)
+    uniform = np.full((3, 4), 1.0 / 12.0)
+    values = _direction_s_weight(config, wt.basket_jets(config, loadings, uniform, bundle),
+                                 bundle)
+    moments = np.diff(config.grid ** 2) / 2.0
+    s_driver = config.maturity * bundle.w_terminal - bundle.w_time_integral
+    for k in range(config.n_assets):
+        term, avg, _, _, s_int_term, s_int_avg = _reference_best_of_jets(
+            config, loadings, uniform, bundle, k)
+        ratio = (avg - term) / (s_int_avg - s_int_term)
+        reference = (ratio.value * s_driver[:, k]
+                     - helpers.weighted_time_integral(ratio, moments))
+        _assert_matches(values[:, k], reference, f"component {k}")
+
+
+def test_direction_s_integral_of_a_ratio_has_zero_mean():
+    config = _config(n_assets=3, n_dates=4, vols=(0.2, 0.3, 0.4), rho=0.5)
+    loadings, bundle = _bundle(config, n_paths=8192, seed=29)
+    jets = wt.basket_jets(config, loadings, np.full((3, 4), 1.0 / 12.0), bundle)
+    denom = (jets.s_int_avg - jets.s_int_term).value
+    assert (np.abs(denom) > wt._scaled_tolerance(denom)).all()
+    values = _direction_s_weight(config, jets, bundle)
+    for k in range(config.n_assets):
+        column = values[:, k]
+        z = abs(column.mean()) / (column.std(ddof=1) / math.sqrt(column.size))
+        assert z < 3.0, f"direction-s weight mean off zero at component {k}: z={z:.2f}"
+
+
 # ---------------------------------------------------------------------------
 # localization
 

@@ -24,7 +24,11 @@ The first replication warms the buffers up and is not counted; the
 tool prints, as JSON, the median milliseconds of each stage and of
 their sum (`replication`) over the next 9 (3 under --small), plus
 the once-per-call `lt_build` (null under --lt off) and `generator`
-times. Run as a script it pins OPENBLAS_NUM_THREADS=1
+times. One more replication, untimed, runs under tracemalloc and gives
+each stage's traced peak in KB (`peaks_kb`): the most the replication
+held at once during that stage, counting what earlier stages left
+alive but not the two buffers, which were allocated before tracing
+began. Run as a script it pins OPENBLAS_NUM_THREADS=1
 before numpy loads, so the numbers read one thread's work.
 """
 from __future__ import annotations
@@ -35,6 +39,7 @@ import os
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -60,33 +65,49 @@ def _timed(fn, *args, **kwargs):
     return result, 1e3 * (time.perf_counter() - start)
 
 
+def _traced(fn, *args, **kwargs):
+    """(fn's result, the traced peak in KB while it ran); tracemalloc
+    must be tracing."""
+    tracemalloc.reset_peak()
+    result = fn(*args, **kwargs)
+    return result, tracemalloc.get_traced_memory()[1] / 1024.0
+
+
 def stage_times(name: str, use_lt: bool, points: int, repeats: int) -> dict:
     """Median stage milliseconds of `repeats` replications of preset
-    `name`, after one uncounted warm-up replication, and the once-per-call
-    build times."""
+    `name`, after one uncounted warm-up replication, the once-per-call
+    build times, and each stage's traced peak in one more replication."""
     config, spec = ladder_market(), preset(name)
-    stream = standard_stream(points=points, replications=repeats + 1)
+    stream = standard_stream(points=points, replications=repeats + 2)
     d = config.nominal_dimension
     lt_build, lt_ms = _timed(build_lt_matrix, config, spec) if use_lt else (None, None)
     generator, generator_ms = _timed(path_generator, config, vol_loadings(config),
                                      None if lt_build is None else lt_build.matrix)
     weight_matrix = spec.weight_matrix(config.n_assets, config.n_dates)
     draws, product = np.empty((points, d)), np.empty((points, generator.width))
-    laps = []
-    for index in range(repeats + 1):
-        unit, uniforms = _timed(qmc.replication_uniforms, stream, index, d, out=draws)
-        normals, inverse = _timed(qmc.to_normal, unit, out=unit)
-        bundle, paths = _timed(simulate_paths, config, generator, normals, out=product)
-        _, evaluating = _timed(evaluate, spec, config, bundle)
-        jets, jetting = _timed(wt.basket_jets, config, generator.loadings, weight_matrix,
-                               bundle, normals)
-        _, weighting = _timed(spec.family.weights, config, jets, bundle)
-        laps.append((uniforms, inverse, paths, evaluating, jetting, weighting))
-    counted = laps[1:]
+
+    def replication(measure, index: int) -> tuple:
+        """Each stage's measure in replication `index`."""
+        unit, uniforms = measure(qmc.replication_uniforms, stream, index, d, out=draws)
+        normals, inverse = measure(qmc.to_normal, unit, out=unit)
+        bundle, paths = measure(simulate_paths, config, generator, normals, out=product)
+        _, evaluating = measure(evaluate, spec, config, bundle)
+        jets, jetting = measure(wt.basket_jets, config, generator.loadings, weight_matrix,
+                                bundle, normals)
+        _, weighting = measure(spec.family.weights, config, jets, bundle)
+        return uniforms, inverse, paths, evaluating, jetting, weighting
+
+    counted = [replication(_timed, index) for index in range(repeats + 1)][1:]
     stages = {stage: statistics.median(lap[k] for lap in counted)
               for k, stage in enumerate(STAGES)}
     stages["replication"] = statistics.median(sum(lap) for lap in counted)
-    return {"stages_ms": stages, "once_ms": {"lt_build": lt_ms, "generator": generator_ms}}
+    tracemalloc.start()
+    try:
+        peaks = replication(_traced, repeats + 1)
+    finally:
+        tracemalloc.stop()
+    return {"stages_ms": stages, "once_ms": {"lt_build": lt_ms, "generator": generator_ms},
+            "peaks_kb": dict(zip(STAGES, peaks))}
 
 
 def main(argv: list[str] | None = None) -> int:
