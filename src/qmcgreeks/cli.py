@@ -10,10 +10,10 @@ row per component (per strike when sweeping), serialized at full double
 precision so parsing the file recovers the report exactly.
 
 Each refusal exits EXIT_CONFIG before any work and has one owner: the
-library refuses what it cannot use, and the refusals of `QmcConfig` and
-`estimate_sweep` are shown under the run field's name; the CLI itself
-checks only its file entries, the sweep syntax, a strike or sweep on
-the strike-free floating payoff, and the output paths.
+library refuses what it cannot use, a floating-payoff strike included,
+and the refusals of `QmcConfig` and `estimate_sweep` are shown under
+the run field's name; the CLI itself checks only its file entries, the
+sweep syntax, a sweep on the floating payoff, and the output paths.
 """
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ from .estimator import METHODS, ArgumentError, EstimationError, estimate_sweep
 from .market import MarketConfig
 from .payoffs import FAMILIES, PayoffSpec
 from .presets import PRESETS, equicorrelated_market, ladder_market, preset, standard_stream
-from .qmc import MODES
+from .qmc import MODES, _check_count
 
 PAYOFF_NAMES = {
     "asian-fixed": "call",
@@ -96,13 +96,6 @@ def _convert(section: str, key: str, text: str, conv):
             f"invalid value for {key} in [{section}]: {text!r}") from None
 
 
-def _count(field: str, count: int) -> int:
-    """An asset or date count, refused below 1 under its own name."""
-    if count < 1:
-        raise ConfigurationError(f"{field} must be at least 1; got {count}")
-    return count
-
-
 def _market_from_section(sect) -> MarketConfig:
     for name in ("rate", "maturity", "dates", "correlation"):
         if name not in sect:
@@ -117,14 +110,16 @@ def _market_from_section(sect) -> MarketConfig:
         spots = _convert("market", "spots", sect["spots"], _floats)
         vols = _convert("market", "vols", sect["vols"], _floats)
     elif "assets" in sect:
-        count = _count("assets", _convert("market", "assets", sect["assets"], int))
+        count = _convert("market", "assets", sect["assets"], int)
+        _check_count("assets", count, 1)
         ladder = ladder_market(count, 1)
         spots, vols = ladder.spots, ladder.vols
     else:
         raise ConfigurationError("missing assets (or spots and vols) entry in [market]")
     rate = _convert("market", "rate", sect["rate"], float)
     maturity = _convert("market", "maturity", sect["maturity"], float)
-    dates = _count("dates", _convert("market", "dates", sect["dates"], int))
+    dates = _convert("market", "dates", sect["dates"], int)
+    _check_count("dates", dates, 1)
     rho = _convert("market", "correlation", sect["correlation"], float)
     return equicorrelated_market(spots, vols, rate=rate, correlation=rho,
                                  maturity=maturity, n_dates=dates)
@@ -225,18 +220,19 @@ def _resolve(args) -> dict:
         if flag is not None:
             values[field] = parse(flag)
     if not FAMILIES[values["kind"]].fixed_strike:
-        # a strike this payoff would ignore is refused, not dropped
-        for field, given in (("strike", args.strike is not None or "strike" in updates),
-                             ("sweep", args.sweep)):
-            if given:
-                raise ConfigurationError(
-                    f"{field} needs a fixed-strike payoff; {values['kind']} has no strike")
-        values["strike"] = 0.0
+        # every sweep row would repeat one run; a set strike is left to
+        # PayoffSpec, which refuses any but 0
+        if args.sweep:
+            raise ConfigurationError(
+                f"sweep needs a fixed-strike payoff; {values['kind']} has no strike")
+        if args.strike is None and "strike" not in updates:
+            values["strike"] = 0.0
     geometry = {}
-    if args.assets is not None:
-        geometry["n_assets"] = _count("assets", args.assets)
-    if args.steps is not None:
-        geometry["n_dates"] = _count("steps", args.steps)
+    for name, field, count in (("n_assets", "assets", args.assets),
+                               ("n_dates", "steps", args.steps)):
+        if count is not None:
+            _check_count(field, count, 1)
+            geometry[name] = count
     from_file = not geometry and market is not None
     if not from_file:
         market = ladder_market(**geometry)

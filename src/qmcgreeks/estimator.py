@@ -8,10 +8,11 @@ replication means; the standard error is their sample standard
 deviation over sqrt(R), the usual randomized-QMC construction.
 
 Three methods share one replication kernel: `_replication_sample`
-builds the strike-free draws, paths, aggregates and weights, and
-`_replication_means` reduces them through each strike's excess z - kink,
-split once by the family, to discounted means for its table of
-localization widths, so a strike sweep draws each replication once.
+builds the strike-free draws, paths, legs and weights, and
+`_replication_means` reduces them through each strike's excess
+z - strike, z the largest leg, split once by the family, to discounted
+means for its table of localization widths, so a strike sweep draws
+each replication once.
 "adaptive" and "loc" use the integration-by-parts weights with that
 localized split, one expression for every payoff kind, the former
 choosing the localization scale per component in a pilot phase, the
@@ -157,7 +158,7 @@ def _replication_means(run: _Run, stream: streams.QmcConfig, index: int,
     counts per component, (assets,).
 
     A path contributes smooth * slope + remainder * weight, the two
-    factors of its family's split at the excess z - kink. widths
+    factors of its family's split at the excess z - strike. widths
     broadcasts against (candidates, assets): (1, assets) for the main
     run's widths or digital bandwidths, (candidates, 1) for the pilot
     race's grid; "fd" ignores it. Rejected paths add exact zeros to one
@@ -166,10 +167,10 @@ def _replication_means(run: _Run, stream: streams.QmcConfig, index: int,
     """
     config, family = run.config, run.spec.family
     _, ev, _, pw = _replication_sample(run, stream, index)
-    paths = ev.average.shape[0]
+    paths = ev.values.shape[1]
     if pw is not None:
-        z = family.variable(ev.average, ev.floating_strike)[:, None, None]
-        slope = family.slope(ev) / config.spots
+        z = ev.variable[:, None, None]
+        slope = ev.slope / config.spots
     sums = []
     for strike, widths in targets:
         # the ramps' discarded np.where branches overflow at extreme widths,
@@ -179,7 +180,7 @@ def _replication_means(run: _Run, stream: streams.QmcConfig, index: int,
                 contributions = _bump_contrast(family, strike, config, ev,
                                                run.fd_bump)[:, None, :]
             else:
-                smooth, remainder = family.split(z - family.kink(strike), widths)
+                smooth, remainder = family.split(z - strike, widths)
                 contributions = np.where(pw.rejected[:, None, :], 0.0,
                                          smooth * slope[:, None, :]
                                          + remainder * pw.values[:, None, :])
@@ -384,13 +385,12 @@ def _bump_contrast(family: PayoffFamily, strike: float, config: MarketConfig,
     numbers, (paths, assets), column k for spot k.
 
     Scaling spot k by (1 +- bump) scales asset k's path multiplicatively,
-    so both aggregates shift by exactly bump times their component-k
-    parts; no re-simulation is needed to realize the bumped scenarios.
+    so every leg shifts by exactly bump times its component-k part; no
+    re-simulation is needed to realize the bumped scenarios, whose z is
+    the largest shifted leg.
     """
-    shift_avg = bump * ev.average_grad
-    shift_strike = bump * ev.strike_grad
-    average = ev.average[:, None]
-    strike_leg = ev.floating_strike[:, None]
-    up = family.value(strike, average + shift_avg, strike_leg + shift_strike)
-    down = family.value(strike, average - shift_avg, strike_leg - shift_strike)
+    shift = bump * ev.grads
+    legs = ev.values[:, :, None]
+    up = family.value(strike, (legs + shift).max(axis=0))
+    down = family.value(strike, (legs - shift).max(axis=0))
     return (up - down) / (2.0 * bump * config.spots)

@@ -16,10 +16,10 @@ one call of it per term.
 
 The integrands are built from six linear path functionals per
 component, the basket jets of `basket_jets`: term and avg, asset k's
-own legs of the terminal mean and of the running average, which are
-the pathwise spot derivatives of those two aggregates, and int_term,
+own parts of the terminal mean and of the running average, which are
+the pathwise spot derivatives of those two legs, and int_term,
 int_avg, s_int_term, s_int_avg, the integrals int_0^T D_s ds and
-int_0^T s D_s ds of the aggregates' Malliavin derivatives. The
+int_0^T s D_s ds of the two legs' Malliavin derivatives. The
 families read them as follows:
 
 * call:     delta(avg / int_avg), which the digital shares;
@@ -53,12 +53,13 @@ and cumsum of the interval lengths is t_j, of the interval moments
 against a per-interval reference jet with one suffix-sum sample per
 monitoring interval.
 
-Localization splits a payoff of z into a part differentiated pathwise
-and a remainder the weight carries, smooth(z) * slope + remainder(z) *
-weight, which is where most of the variance reduction comes from; the
-split is exact in expectation for any scale. Each split reads only the
-excess z - kink, never the strike, and returns both factors at once:
-`ramp_split` serves the kinks, `laplace_split` the digital's step.
+Localization splits a payoff of z, its largest leg, into a part
+differentiated pathwise and a remainder the weight carries,
+smooth(z) * slope + remainder(z) * weight, which is where most of the
+variance reduction comes from; the split is exact in expectation for
+any scale. Each split reads only the excess z - strike, never the
+strike, and returns both factors at once: `ramp_split` serves the
+kinks, `laplace_split` the digital's step.
 Adaptive rules pick the ramp half-width from the spread of pilot
 sub-replication means and the Laplace bandwidth from the pilot variance
 of delta(1 / int_avg), for every component at once.
@@ -316,7 +317,7 @@ def best_of_weight(config: MarketConfig, jets: BasketJets,
 
 
 def ramp_split(excess: np.ndarray, half_width) -> tuple[np.ndarray, np.ndarray]:
-    """(ramp, remainder) of (z - kink)^+ at the excess e = z - kink: the
+    """(ramp, remainder) of (z - strike)^+ at the excess e = z - strike: the
     ramp rises from 0 to 1 across [-w, w], and the remainder, e^+ minus
     the ramp's antiderivative (zero at and below -w), lives on that band
     only, so its weight term contributes nothing away from the kink."""
@@ -327,7 +328,7 @@ def ramp_split(excess: np.ndarray, half_width) -> tuple[np.ndarray, np.ndarray]:
 
 
 def laplace_split(excess: np.ndarray, bandwidth) -> tuple[np.ndarray, np.ndarray]:
-    """(slope, remainder) of the step 1{z >= kink} at the excess e: the
+    """(slope, remainder) of the step 1{z >= strike} at the excess e: the
     remainder 1{e >= 0} exp(-e/b) is the part the weight carries, 1 at
     the tie, which pays; the slope 1{e > 0} exp(-e/b) / b, 0 at the tie,
     is the derivative of the step minus it."""

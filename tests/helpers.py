@@ -167,6 +167,60 @@ def weighted_time_integral(jet, interval_moments: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# per-kind payoff variables
+
+
+def aggregates(spot_grid: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(average, average_grad, terminal, terminal_grad): the running
+    average sum_ij w_ij S_i(t_j) and the equally weighted terminal mean,
+    (paths,), each with its parts x_k d/dx_k per asset, (paths, assets)."""
+    terminal = spot_grid[:, :, -1]
+    return (np.einsum("pij,ij->p", spot_grid, weights),
+            np.einsum("pij,ij->pi", spot_grid, weights),
+            terminal.mean(axis=1), terminal / terminal.shape[1])
+
+
+def reference_variable(kind: str, average, terminal) -> np.ndarray:
+    """z of one kind, written out per kind from the aggregates: the
+    average for call and digital, the average minus the terminal mean
+    for floating, and the max of the two for best_of."""
+    if kind == "floating":
+        return average - terminal
+    if kind == "best_of":
+        return np.maximum(average, terminal)
+    return average
+
+
+def reference_slope(kind: str, average, average_grad, terminal,
+                    terminal_grad) -> np.ndarray:
+    """x_k dz/dx_k of one kind, (paths, assets); best_of follows the
+    average on a tie, as its payoff pays the average there."""
+    if kind == "floating":
+        return average_grad - terminal_grad
+    if kind == "best_of":
+        return np.where((average >= terminal)[:, None], average_grad, terminal_grad)
+    return average_grad
+
+
+def reference_bump_contrast(kind: str, strike: float, spot_grid: np.ndarray,
+                            weights: np.ndarray, spots: np.ndarray,
+                            bump: float) -> np.ndarray:
+    """Central-difference contributions, (paths, assets), of the
+    per-kind variable with each aggregate shifted by bump times its
+    component-k part: (z - K)^+, or 1{z >= K} for the digital."""
+    average, average_grad, terminal, terminal_grad = aggregates(spot_grid, weights)
+
+    def payoff(shift):
+        z = reference_variable(kind, average[:, None] + shift * average_grad,
+                               terminal[:, None] + shift * terminal_grad)
+        if kind == "digital":
+            return (z >= strike).astype(np.float64)
+        return np.maximum(z - strike, 0.0)
+
+    return (payoff(bump) - payoff(-bump)) / (2.0 * bump * spots)
+
+
+# ---------------------------------------------------------------------------
 # exactly rounded replication means
 
 
@@ -177,21 +231,21 @@ def fsum_replication_means(family, targets: list, ev, pw, spots: np.ndarray,
     (candidates, assets).
 
     Each column's kept paths contribute smooth * slope + remainder *
-    weight of the family's split at z - kink, built one column at a
+    weight of the family's split at z - strike, built one column at a
     time and summed by the exactly rounded math.fsum. bounds is the
     error a plain float sum may make on the same scale, paths * eps *
     sum |contribution|, so it is exactly 0 where no path contributed.
     """
     paths, m = pw.values.shape
-    z = family.variable(ev.average, ev.floating_strike)
-    slope = family.slope(ev) / spots
+    z = ev.variable
+    slope = ev.slope / spots
     kept = ~pw.rejected
     means, bounds = [], []
     for strike, widths in targets:
         for row in np.broadcast_to(widths, (np.shape(widths)[0], m)):
             for k, width in enumerate(row):
                 keep = kept[:, k]
-                smooth, remainder = family.split(z[keep] - family.kink(strike), width)
+                smooth, remainder = family.split(z[keep] - strike, width)
                 column = smooth * slope[keep, k] + remainder * pw.values[keep, k]
                 scale = discount / keep.sum()
                 means.append(scale * math.fsum(column))

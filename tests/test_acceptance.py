@@ -156,10 +156,9 @@ def test_deltas_satisfy_euler_homogeneity(request, name):
     for index in range(qmc.replications):
         normals = streams.replication_normals(qmc, index, config.nominal_dimension)
         ev = evaluate(spec, config, simulate_paths(config, generator, normals))
-        z = spec.family.variable(ev.average, ev.floating_strike)
+        z = ev.variable
         priced.append(discount(config) * np.mean(
-            spec.family.value(spec.strike, ev.average, ev.floating_strike)
-            + spec.strike * (z > spec.strike)))
+            spec.family.value(spec.strike, z) + spec.strike * (z > spec.strike)))
     weighted = report.replication_means @ config.spots
     gaps = weighted - np.array(priced)
     z = gaps.mean() / (gaps.std(ddof=1) / math.sqrt(gaps.size))

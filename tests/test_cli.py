@@ -281,6 +281,16 @@ def test_a_strike_free_floating_run_takes_strike_zero(flags):
     assert values["specs"][0].strike == preset("table3").strike
 
 
+def test_a_zero_strike_on_the_floating_payoff_is_its_own_strike(tmp_path):
+    # the floating payoff pays on z - 0, so strike 0 sets nothing it ignores
+    ini = tmp_path / "run.ini"
+    ini.write_text("[payoff]\nstrike = 0\n")
+    for flags in (["--payoff", "asian-floating", "--strike", "0"],
+                  ["--preset", "table3", "--config", str(ini)]):
+        values = cli._resolve(cli.build_parser().parse_args(flags))
+        assert [(spec.kind, spec.strike) for spec in values["specs"]] == [("floating", 0.0)]
+
+
 @pytest.mark.parametrize("flag, field", [("--output", "output"),
                                          ("--debug-replications",
                                           "debug_replications")])

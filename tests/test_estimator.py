@@ -348,7 +348,7 @@ def test_a_sum_that_overflows_from_finite_contributions_is_named(monkeypatch):
 @pytest.mark.parametrize("kind", payoffs.KINDS)
 def test_bump_contrast_is_the_pathwise_slope_away_from_the_kink(kind):
     # fd and the Malliavin kernel price one payoff: off the kink, the
-    # central bump of (z - kink)^+ is 1{z > kink} * slope / spot, and of
+    # central bump of (z - K)^+ is 1{z > K} * slope / spot, and of
     # the digital's step it is 0
     config = ladder_market(3, 4)
     spec = PayoffSpec(kind=kind, strike=0.0 if kind == "floating" else 100.0)
@@ -358,14 +358,14 @@ def test_bump_contrast_is_the_pathwise_slope_away_from_the_kink(kind):
     h = 1e-6
     contrast = est._bump_contrast(spec.family, spec.strike, config, ev, h)
     family = spec.family
-    z, kink = family.variable(ev.average, ev.floating_strike), family.kink(spec.strike)
-    reach = 10.0 * h * (np.abs(ev.average_grad) + np.abs(ev.strike_grad)).sum(axis=1)
-    far = np.abs(z - kink) > reach
+    z, strike = ev.variable, spec.strike
+    reach = 10.0 * h * np.abs(ev.grads).sum(axis=(0, 2))
+    far = np.abs(z - strike) > reach
     if kind == "best_of":
-        far &= np.abs(ev.average - ev.floating_strike) > reach
-    assert far.mean() > 0.9 and (z[far] > kink).any() and (z[far] < kink).any()
-    paying = (z > kink)[:, None] & (not family.laplace)
-    expected = np.where(paying, family.slope(ev) / config.spots, 0.0)
+        far &= np.abs(ev.values[0] - ev.values[1]) > reach
+    assert far.mean() > 0.9 and (z[far] > strike).any() and (z[far] < strike).any()
+    paying = (z > strike)[:, None] & (not family.laplace)
+    expected = np.where(paying, ev.slope / config.spots, 0.0)
     np.testing.assert_allclose(contrast[far], expected[far], rtol=0, atol=1e-8)
 
 

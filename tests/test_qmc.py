@@ -444,8 +444,9 @@ def test_package_import_leaves_scipy_stats_unloaded():
                "from qmcgreeks.presets import ladder_market, standard_stream; "
                "market = ladder_market(2, 2); "
                "qmc = standard_stream(points=16, replications=2); "
-               "print([estimate(market, PayoffSpec(kind, 100.0), qmc).deltas.shape "
-               "for kind in ('call', 'floating', 'digital', 'best_of')])")
+               "print([estimate(market, PayoffSpec(kind, strike), qmc).deltas.shape "
+               "for kind, strike in (('call', 100.0), ('floating', 0.0), "
+               "('digital', 100.0), ('best_of', 100.0))])")
     env = {**os.environ, "PYTHONPATH": str(src)}
     for probe, printed in ((loaded, "[]"), (blocked, "[(2,), (2,), (2,), (2,)]")):
         run = subprocess.run([sys.executable, "-c", probe], env=env,

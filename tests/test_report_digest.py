@@ -159,6 +159,33 @@ def test_fd_and_older_digests_without_widths_are_skipped(digest, capsys):
         "0 differing reports of 2; max |delta difference| = 0"]
 
 
+PRESETS = {"table1/adaptive/workers=1": _report("a", [0.1, 0.2]),
+           "table3/fd/workers=2/lt=off": _report("b", [0.3, -0.4]),
+           "sweep/table1/loc/workers=2": _report("c", [0.5, 0.6]),
+           "table5/loc/workers=1": _report("d", [0.7, 0.8])}
+
+
+def test_the_delta_gap_is_printed_per_preset(digest, capsys):
+    # table1's sweep entry moves a last bit and table5 a larger step; the
+    # sweep entry counts under its preset, and table3 reads 0
+    change = dict(PRESETS, **{
+        "sweep/table1/loc/workers=2": _report("e", [0.5, 0.6 + 2.0 ** -53]),
+        "table5/loc/workers=1": _report("f", [0.7, 0.85])})
+    assert digest.compare(PRESETS, change) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "differs: sweep/table1/loc/workers=2",
+        "differs: table5/loc/workers=1",
+        f"2 differing reports of 4; max |delta difference| = {0.85 - 0.8:g}",
+        f"max |delta difference| per preset: table1 = {2.0 ** -53:g}; table3 = 0; "
+        f"table5 = {0.85 - 0.8:g}"]
+    # the breakdown runs over the reports both files have
+    assert digest.compare(PRESETS, {key: PRESETS[key] for key in
+                                    ("table1/adaptive/workers=1",
+                                     "sweep/table1/loc/workers=2")}) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "2 differing reports of 4; max |delta difference| = 0")
+
+
 def test_a_sweep_digest_covers_both_csvs_and_keeps_the_deltas(digest):
     # and the stderrs and replication means, for --compare's gaps
     flags = ["--assets", "2", "--steps", "2", "--points", "32", "--reps", "2",

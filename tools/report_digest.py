@@ -26,6 +26,9 @@ and of replication means over the reports both have, each on its own;
 a statistic that an older digest lacks is skipped. It also prints the
 largest absolute width difference over the reports whose digests both
 carry widths, which fd reports, sweep entries and older digests do not.
+When the reports both files have span two or more presets, a second
+line gives the largest absolute delta difference per preset, so a
+change that moves some payoff kinds' last bits shows which.
 It exits 1 when any report differs, and 2, naming the file, when a file
 cannot be read, holds no digest object or holds an empty one.
 
@@ -145,6 +148,14 @@ def compare(parent: dict, change: dict) -> int:
                     f"{largest_gap(parent, change, WIDTHS, with_widths):g}")
     print("; ".join([f"{len(differing)} differing reports of "
                      f"{len(parent.keys() | change.keys())}", *gaps]))
+    by_preset = {}
+    for key in shared:
+        by_preset.setdefault(key.removeprefix("sweep/").split("/")[0], []).append(key)
+    if len(by_preset) > 1 and all("deltas" in reports[key]
+                                  for reports in (parent, change) for key in shared):
+        print("max |delta difference| per preset: " + "; ".join(
+            f"{name} = {largest_gap(parent, change, 'deltas', keys):g}"
+            for name, keys in sorted(by_preset.items())))
     return 1 if differing else 0
 
 
