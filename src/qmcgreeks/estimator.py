@@ -38,8 +38,11 @@ worker thread at any worker count; with workers > 1 the calling thread
 draws nothing. The buffers are a (P, d) array that holds the
 uniforms, then in place the normals, and once the paths are built the
 weighted spot grid of the basket jets; and a (P, width) array for the
-path product, which either generator writes. With a rotation these
-are the only arrays of (P, d) size a worker holds; the unrotated build
+path product, which either generator writes. Both are float64: only
+the rotated product itself is float32, an sgemm on blocks of
+`market.PRODUCT_ROWS` draws through two block-sized float32 scratches,
+upcast into the product buffer. With a rotation the two buffers are
+the only arrays of (P, d) size a worker holds; the unrotated build
 adds two temporaries, as it never writes the draws. A sample is
 therefore valid only until its thread's next one, and the buffers go
 with the call's run state when it returns; a report holds nothing that

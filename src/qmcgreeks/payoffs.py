@@ -15,9 +15,9 @@ best_of kinds force uniform averaging weights w_ij = 1/(M N); the
 fixed-strike kinds accept any weight matrix.
 
 `evaluate` computes each leg's gradients x_k d(leg)/d(x_k) once per
-replication and its value as their row sum; z's pathwise slope is the
-largest leg's gradient, the first leg's on a tie. The same largest leg
-drives the rotation in `lt`.
+replication, over the span of dates the leg reads, and its value as
+their row sum; z's pathwise slope is the largest leg's gradient, the
+first leg's on a tie. The same largest leg drives the rotation in `lt`.
 
 Everything else that differs between the kinds sits in one
 `PayoffFamily` record per kind, `FAMILIES`: the legs, the localization
@@ -134,7 +134,11 @@ def evaluate(spec: PayoffSpec, config: MarketConfig, bundle: PathBundle) -> Payo
     spot = bundle.spot_grid
     grads = np.empty((len(legs), spot.shape[0], config.n_assets))
     for coeff, grad in zip(legs, grads):
-        np.einsum("pij,ij->pi", spot, coeff, out=grad)
+        # a leg is contracted over the span of dates it reads, a view of the
+        # grid: best_of's terminal leg reads one date of the whole grid
+        reads = coeff.any(axis=0)
+        span = slice(reads.argmax(), reads.size - reads[::-1].argmax())
+        np.einsum("pij,ij->pi", spot[:, :, span], coeff[:, span], out=grad)
     return PayoffEval(values=grads.sum(axis=2), grads=grads)
 
 

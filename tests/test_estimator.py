@@ -449,12 +449,15 @@ def test_reports_do_not_depend_on_earlier_calls_of_other_sizes():
 
 def test_reports_do_not_depend_on_the_blas_thread_count():
     # best_of reads the product's last columns, the ones a GEMM's edge
-    # kernel computes, which the BLAS thread split chooses on an odd width
+    # kernel computes, which the BLAS thread split chooses on an odd width.
+    # The sgemm runs in blocks of PRODUCT_ROWS = 256 draws: 512 points are
+    # two whole blocks, 300 a block and a ragged 44 rows, and 128 less than
+    # one block, as is every adaptive pilot sub-replication
     probe = ("import hashlib; from qmcgreeks import PayoffSpec, estimate; "
              "from qmcgreeks.presets import ladder_market, standard_stream; "
-             "report = estimate(ladder_market(), PayoffSpec('best_of', 90.0), "
-             "standard_stream(points=512, replications=4), 'adaptive'); "
-             "print(hashlib.sha256(report.replication_means.tobytes()).hexdigest())")
+             "print(*(hashlib.sha256(estimate(ladder_market(), PayoffSpec('best_of', 90.0), "
+             "standard_stream(points=points, replications=4), 'adaptive')"
+             ".replication_means.tobytes()).hexdigest() for points in (512, 300, 128)))")
     src = Path(est.__file__).resolve().parents[1]
     digests = []
     for threads in ("1", "2"):

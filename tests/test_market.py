@@ -223,18 +223,41 @@ def test_generator_matches_the_reference_build(vols, times, rho, rotation):
                                  vols=vols, correlation=correlation,
                                  maturity=times[-1], monitoring_times=times)
     loadings = market.vol_loadings(config)
-    d = config.nominal_dimension
+    d, m = config.nominal_dimension, config.n_assets
     normals = np.random.default_rng(d).standard_normal((64, d))
     fields = ("spot_grid", "w_terminal", "w_time_integral")
-    for rot in (None, rotation):
-        generator = market.path_generator(config, loadings, rot)
-        assert (generator.matrix is None) == (rot is None)
-        bundle = market.simulate_paths(config, generator, normals)
-        reference = helpers.reference_paths(config, loadings, normals, rot)
-        for field in fields:
-            desired = getattr(reference, field)
-            np.testing.assert_allclose(getattr(bundle, field), desired, rtol=1e-13,
-                                       atol=1e-13 * np.abs(desired).max(), err_msg=field)
+    # the unrotated build is float64 throughout
+    plain = market.path_generator(config, loadings)
+    assert plain.matrix is None
+    bundle = market.simulate_paths(config, plain, normals)
+    reference = helpers.reference_paths(config, loadings, normals)
+    for field in fields:
+        desired = getattr(reference, field)
+        np.testing.assert_allclose(getattr(bundle, field), desired, rtol=1e-13,
+                                   atol=1e-13 * np.abs(desired).max(), err_msg=field)
+    # the rotated product is a float32 GEMM of the float32-rounded draws and
+    # G. Each entry is a d-term sum of products; float32 accumulation is
+    # off by at most d * 2**-24 * sum |terms| (the standard bound
+    # gamma_d = d u / (1 - d u), u = 2**-24, to first order), and G's own
+    # rounding from the float64 build adds one more 2**-24 * sum |terms|.
+    # The reference is the float64 build from those rounded draws, so the
+    # draws' rounding cancels; the float64 remainder is held to 1e-13.
+    generator = market.path_generator(config, loadings, rotation)
+    assert generator.matrix.dtype == np.float32
+    rounded = normals.astype(np.float32).astype(np.float64)
+    bundle = market.simulate_paths(config, generator, normals)
+    reference = helpers.reference_paths(config, loadings, rounded, rotation)
+    terms = np.abs(rounded) @ np.abs(generator.matrix.astype(np.float64))
+    bound = (d + 2) * 2.0 ** -24 * terms
+    log_spot_bound = bound[:, :d].reshape(-1, m, config.n_dates)
+    # exp turns an error e in log S into a relative error expm1(e)
+    assert (np.abs(bundle.spot_grid / reference.spot_grid - 1.0)
+            <= np.expm1(log_spot_bound) + 1e-13).all()
+    for field, columns in (("w_terminal", slice(d, d + m)),
+                           ("w_time_integral", slice(d + m, d + 2 * m))):
+        desired = getattr(reference, field)
+        assert (np.abs(getattr(bundle, field) - desired)
+                <= bound[:, columns] + 1e-13 * np.abs(desired).max()).all(), field
     # an identity rotation is exactly no rotation
     plain = market.simulate_paths(config, market.path_generator(config, loadings), normals)
     identity = market.simulate_paths(
@@ -262,7 +285,9 @@ def test_row_block_generator_equals_the_one_shot_build(n_assets, n_dates):
     generator = market.path_generator(config, loadings, rotation)
     one_shot = np.zeros((d, generator.width))
     market._brownian_sums(config, loadings, rotation.T, one_shot)
-    assert np.array_equal(generator.matrix, one_shot)
+    # G is the float64 build rounded to float32, block by block
+    assert generator.matrix.dtype == np.float32
+    assert np.array_equal(generator.matrix, one_shot.astype(np.float32))
 
 
 def test_only_the_identity_itself_skips_the_rotation():
@@ -281,8 +306,32 @@ def test_generator_build_needs_little_more_than_its_matrix():
     rotation = _haar_orthogonal(d, 3)
     tracemalloc.start()
     try:
-        market.path_generator(config, loadings, rotation)
+        generator = market.path_generator(config, loadings, rotation)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < d * (d + 2 * config.n_assets) * 8 + d * d * 8
+    # the float32 G and a few float64 blocks: a float64 array of G's shape
+    # would reach the bound on its own
+    assert peak < 2 * generator.matrix.nbytes == d * generator.width * 8
+
+
+def test_the_rotated_product_holds_two_row_blocks():
+    # the draws are cast and multiplied PRODUCT_ROWS at a time: a cast of
+    # all 2048 rows, 1 MB here, would pass the bound
+    config = presets.ladder_market(2, 64)
+    loadings = market.vol_loadings(config)
+    d, m = config.nominal_dimension, config.n_assets
+    generator = market.path_generator(config, loadings, _haar_orthogonal(d, 4))
+    normals = np.random.default_rng(4).standard_normal((2048, d))
+    out = np.empty((2048, generator.width))
+    tracemalloc.start()
+    try:
+        market.simulate_paths(config, generator, normals, out=out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    scratches = market.PRODUCT_ROWS * (d + generator.width) * 4
+    w_copies = 2 * 2048 * m * 8
+    # the upcasting add goes through numpy's two ufunc buffers, whatever the rows
+    ufunc_buffers = 2 * np.getbufsize() * 8
+    assert peak < scratches + w_copies + ufunc_buffers + 4096 < normals.size * 4

@@ -171,6 +171,23 @@ def test_the_largest_leg_is_the_per_kind_variable(kind, assets, dates):
         assert ev.slope[0].tolist() == [45.0, 55.0]
 
 
+@pytest.mark.parametrize("kind", payoffs.KINDS)
+def test_evaluate_equals_the_full_grid_contraction_bit_for_bit(kind):
+    # best_of's terminal leg is contracted over its one date; the dates
+    # outside a leg's span only add zeros, so every leg keeps the
+    # full-grid bits. The grid views a wider product, as a simulated
+    # bundle's does
+    config = _config(3, 8)
+    spec = payoffs.PayoffSpec(kind=kind, strike=0.0 if kind == "floating" else 100.0)
+    product = 100.0 * np.exp(np.random.default_rng(3).normal(0.0, 0.2, size=(64, 32)))
+    grid = product[:, :24].reshape(64, 3, 8)
+    ev = payoffs.evaluate(spec, config, _bundle(grid))
+    full = np.stack([np.einsum("pij,ij->pi", grid, coeff)
+                     for coeff in spec.family.legs(spec.weight_matrix(3, 8))])
+    assert np.array_equal(ev.grads, full)
+    assert np.array_equal(ev.values, full.sum(axis=2))
+
+
 def test_discount_factor():
     assert payoffs.discount(_config()) == pytest.approx(np.exp(-0.05), rel=1e-15)
 

@@ -103,7 +103,39 @@ def test_each_statistic_gap_is_printed_on_its_own(digest, capsys):
         "differs: table5/adaptive/workers=1",
         "1 differing reports of 1; max |delta difference| = 0; "
         "max |stderr difference| = 0; "
-        f"max |replication mean difference| = {2.0 ** -55:g}"]
+        f"max |replication mean difference| = {2.0 ** -55:g}; "
+        "max |delta difference| / stderr = 0"]
+
+
+def test_the_delta_gap_is_read_in_the_parents_stderrs(digest, capsys):
+    # table1's second delta moves by half its parent stderr, which the change
+    # doubles; table5's by a tenth of its stderr
+    parent = {"table1/adaptive/workers=1": _full("a", [0.1, 0.2], [0.01, 0.02],
+                                                 [[0.1, 0.2]]),
+              "table5/loc/workers=1": _full("b", [0.7, 0.8], [0.5, 1.0], [[0.7, 0.8]])}
+    change = {"table1/adaptive/workers=1": _full("c", [0.1, 0.21], [0.01, 0.04],
+                                                 [[0.1, 0.2]]),
+              "table5/loc/workers=1": _full("d", [0.7, 0.9], [0.5, 1.0], [[0.7, 0.8]])}
+    assert digest.compare(parent, change) == 1
+    table1, table5 = (0.21 - 0.2) / 0.02, (0.9 - 0.8) / 1.0
+    assert capsys.readouterr().out.splitlines() == [
+        "differs: table1/adaptive/workers=1",
+        "differs: table5/loc/workers=1",
+        f"2 differing reports of 2; max |delta difference| = {0.9 - 0.8:g}; "
+        f"max |stderr difference| = {0.04 - 0.02:g}; "
+        f"max |replication mean difference| = 0; "
+        f"max |delta difference| / stderr = {max(table1, table5):g}",
+        f"max |delta difference| per preset: table1 = {0.21 - 0.2:g}; "
+        f"table5 = {0.9 - 0.8:g}",
+        f"max |delta difference| / stderr per preset: table1 = {table1:g}; "
+        f"table5 = {table5:g}"]
+    # a zero stderr reads 0 when its delta stays and inf when it moves
+    still = {"table4/fd/workers=1": _full("e", [0.1, 0.2], [0.0, 0.0], [[0.1, 0.2]])}
+    moved = {"table4/fd/workers=1": _full("f", [0.1, 0.3], [0.0, 0.0], [[0.1, 0.2]])}
+    assert digest.compare(still, still) == 0
+    assert capsys.readouterr().out.endswith("max |delta difference| / stderr = 0\n")
+    assert digest.compare(still, moved) == 1
+    assert capsys.readouterr().out.endswith("max |delta difference| / stderr = inf\n")
 
 
 def test_a_statistic_an_older_digest_lacks_is_skipped(digest, capsys):

@@ -25,19 +25,24 @@ file has, and the largest absolute difference of deltas, of stderrs
 and of replication means over the reports both have, each on its own;
 a statistic that an older digest lacks is skipped. It also prints the
 largest absolute width difference over the reports whose digests both
-carry widths, which fd reports, sweep entries and older digests do not.
-When the reports both files have span two or more presets, a second
-line gives the largest absolute delta difference per preset, so a
-change that moves some payoff kinds' last bits shows which.
+carry widths, which fd reports, sweep entries and older digests do not,
+and the largest |delta difference| / stderr, in the first file's
+stderrs, so a change that moves last bits on purpose reads its move
+in standard errors. When the reports both files have span two or more
+presets, further lines give the largest absolute delta difference and
+the largest |delta difference| / stderr per preset, so a change that
+moves some payoff kinds' last bits shows which.
 It exits 1 when any report differs, and 2, naming the file, when a file
 cannot be read, holds no digest object or holds an empty one.
 
 Reports are bit-identical across worker counts, and across OpenBLAS
-thread counts since the path product is padded to a multiple of 32
-columns. That was checked against one host's GEMM kernel only, so run
-as a script the tool still sets OPENBLAS_NUM_THREADS=1 in its own
-process before numpy loads; digests made on any host thread setting
-then compare clean.
+thread counts since the path product, a float32 sgemm on fixed blocks
+of 256 draws, is padded to a multiple of 32 columns. That was checked
+against one host's sgemm kernel only (the full digest at 1 and 2
+threads, and ragged and sub-block replications), so run as a script
+the tool still sets OPENBLAS_NUM_THREADS=1 in its own process before
+numpy loads; digests made on any host thread setting then compare
+clean.
 """
 from __future__ import annotations
 
@@ -138,14 +143,19 @@ def compare(parent: dict, change: dict) -> int:
     for key in differing:
         print(f"differs: {key}")
     shared = parent.keys() & change.keys()
-    gaps = [f"max |{label} difference| = {largest_gap(parent, change, field, shared):g}"
-            for field, label in STATISTICS.items()
-            if all(field in report for report in (*parent.values(), *change.values()))]
+    known = [field for field in STATISTICS
+             if all(field in report for report in (*parent.values(), *change.values()))]
+    gaps = [f"max |{STATISTICS[field]} difference| = "
+            f"{largest_gap(parent, change, field, shared):g}" for field in known]
     with_widths = [key for key in shared if parent[key].get(WIDTHS) is not None
                    and change[key].get(WIDTHS) is not None]
     if with_widths:
         gaps.append(f"max |width difference| = "
                     f"{largest_gap(parent, change, WIDTHS, with_widths):g}")
+    with_stderrs = {"deltas", "stderrs"} <= set(known)
+    if with_stderrs:
+        gaps.append(f"max |delta difference| / stderr = "
+                    f"{largest_ratio(parent, change, shared):g}")
     print("; ".join([f"{len(differing)} differing reports of "
                      f"{len(parent.keys() | change.keys())}", *gaps]))
     by_preset = {}
@@ -156,6 +166,10 @@ def compare(parent: dict, change: dict) -> int:
         print("max |delta difference| per preset: " + "; ".join(
             f"{name} = {largest_gap(parent, change, 'deltas', keys):g}"
             for name, keys in sorted(by_preset.items())))
+        if with_stderrs:
+            print("max |delta difference| / stderr per preset: " + "; ".join(
+                f"{name} = {largest_ratio(parent, change, keys):g}"
+                for name, keys in sorted(by_preset.items())))
     return 1 if differing else 0
 
 
@@ -163,6 +177,18 @@ def largest_gap(parent: dict, change: dict, field: str, keys) -> float:
     """Largest absolute difference of `field` over the reports `keys`."""
     return max((float(np.max(np.abs(np.subtract(parent[key][field], change[key][field]))))
                 for key in keys), default=0.0)
+
+
+def largest_ratio(parent: dict, change: dict, keys) -> float:
+    """Largest |delta difference| / stderr over the reports `keys`, in
+    the parent's stderrs; a moved delta whose stderr is 0 reads inf."""
+    ratios = [0.0]
+    for key in keys:
+        gap = np.abs(np.subtract(parent[key]["deltas"], change[key]["deltas"]))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(gap > 0, gap / np.asarray(parent[key]["stderrs"]), 0.0)
+        ratios.append(float(ratio.max(initial=0.0)))
+    return max(ratios)
 
 
 def load_digest(parser: argparse.ArgumentParser, path: str) -> dict:
