@@ -32,21 +32,21 @@ workers > 1, from one pool's `map`, and are stacked and averaged by
 `np.mean`, so for a fixed seed reports are bit-identical across worker
 counts.
 
-Each worker thread draws every task it runs, pilot included, into two
-buffers kept for the whole call, so a call holds one buffer set per
-worker thread at any worker count; with workers > 1 the calling thread
-draws nothing. The buffers are a (P, d) array that holds the
-uniforms, then in place the normals, and once the paths are built the
-weighted spot grid of the basket jets; and a (P, width) array for the
-path product, which either generator writes. Both are float64: only
-the rotated product itself is float32, an sgemm on blocks of
-`market.PRODUCT_ROWS` draws through two block-sized float32 scratches,
-upcast into the product buffer. With a rotation the two buffers are
-the only arrays of (P, d) size a worker holds; the unrotated build
-adds two temporaries, as it never writes the draws. A sample is
-therefore valid only until its thread's next one, and the buffers go
-with the call's run state when it returns; a report holds nothing that
-views them.
+Each worker thread draws every task it runs, pilot included, into one
+(P, d) float64 buffer kept for the whole call, so a call holds one
+buffer per worker thread at any worker count; with workers > 1 the
+calling thread draws nothing. The buffer carries a replication through
+every stage in place: the uniforms, then the normals, then the spot
+grid that `simulate_paths` writes over the spent normals, and, once the
+legs are evaluated, the weighted spot grid of the basket jets, so the
+spot grid is valid only until the jets are built. W(T) and int W ds
+are two (P, m) arrays of their own. With a rotation the buffer is the
+only array of (P, d) size a worker holds: the rotated product runs in
+float32 on blocks of `market.PRODUCT_ROWS` draws through two
+block-sized scratches. The unrotated build adds two temporaries, the
+scaled increments and their Brownian cumsum. A sample is therefore
+valid only until its thread's next one, and the buffer goes with the
+call's run state when it returns; a report holds nothing that views it.
 """
 from __future__ import annotations
 
@@ -110,9 +110,9 @@ class _Run:
     """What every replication of one call shares; spec, the call's
     first, is read for its kind and weights only. fd_bump is set for
     method "fd", whose contributions are bump contrasts; the generator
-    holds the loadings and the product width. Each worker thread keeps
-    its draw buffers of `points` rows, the main run's points per
-    replication, in workspace, so they go with the run."""
+    holds the loadings. Each worker thread keeps its draw buffer of
+    `points` rows, the main run's points per replication, in workspace,
+    so it goes with the run."""
 
     config: MarketConfig
     spec: PayoffSpec
@@ -123,32 +123,24 @@ class _Run:
     workspace: threading.local = field(default_factory=threading.local)
 
 
-def _buffers(run: _Run, points: int) -> tuple[np.ndarray, np.ndarray]:
-    """Leading `points` rows of this thread's normals (run.points, d)
-    and path product (run.points, generator width) buffers, allocated
-    on the thread's first request."""
-    space = run.workspace
-    if not hasattr(space, "normals"):
-        space.normals = np.empty((run.points, run.config.nominal_dimension))
-        space.product = np.empty((run.points, run.generator.width))
-    return space.normals[:points], space.product[:points]
-
-
 def _replication_sample(run: _Run, stream: streams.QmcConfig, index: int):
     """One replication's strike-free (bundle, ev, jets, weights); "fd"
     needs no weight, so its jets and weights are None. The draws, the
-    bundle's spot grid and the jets' weighted grid live in this thread's
-    buffers, so a bundle is valid only until the thread's next sample."""
-    config = run.config
-    normals, product = _buffers(run, stream.points_per_replication)
+    bundle's spot grid and the jets' weighted grid take turns in this
+    thread's buffer, allocated on its first sample: the spot grid is
+    valid only until the jets are built, which is after `evaluate` has
+    read it, and the rest of a bundle until the thread's next sample."""
+    config, space = run.config, run.workspace
+    if not hasattr(space, "draws"):
+        space.draws = np.empty((run.points, config.nominal_dimension))
     normals = streams.replication_normals(stream, index, config.nominal_dimension,
-                                          out=normals)
-    bundle = simulate_paths(config, run.generator, normals, out=product)
+                                          out=space.draws[:stream.points_per_replication])
+    bundle = simulate_paths(config, run.generator, normals, out=normals)
     ev = evaluate(run.spec, config, bundle)
     if run.fd_bump is not None:
         return bundle, ev, None, None
-    # the draws are spent once the paths are built, so their buffer takes
-    # the weighted spot grid
+    # the spot grid is spent once the legs are evaluated, so its memory
+    # takes the weighted spot grid
     jets = wt.basket_jets(config, run.generator.loadings, run.weight_matrix, bundle,
                           normals)
     return bundle, ev, jets, run.spec.family.weights(config, jets, bundle)
@@ -263,9 +255,10 @@ def estimate_sweep(config: MarketConfig, specs: list[PayoffSpec], qmc: streams.Q
     a fraction of the strike, or of the mean spot for the floating
     strike; fd_bump, in (0, 1), is the relative spot bump of the central
     differences (method "fd"). A prebuilt rotation can be passed to
-    amortize its construction over calls. Method "adaptive"
-    needs at least MIN_ADAPTIVE_POINTS points per replication for its
-    pilot race; the Malliavin methods need the family's min_dates. Each
+    amortize its construction over calls; it must be finite and
+    orthogonal. Method "adaptive" needs at least MIN_ADAPTIVE_POINTS
+    points per replication for its pilot race; the Malliavin methods
+    need the family's min_dates. Each
     refusal comes before any work, the LT build included, as an
     ArgumentError naming the parameter, QmcConfig field or market field
     (monitoring_times) it refuses.
@@ -282,9 +275,17 @@ def estimate_sweep(config: MarketConfig, specs: list[PayoffSpec], qmc: streams.Q
         raise ArgumentError("method",
                             f"unknown method {method!r}; expected one of {METHODS}")
     d = config.nominal_dimension
-    if use_lt and lt_build is not None and lt_build.matrix.shape != (d, d):
-        raise ArgumentError("lt_build", f"lt_build rotation has shape "
-                            f"{lt_build.matrix.shape}; the market needs ({d}, {d})")
+    if use_lt and lt_build is not None:
+        rotation = lt_build.matrix
+        if rotation.shape != (d, d):
+            raise ArgumentError("lt_build", f"lt_build rotation has shape "
+                                f"{rotation.shape}; the market needs ({d}, {d})")
+        # R z is standard normal only if R^T R = I: one probe checks it in
+        # O(d^2), where forming R^T R would cost O(d^3)
+        probe = np.random.default_rng(0).standard_normal(d)
+        if not (np.isfinite(rotation).all() and np.linalg.norm(
+                rotation.T @ (rotation @ probe) - probe) <= 1e-8 * np.linalg.norm(probe)):
+            raise ArgumentError("lt_build", "lt_build rotation must be finite and orthogonal")
     if method != "fd" and config.n_dates < spec.family.min_dates:
         raise ArgumentError("monitoring_times",
                             f"{spec.kind} weights need at least {spec.family.min_dates} "

@@ -40,6 +40,9 @@ _DEGENERATE_FRACTION = 1e-14
 class LtBuild:
     """Orthogonal rotation with build diagnostics.
 
+    matrix is a read-only transposed view of the build's rows, one
+    column per row, so the build holds one d x d array.
+
     objectives[k] is the squared directional derivative (gradient @
     column)^2 that greedy step k captured, 0 for a column of the QR
     completion; fallback_columns counts those, the trailing columns.
@@ -104,7 +107,6 @@ def build_lt_matrix(config: MarketConfig, spec: PayoffSpec) -> LtBuild:
         rows[k] = column = residual / norm
         objectives[k] = float(gradient @ column) ** 2
         eta_hat[0] += column
-    matrix = np.ascontiguousarray(rows.T)
-    for table in (matrix, objectives):
+    for table in (rows, objectives):
         table.setflags(write=False)
-    return LtBuild(matrix=matrix, objectives=objectives, fallback_columns=fallback)
+    return LtBuild(matrix=rows.T, objectives=objectives, fallback_columns=fallback)

@@ -15,25 +15,30 @@ Everything between the normal draws and log S is linear: the
 orthogonal rotation R of the draws, the sqrt(dt) scaling, the loadings
 and the Brownian cumsum, and so are W(T) and the trapezoid
 int_0^T W ds. `path_generator` precomposes them once per run into one
-matrix G = R^T [A | B | C | 0] of shape (d, width), d = assets * dates:
-block A maps the draws to the log-spot grid, B to W(T), C to int W ds,
-and zero columns pad d + 2m to a multiple of PRODUCT_COLUMNS.
-A rotated replication is then one product normals @ G, plus the drift
-offset and exp over the whole product. Unrotated draws are the increments
-themselves and skip the d x d product; their build writes the same
-columns, so either generator fills one product buffer.
+matrix G = R^T [A | B | C] of shape (d, d + 2m), d = assets * dates:
+block A maps the draws to the log-spot grid, B to W(T), C to int W ds.
+A rotated replication is then one product normals @ G, whose grid
+columns take the drift offset and exp and whose W columns go to their
+own (paths, m) arrays. Unrotated draws are the increments themselves
+and skip the d x d product; their build writes the same three parts.
+Either generator can write the spot grid over the draws it came from,
+so one (paths, d) buffer carries a replication from the uniforms to
+the spots and, once the legs are read, to the basket jets' weighted
+grid; a spot grid held there is valid until the jets are built.
 
 The rotated product is the one single-precision stage. G is stored in
 float32, each block of rows built in float64 and then rounded, and the
 product runs as an sgemm on PRODUCT_ROWS draws at a time, cast to
-float32, with the offset added as each block is upcast into the float64
-product. The product carries far more precision than a report shows:
-its float32 rounding moves deltas by well under 1e-3 standard errors,
-and it halves the product's time. The rows go in blocks because
-OpenBLAS's packing workspace grows with a GEMM's row count, and a
-whole-replication cast would add draw-sized temporaries. Everything
-else stays float64: the unrotated build, which the LT build uses, the
-offset and exp, and all that reads the paths.
+float32, with the offset added as each block's grid columns are upcast
+into the float64 spot grid. The product carries far more precision
+than a report shows: its float32 rounding moves deltas by well under
+1e-3 standard errors, and it halves the product's time. The rows go
+in blocks because OpenBLAS's packing workspace grows with a GEMM's row
+count, and a whole-replication cast would add draw-sized temporaries;
+a block's draws are cast before its spots are written, so the spots
+may overwrite them. Everything else stays float64: the unrotated
+build, which the LT build uses, the offset and exp, and all that reads
+the paths.
 """
 from __future__ import annotations
 
@@ -176,18 +181,17 @@ class PathBundle:
 class PathGenerator:
     """What one run needs to turn normal draws into paths.
 
-    A path product has `width` columns: the log-spot grid, asset-major,
-    W(T), int W ds, then padding. matrix is the read-only float32
-    G = R^T [A | B | C | 0], (d, width), None without a rotation. The
-    read-only offset (width,) is added to the product before exp: on the
-    grid columns log S_i(0) + (r - sigma_i^2/2) t_j with a rotation, the
-    drift alone without, whose build scales by S_i(0) last; 0 on the
-    others.
+    matrix is the read-only float32 G = R^T [A | B | C], (d, d + 2m):
+    the log-spot grid, asset-major, W(T) and int W ds; None without a
+    rotation. The read-only offset (d,) is added to the log-spot grid
+    before exp: log S_i(0) + (r - sigma_i^2/2) t_j with a rotation, the
+    drift alone without, whose build scales by S_i(0) last. Neither
+    generator needs the draws once it has read them, so `simulate_paths`
+    may write the spot grid over them.
     """
 
     loadings: np.ndarray
     offset: np.ndarray
-    width: int
     matrix: np.ndarray | None = None
 
 
@@ -196,27 +200,24 @@ GENERATOR_ROWS = 16
 # draws per sgemm of the rotated product: OpenBLAS's packing workspace grows
 # with the row count, 0.9 MB resident at 256 rows against 3.3 MB at 2048
 PRODUCT_ROWS = 256
-# the product width is padded to a multiple of this many columns: OpenBLAS
-# picks the kernel of a GEMM's edge columns by how its threads split them
-PRODUCT_COLUMNS = 32
 
 
-def _brownian_sums(config: MarketConfig, loadings: np.ndarray,
-                   draws: np.ndarray, out: np.ndarray) -> None:
-    """Write the driftless log-spot grid, asset-major, W(T) and the
-    trapezoid int W ds of time-major draws (rows, d) into the leading
-    d + 2m columns of `out` (rows, width), and zeros into the rest;
-    `draws` is only read."""
-    m, n, d = config.n_assets, config.n_dates, config.nominal_dimension
+def _brownian_sums(config: MarketConfig, loadings: np.ndarray, draws: np.ndarray,
+                   grid: np.ndarray, w_terminal: np.ndarray,
+                   w_time_integral: np.ndarray) -> None:
+    """Write the driftless log-spot grid of time-major draws (rows, d),
+    asset-major, into `grid` (rows, d), which may be `draws` itself, and
+    W(T) and the trapezoid int W ds into the two (rows, m) arrays."""
+    m, n = config.n_assets, config.n_dates
     dt = config.interval_lengths
+    # a new array, so the grid may overwrite the draws
     increments = draws.reshape(-1, n, m).transpose(0, 2, 1) * np.sqrt(dt)
-    log_grid = out[:, :d].reshape(-1, m, n)
+    log_grid = grid.reshape(-1, m, n)
     np.cumsum(np.matmul(loadings, increments, out=log_grid), axis=2, out=log_grid)
     w_grid = np.cumsum(increments, axis=2)
-    out[:, d:d + m] = w_grid[:, :, -1]
+    w_terminal[...] = w_grid[:, :, -1]
     # trapezoid sum_j (W_{j-1} + W_j) dt_j / 2 with W_0 = 0, regrouped by W_j
-    np.matmul(w_grid, 0.5 * (dt + np.append(dt[1:], 0.0)), out=out[:, d + m:d + 2 * m])
-    out[:, d + 2 * m:] = 0.0
+    np.matmul(w_grid, 0.5 * (dt + np.append(dt[1:], 0.0)), out=w_time_integral)
 
 
 def _is_identity(matrix: np.ndarray, d: int) -> bool:
@@ -236,64 +237,66 @@ def path_generator(config: MarketConfig, loadings: np.ndarray,
     one-shot build's bits while no float64 array is more than a block
     in size."""
     d, m = config.nominal_dimension, config.n_assets
-    width = -(-(d + 2 * m) // PRODUCT_COLUMNS) * PRODUCT_COLUMNS
     loadings = _frozen_array(loadings)
-    offset = np.zeros(width)
-    offset[:d] = ((config.rate - 0.5 * config.vols ** 2)[:, None]
-                  * config.monitoring_times).reshape(d)
+    offset = ((config.rate - 0.5 * config.vols ** 2)[:, None]
+              * config.monitoring_times).reshape(d)
     if rotation is None or _is_identity(rotation, d):
-        return PathGenerator(loadings, _frozen_array(offset), width)
-    matrix = np.empty((d, width), np.float32)
+        return PathGenerator(loadings, _frozen_array(offset))
+    matrix = np.empty((d, d + 2 * m), np.float32)
     # blocks of nearly equal size, so none is a single row: numpy lays out a
     # lone row's temporaries in another order, which rounds int W ds apart
     count = -(-d // GENERATOR_ROWS)
     edges = [d * block // count for block in range(count + 1)]
-    block = np.empty((GENERATOR_ROWS, width))
+    block = np.empty((GENERATOR_ROWS, d + 2 * m))
     for start, stop in zip(edges, edges[1:]):
-        _brownian_sums(config, loadings, rotation.T[start:stop], block[:stop - start])
+        _brownian_sums(config, loadings, rotation.T[start:stop],
+                       *np.split(block[:stop - start], [d, d + m], axis=1))
         matrix[start:stop] = block[:stop - start]
     matrix.setflags(write=False)
-    offset[:d] += np.repeat(np.log(config.spots), config.n_dates)
-    return PathGenerator(loadings, _frozen_array(offset), width, matrix)
+    offset += np.repeat(np.log(config.spots), config.n_dates)
+    return PathGenerator(loadings, _frozen_array(offset), matrix)
 
 
 def simulate_paths(config: MarketConfig, generator: PathGenerator,
                    normals: np.ndarray, out: np.ndarray | None = None) -> PathBundle:
     """Simulate a replication from standard normal draws (paths, d),
     time-major: coordinate (j-1)*M + m feeds driver m over (t_{j-1}, t_j].
-    Either generator writes the path product plus the offset, normals @ G
-    or the draws' Brownian sums, into `out` when it is given, a
-    C-contiguous float64 (paths, generator.width) array, else into a new
-    one. The rotated product runs PRODUCT_ROWS draws at a time: each
-    block is cast into a float32 scratch, multiplied by the float32 G
-    into a second scratch, and upcast into `out` plus the offset, so the
+    The spot grid goes into `out` when it is given, a C-contiguous
+    float64 (paths, d) array that may be `normals` itself, else into a
+    new one; W(T) and int W ds go into the two (paths, m) planes of a
+    new array. Either generator writes the log-spot grid plus the offset
+    there, from normals @ G or the draws' Brownian sums, and exp acts on
+    it in place. The rotated product runs PRODUCT_ROWS draws at a time:
+    each block is cast into a float32 scratch and multiplied by the
+    float32 G into a second scratch, whose grid columns are upcast into
+    `out` plus the offset and whose W columns into the planes, so the
     call holds two block-sized scratches and never a cast of all the
-    draws. The W columns, which the offset leaves alone, are copied out,
-    then exp acts in place on the whole product, whose spot columns the
-    bundle's spot grid views."""
+    draws. The bundle's spot grid views `out`, so it is valid until the
+    next write there: in a worker's draw buffer, until the basket jets
+    are built over it."""
     p, d = normals.shape
     m, n = config.n_assets, config.n_dates
     if d != m * n:
         raise ValueError(
             f"normal draws have dimension {d}, expected assets*dates = {m * n}")
-    y = _output(out, (p, generator.width))
+    # W(T) and int W ds, each a contiguous (paths, m) plane
+    grid, brownian = _output(out, (p, d)), np.empty((2, p, m))
     if generator.matrix is None:
-        _brownian_sums(config, generator.loadings, normals, y)
-        y += generator.offset
+        _brownian_sums(config, generator.loadings, normals, grid, *brownian)
+        grid += generator.offset
     else:
         rows = min(p, PRODUCT_ROWS)
         draws = np.empty((rows, d), np.float32)
-        product = np.empty((rows, generator.width), np.float32)
+        product = np.empty((rows, d + 2 * m), np.float32)
         for start in range(0, p, PRODUCT_ROWS):
             stop = min(start + PRODUCT_ROWS, p)
             block, scratch = draws[:stop - start], product[:stop - start]
             np.copyto(block, normals[start:stop])
             np.matmul(block, generator.matrix, out=scratch)
-            np.add(scratch, generator.offset, out=y[start:stop])
-    # the W columns are copied out as contiguous (paths, assets) arrays
-    w_terminal, w_time_integral = y[:, d:d + m].copy(), y[:, d + m:d + 2 * m].copy()
-    np.exp(y, out=y)
-    spots = y[:, :d].reshape(p, m, n)
+            np.add(scratch[:, :d], generator.offset, out=grid[start:stop])
+            brownian[:, start:stop] = np.moveaxis(scratch[:, d:].reshape(-1, 2, m), 1, 0)
+    np.exp(grid, out=grid)
+    spots = grid.reshape(p, m, n)
     if generator.matrix is None:
         spots *= config.spots[:, None]
-    return PathBundle(spots, w_terminal, w_time_integral)
+    return PathBundle(spots, *brownian)

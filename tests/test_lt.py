@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -27,7 +28,8 @@ def test_columns_are_orthonormal(kind, strike):
     build = lt.build_lt_matrix(config, PayoffSpec(kind=kind, strike=strike))
     d = config.nominal_dimension
     assert build.matrix.shape == (d, d)
-    assert build.matrix.flags.c_contiguous
+    # a read-only view of the build's contiguous rows, one per column
+    assert build.matrix.T.flags.c_contiguous and not build.matrix.flags.writeable
     assert np.abs(build.matrix.T @ build.matrix - np.eye(d)).max() < 1e-12
 
 
@@ -148,3 +150,20 @@ def test_rotation_is_stable_under_rounding(kind, strike, monkeypatch):
     monkeypatch.setattr(lt, "simulate_paths", nudged)
     moved = lt.build_lt_matrix(config, spec)
     assert np.abs(moved.matrix - build.matrix).max() <= 1e-9
+
+
+def test_the_build_holds_one_square_array():
+    # the rows are the only d x d array: a copy of them as the returned
+    # matrix would double the peak
+    config = ladder_market(4, 32)
+    spec = PayoffSpec(kind="call", strike=100.0)
+    lt.build_lt_matrix(config, spec)   # later calls reuse numpy's lazy state
+    tracemalloc.start()
+    try:
+        build = lt.build_lt_matrix(config, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    d = config.nominal_dimension
+    assert build.fallback_columns == 0
+    assert peak < 1.5 * d * d * 8, f"peak {peak / (d * d * 8):.2f} x d^2 doubles"

@@ -283,8 +283,10 @@ def test_row_block_generator_equals_the_one_shot_build(n_assets, n_dates):
     d = config.nominal_dimension
     rotation = _haar_orthogonal(d, 7)
     generator = market.path_generator(config, loadings, rotation)
-    one_shot = np.zeros((d, generator.width))
-    market._brownian_sums(config, loadings, rotation.T, one_shot)
+    m = config.n_assets
+    one_shot = np.empty((d, d + 2 * m))
+    market._brownian_sums(config, loadings, rotation.T, one_shot[:, :d],
+                          one_shot[:, d:d + m], one_shot[:, d + m:])
     # G is the float64 build rounded to float32, block by block
     assert generator.matrix.dtype == np.float32
     assert np.array_equal(generator.matrix, one_shot.astype(np.float32))
@@ -312,7 +314,7 @@ def test_generator_build_needs_little_more_than_its_matrix():
         tracemalloc.stop()
     # the float32 G and a few float64 blocks: a float64 array of G's shape
     # would reach the bound on its own
-    assert peak < 2 * generator.matrix.nbytes == d * generator.width * 8
+    assert peak < 2 * generator.matrix.nbytes == d * (d + 2 * config.n_assets) * 8
 
 
 def test_the_rotated_product_holds_two_row_blocks():
@@ -323,15 +325,38 @@ def test_the_rotated_product_holds_two_row_blocks():
     d, m = config.nominal_dimension, config.n_assets
     generator = market.path_generator(config, loadings, _haar_orthogonal(d, 4))
     normals = np.random.default_rng(4).standard_normal((2048, d))
-    out = np.empty((2048, generator.width))
     tracemalloc.start()
     try:
-        market.simulate_paths(config, generator, normals, out=out)
+        market.simulate_paths(config, generator, normals, out=normals)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    scratches = market.PRODUCT_ROWS * (d + generator.width) * 4
-    w_copies = 2 * 2048 * m * 8
+    scratches = market.PRODUCT_ROWS * (2 * d + 2 * m) * 4
+    w_arrays = 2 * 2048 * m * 8
     # the upcasting add goes through numpy's two ufunc buffers, whatever the rows
     ufunc_buffers = 2 * np.getbufsize() * 8
-    assert peak < scratches + w_copies + ufunc_buffers + 4096 < normals.size * 4
+    assert peak < scratches + w_arrays + ufunc_buffers + 4096 < normals.size * 4
+
+
+@pytest.mark.parametrize("points", [
+    300,    # a whole block of PRODUCT_ROWS draws and a ragged 44
+    100,    # less than one block
+])
+@pytest.mark.parametrize("rotated", [True, False])
+def test_the_spot_grid_overwrites_its_draws_bit_for_bit(points, rotated):
+    config = presets.ladder_market(3, 8)
+    loadings = market.vol_loadings(config)
+    d = config.nominal_dimension
+    generator = market.path_generator(config, loadings,
+                                      _haar_orthogonal(d, 8) if rotated else None)
+    assert (generator.matrix is None) != rotated
+    normals = np.random.default_rng(points).standard_normal((points, d))
+    apart = market.simulate_paths(config, generator, normals)
+    drawn = normals.copy()
+    in_place = market.simulate_paths(config, generator, drawn, out=drawn)
+    assert np.shares_memory(in_place.spot_grid, drawn)
+    for name in ("spot_grid", "w_terminal", "w_time_integral"):
+        assert np.array_equal(getattr(in_place, name), getattr(apart, name)), name
+    # out of place, the draws are only read
+    assert not np.shares_memory(apart.spot_grid, normals)
+    assert np.array_equal(normals, np.random.default_rng(points).standard_normal((points, d)))

@@ -356,17 +356,21 @@ def test_jets_built_in_a_scratch_equal_the_allocated_ones(kind):
     d = config.nominal_dimension
     rotation = np.linalg.qr(np.random.default_rng(8).standard_normal((d, d)))[0]
     normals = _normals(config, 64, seed=9)
-    # the rotated spot grid is a strided view of the product, the unrotated one
-    # an array of its own
     for generator in (path_generator(config, loadings),
                       path_generator(config, loadings, rotation)):
         bundle = simulate_paths(config, generator, normals)
         allocated = wt.basket_jets(config, loadings, weights, bundle)
         scratch = np.full((64, d), np.nan)
         reused = wt.basket_jets(config, loadings, weights, bundle, scratch)
-        for name, want, got in zip(wt.BasketJets._fields, allocated, reused):
-            assert np.array_equal(got.value, want.value), name
-            assert np.array_equal(got.samples, want.samples), name
+        # a worker builds the jets in its spot grid's own memory, which the
+        # weighted grid overwrites; so this build comes last
+        own = wt.basket_jets(config, loadings, weights, bundle,
+                             bundle.spot_grid.reshape(64, d))
+        for name, want, got, in_grid in zip(wt.BasketJets._fields, allocated, reused,
+                                            own):
+            for jet in (got, in_grid):
+                assert np.array_equal(jet.value, want.value), name
+                assert np.array_equal(jet.samples, want.samples), name
         # nothing returned views the scratch
         scratch[:] = np.nan
         assert all(np.isfinite(jet.value).all() and np.isfinite(jet.samples).all()

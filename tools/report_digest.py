@@ -36,10 +36,10 @@ It exits 1 when any report differs, and 2, naming the file, when a file
 cannot be read, holds no digest object or holds an empty one.
 
 Reports are bit-identical across worker counts, and across OpenBLAS
-thread counts since the path product, a float32 sgemm on fixed blocks
-of 256 draws, is padded to a multiple of 32 columns. That was checked
-against one host's sgemm kernel only (the full digest at 1 and 2
-threads, and ragged and sub-block replications), so run as a script
+thread counts: the path product, a float32 sgemm on fixed blocks of
+256 draws by d + 2 * assets columns, unpadded, gave the same full
+digest at 1 and 2 threads, as did ragged and sub-block replications.
+That was checked against one host's sgemm kernel only, so run as a script
 the tool still sets OPENBLAS_NUM_THREADS=1 in its own process before
 numpy loads; digests made on any host thread setting then compare
 clean.

@@ -8,16 +8,16 @@ For each preset (table1 and table3-table5 unless --presets names some)
 on `ladder_market()`, the tool builds the run's rotation (unless
 --lt off) and path generator once, timing each, then draws replications
 0, 1, ... of `standard_stream()` (2048 points; 256 under --small) into
-two buffers allocated once, the (points, d) draws and the
-(points, width) path product, the way a worker thread draws them.
-Per replication it times six stages:
+one (points, d) buffer allocated once, the way a worker thread draws
+them: it holds the uniforms, the normals, the spot grid and the jets'
+weighted grid in turn. Per replication it times six stages:
 
-- uniforms: `qmc.replication_uniforms` into the draw buffer;
+- uniforms: `qmc.replication_uniforms` into the buffer;
 - inverse_normal: `qmc.to_normal` in place;
-- paths: `simulate_paths` into the product buffer (the product, the
+- paths: `simulate_paths` over the spent normals (the product, the
   offset and exp);
 - evaluate: `payoffs.evaluate`;
-- basket_jets: `weights.basket_jets` into the spent draws;
+- basket_jets: `weights.basket_jets` over the evaluated spot grid;
 - weights: the payoff family's weight.
 
 The first replication warms the buffers up and is not counted; the
@@ -27,7 +27,7 @@ the once-per-call `lt_build` (null under --lt off) and `generator`
 times. One more replication, untimed, runs under tracemalloc and gives
 each stage's traced peak in KB (`peaks_kb`): the most the replication
 held at once during that stage, counting what earlier stages left
-alive but not the two buffers, which were allocated before tracing
+alive but not the buffer, which was allocated before tracing
 began. Run as a script it pins OPENBLAS_NUM_THREADS=1
 before numpy loads, so the numbers read one thread's work.
 """
@@ -84,13 +84,13 @@ def stage_times(name: str, use_lt: bool, points: int, repeats: int) -> dict:
     generator, generator_ms = _timed(path_generator, config, vol_loadings(config),
                                      None if lt_build is None else lt_build.matrix)
     weight_matrix = spec.weight_matrix(config.n_assets, config.n_dates)
-    draws, product = np.empty((points, d)), np.empty((points, generator.width))
+    draws = np.empty((points, d))
 
     def replication(measure, index: int) -> tuple:
         """Each stage's measure in replication `index`."""
         unit, uniforms = measure(qmc.replication_uniforms, stream, index, d, out=draws)
         normals, inverse = measure(qmc.to_normal, unit, out=unit)
-        bundle, paths = measure(simulate_paths, config, generator, normals, out=product)
+        bundle, paths = measure(simulate_paths, config, generator, normals, out=normals)
         _, evaluating = measure(evaluate, spec, config, bundle)
         jets, jetting = measure(wt.basket_jets, config, generator.loadings, weight_matrix,
                                 bundle, normals)
