@@ -36,14 +36,16 @@ Each worker thread draws every task it runs, pilot included, into one
 (P, d) float64 buffer kept for the whole call, so a call holds one
 buffer per worker thread at any worker count; with workers > 1 the
 calling thread draws nothing. The buffer carries a replication through
-every stage in place: the uniforms, then the normals, then the spot
-grid that `simulate_paths` writes over the spent normals, and, once the
-legs are evaluated, the weighted spot grid of the basket jets, so the
-spot grid is valid only until the jets are built. W(T) and int W ds
-are two (P, m) arrays of their own. With a rotation the buffer is the
-only array of (P, d) size a worker holds: the rotated product runs in
-float32 on blocks of `market.PRODUCT_ROWS` draws through two
-block-sized scratches. The unrotated build adds two temporaries, the
+every stage in place: the uniforms, then the float32 normals that
+`qmc.replication_normals` writes over the leading half of their bytes,
+then the spot grid that `simulate_paths` writes over the spent
+normals, and, once the legs are evaluated, the weighted spot grid of
+the basket jets, so the spot grid is valid only until the jets are
+built. W(T) and int W ds are two (P, m) arrays of their own. With a
+rotation the buffer is the only array of (P, d) size a worker holds:
+the rotated product runs in float32 on blocks of
+`market.PRODUCT_ROWS` draws, which go to the sgemm as they are, into
+one block-sized scratch. The unrotated build adds two temporaries, the
 scaled increments and their Brownian cumsum. A sample is therefore
 valid only until its thread's next one, and the buffer goes with the
 call's run state when it returns; a report holds nothing that views it.
@@ -125,24 +127,26 @@ class _Run:
 
 def _replication_sample(run: _Run, stream: streams.QmcConfig, index: int):
     """One replication's strike-free (bundle, ev, jets, weights); "fd"
-    needs no weight, so its jets and weights are None. The draws, the
-    bundle's spot grid and the jets' weighted grid take turns in this
-    thread's buffer, allocated on its first sample: the spot grid is
-    valid only until the jets are built, which is after `evaluate` has
-    read it, and the rest of a bundle until the thread's next sample."""
+    needs no weight, so its jets and weights are None. The uniforms, the
+    float32 normals over their leading bytes, the bundle's spot grid and
+    the jets' weighted grid take turns in this thread's float64 buffer,
+    allocated on its first sample: the spot grid is valid only until
+    the jets are built, which is after `evaluate` has read it, and the
+    rest of a bundle until the thread's next sample."""
     config, space = run.config, run.workspace
     if not hasattr(space, "draws"):
         space.draws = np.empty((run.points, config.nominal_dimension))
+    draws = space.draws[:stream.points_per_replication]
     normals = streams.replication_normals(stream, index, config.nominal_dimension,
-                                          out=space.draws[:stream.points_per_replication])
-    bundle = simulate_paths(config, run.generator, normals, out=normals)
+                                          out=draws)
+    bundle = simulate_paths(config, run.generator, normals, out=draws)
     ev = evaluate(run.spec, config, bundle)
     if run.fd_bump is not None:
         return bundle, ev, None, None
     # the spot grid is spent once the legs are evaluated, so its memory
     # takes the weighted spot grid
     jets = wt.basket_jets(config, run.generator.loadings, run.weight_matrix, bundle,
-                          normals)
+                          draws)
     return bundle, ev, jets, run.spec.family.weights(config, jets, bundle)
 
 

@@ -22,21 +22,28 @@ columns take the drift offset and exp and whose W columns go to their
 own (paths, m) arrays. Unrotated draws are the increments themselves
 and skip the d x d product; their build writes the same three parts.
 Either generator can write the spot grid over the draws it came from,
-so one (paths, d) buffer carries a replication from the uniforms to
-the spots and, once the legs are read, to the basket jets' weighted
-grid; a spot grid held there is valid until the jets are built.
+so one float64 (paths, d) buffer carries a replication from the
+uniforms, through the float32 normals in the leading half of its
+bytes, to the spots and, once the legs are read, to the basket jets'
+weighted grid; a spot grid held there is valid until the jets are
+built.
 
-The rotated product is the one single-precision stage. G is stored in
+The rotated product is one of two single-precision stages; the other
+is the inverse normal that writes its float32 draws. G is stored in
 float32, each block of rows built in float64 and then rounded, and the
-product runs as an sgemm on PRODUCT_ROWS draws at a time, cast to
-float32, with the offset added as each block's grid columns are upcast
-into the float64 spot grid. The product carries far more precision
-than a report shows: its float32 rounding moves deltas by well under
-1e-3 standard errors, and it halves the product's time. The rows go
-in blocks because OpenBLAS's packing workspace grows with a GEMM's row
-count, and a whole-replication cast would add draw-sized temporaries;
-a block's draws are cast before its spots are written, so the spots
-may overwrite them. Everything else stays float64: the unrotated
+product runs as an sgemm on PRODUCT_ROWS draws at a time, with the
+offset added as each block's grid columns are upcast into the float64
+spot grid. Float32 draws, the estimator's, go to the sgemm as they
+are; float64 ones, from tests and library users, are cast a block at a
+time into a float32 scratch. The product carries far more
+precision than a report shows: its float32 rounding moves deltas by
+well under 1e-3 standard errors, and it halves the product's time. The
+rows go in blocks because OpenBLAS's packing workspace grows with a
+GEMM's row count, and a whole-replication cast would add draw-sized
+temporaries. The blocks run back to front, and each is read whole
+before its spots are written, so spots may overwrite their own draws:
+spot rows [s, e) overlay float32 draw rows [2s, 2e), which that block
+or a later one has read. Everything else stays float64: the unrotated
 build, which the LT build uses, the offset and exp, and all that reads
 the paths.
 """
@@ -187,7 +194,7 @@ class PathGenerator:
     before exp: log S_i(0) + (r - sigma_i^2/2) t_j with a rotation, the
     drift alone without, whose build scales by S_i(0) last. Neither
     generator needs the draws once it has read them, so `simulate_paths`
-    may write the spot grid over them.
+    may write the spot grid over them, float32 draws included.
     """
 
     loadings: np.ndarray
@@ -260,20 +267,22 @@ def path_generator(config: MarketConfig, loadings: np.ndarray,
 def simulate_paths(config: MarketConfig, generator: PathGenerator,
                    normals: np.ndarray, out: np.ndarray | None = None) -> PathBundle:
     """Simulate a replication from standard normal draws (paths, d),
-    time-major: coordinate (j-1)*M + m feeds driver m over (t_{j-1}, t_j].
-    The spot grid goes into `out` when it is given, a C-contiguous
-    float64 (paths, d) array that may be `normals` itself, else into a
-    new one; W(T) and int W ds go into the two (paths, m) planes of a
-    new array. Either generator writes the log-spot grid plus the offset
-    there, from normals @ G or the draws' Brownian sums, and exp acts on
-    it in place. The rotated product runs PRODUCT_ROWS draws at a time:
-    each block is cast into a float32 scratch and multiplied by the
-    float32 G into a second scratch, whose grid columns are upcast into
-    `out` plus the offset and whose W columns into the planes, so the
-    call holds two block-sized scratches and never a cast of all the
-    draws. The bundle's spot grid views `out`, so it is valid until the
-    next write there: in a worker's draw buffer, until the basket jets
-    are built over it."""
+    float32 or float64, time-major: coordinate (j-1)*M + m feeds driver
+    m over (t_{j-1}, t_j]. The spot grid goes into `out` when it is
+    given, a C-contiguous float64 (paths, d) array that may be `normals`
+    itself or, for float32 draws, the array whose leading bytes they
+    are, else into a new one; W(T) and int W ds go into the two
+    (paths, m) planes of a new array. Either generator writes the
+    log-spot grid plus the offset there, from normals @ G or the draws'
+    Brownian sums, and exp acts on it in place. The rotated product
+    runs PRODUCT_ROWS draws at a time, last block first: each block,
+    cast into a float32 scratch unless it is float32 already, is
+    multiplied by the float32 G into a second scratch, whose grid
+    columns are upcast into `out` plus the offset and whose W columns
+    into the planes, so the call holds at most two block-sized
+    scratches and never a cast of all the draws. The bundle's spot grid
+    views `out`, so it is valid until the next write there: in a
+    worker's draw buffer, until the basket jets are built over it."""
     p, d = normals.shape
     m, n = config.n_assets, config.n_dates
     if d != m * n:
@@ -286,12 +295,17 @@ def simulate_paths(config: MarketConfig, generator: PathGenerator,
         grid += generator.offset
     else:
         rows = min(p, PRODUCT_ROWS)
-        draws = np.empty((rows, d), np.float32)
         product = np.empty((rows, d + 2 * m), np.float32)
-        for start in range(0, p, PRODUCT_ROWS):
+        # float32 draws go to the sgemm as they are; others are cast per block
+        cast = None if normals.dtype == np.float32 else np.empty((rows, d), np.float32)
+        # back to front: spot rows [s, e) overlay float32 draw rows [2s, 2e),
+        # which this block or a later one has read
+        for start in reversed(range(0, p, PRODUCT_ROWS)):
             stop = min(start + PRODUCT_ROWS, p)
-            block, scratch = draws[:stop - start], product[:stop - start]
-            np.copyto(block, normals[start:stop])
+            block, scratch = normals[start:stop], product[:stop - start]
+            if cast is not None:
+                np.copyto(cast[:stop - start], block)
+                block = cast[:stop - start]
             np.matmul(block, generator.matrix, out=scratch)
             np.add(scratch[:, :d], generator.offset, out=grid[start:stop])
             brownian[:, start:stop] = np.moveaxis(scratch[:, d:].reshape(-1, 2, m), 1, 0)

@@ -16,9 +16,14 @@ licence (joe_kuo.LICENSE.txt).
 
 The inverse normal is Wichura's AS241 (Applied Statistics 37, 1988),
 three rational functions of degree 7 over 7 that need only arithmetic,
-log and sqrt, evaluated with numpy in chunks of the draws. It is
-accurate to about 1e-16 relative; on the Sobol lattice k / 2**32 it
-stays within 7 ulp of scipy.special.ndtri. The tails' np.log follows
+log and sqrt, evaluated with numpy in chunks of the draws. In float64
+it is accurate to about 1e-16 relative; on the Sobol lattice k / 2**32
+it stays within 7 ulp of scipy.special.ndtri. The same rationals run
+in float32 for the draws of a replication, which the path product
+reads in float32: q = p - 1/2 and a tail's min(p, 1 - p) are taken in
+float64 and then rounded, so the result stays within 8 float32 ulps
+of the float64 quantile, and the float32 normals are written over the
+leading half of their own uniforms' bytes. The tails' np.log follows
 numpy's SIMD dispatch, so the last bits of a tail normal may differ
 between CPUs that numpy runs on different loops, though never between
 runs on one machine.
@@ -79,10 +84,14 @@ _TAIL_FAR = ((6.65790464350110377720e0, 5.46378491116411436990e0,
               1.84631831751005468180e-5, 1.42151175831644588870e-7,
               2.04426310338993978564e-15))
 # elements per pass of the inverse normal, and a quarter of the draws at
-# most, so its two scratch chunks stay inside the size of small draws.
-# Each pass makes about 90 numpy calls, each dropping and retaking the
-# GIL: on two worker threads 32768 cost about a third more per draw
-# than this size, which takes the same time on one thread.
+# most, so its two scratch chunks stay inside the size of small draws;
+# float32 chunks take half the bytes. Each pass makes about 90 numpy
+# calls, each dropping and retaking the GIL: converting 2048 x 640 draws
+# to float32 on two worker threads at once took a median of 17.6 ms per
+# thread at this size, 23.6 at half of it and 14.4 at twice it, while
+# one thread took 11.4-11.9 ms at all three. Twice this size, the bytes
+# of two float64 chunks, raised the finite-difference sweep's peak RSS
+# by 1.2 MB at two workers.
 _CHUNK = 65536
 
 # substream purposes; part of the reproducibility contract
@@ -263,15 +272,17 @@ class DigitalScramble:
         return np.bitwise_xor.reduce(bits * self.columns, axis=2) ^ self.shift
 
 
-def _output(out: np.ndarray | None, shape: tuple[int, ...],
-            name: str = "out") -> np.ndarray:
-    """`out` after checking that it can take a float64 result of `shape`
-    in place, or a new array when it is None; a refusal names it `name`."""
+def _output(out: np.ndarray | None, shape: tuple[int, ...], name: str = "out",
+            dtypes: tuple[type, ...] = (np.float64,)) -> np.ndarray:
+    """`out` after checking that it can take a result of `shape` in place
+    in one of `dtypes`, or a new float64 array when it is None; a refusal
+    names it `name`."""
     if out is None:
         return np.empty(shape)
     if not (isinstance(out, np.ndarray) and out.shape == shape
-            and out.dtype == np.float64 and out.flags.c_contiguous):
-        raise ValueError(f"{name} must be a C-contiguous float64 array of shape {shape}")
+            and out.dtype in dtypes and out.flags.c_contiguous):
+        kinds = " or ".join(np.dtype(dtype).name for dtype in dtypes)
+        raise ValueError(f"{name} must be a C-contiguous {kinds} array of shape {shape}")
     return out
 
 
@@ -287,11 +298,15 @@ def _polynomial(coefficients: tuple[float, ...], x: np.ndarray,
     return out
 
 
-def _tail_quantiles(p: np.ndarray) -> np.ndarray:
-    """AS241's quantiles of probabilities with |p - 1/2| > 0.425, from
-    r = sqrt(-log(min(p, 1 - p))): one rational up to r = 5 and another
-    beyond it, so far out that only clipped uniforms reach it."""
-    r = np.minimum(p, 1.0 - p)   # 1 - p is exact above one half
+def _tail_quantiles(p: np.ndarray, dtype: type) -> np.ndarray:
+    """AS241's quantiles, in `dtype`, of float64 probabilities with
+    |p - 1/2| > 0.425, from r = sqrt(-log(min(p, 1 - p))): one rational
+    up to r = 5 and another beyond it, so far out that only clipped
+    uniforms reach it. min(p, 1 - p) is taken in float64 and then
+    rounded, so a float32 tail keeps its full relative precision. `p`
+    is spent: it ends holding p - 1/2."""
+    r = np.subtract(1.0, p)   # exact above one half
+    r = np.minimum(p, r, out=r).astype(dtype, copy=False)
     np.sqrt(np.negative(np.log(r, out=r), out=r), out=r)
     far = np.flatnonzero(r > 5.0)
     beyond = r[far] - 5.0
@@ -300,47 +315,53 @@ def _tail_quantiles(p: np.ndarray) -> np.ndarray:
     x /= _polynomial(_TAIL_NEAR[1], r)
     if far.size:
         x[far] = _polynomial(_TAIL_FAR[0], beyond) / _polynomial(_TAIL_FAR[1], beyond)
-    return np.copysign(x, p - 0.5, out=x)
+    return np.copysign(x, np.subtract(p, 0.5, out=p), out=x)
 
 
-def _inverse_normal(x: np.ndarray) -> None:
-    """Overwrite the 1-D probabilities `x`, all inside (0, 1), with their
-    standard normal quantiles, one chunk at a time.
+def _inverse_normal(p: np.ndarray, out: np.ndarray) -> None:
+    """Write the standard normal quantiles of the 1-D float64
+    probabilities `p`, all inside (0, 1), into the 1-D `out`, float64 or
+    float32, one chunk at a time; `out` may be `p` itself or a float32
+    view of its leading bytes.
 
     Every element of a chunk takes the central rational of
-    q = p - 1/2 in r = 0.180625 - q**2, with the numerator written into
-    the chunk itself; the tails, about 15% of uniform points, are
-    gathered before that and scattered back after it. On tail points
-    the central denominator stays above 0.002, so their discarded
+    q = p - 1/2 in r = 0.180625 - q**2, in out's precision, with the
+    numerator written into out's chunk; q is taken in float64 and then
+    rounded. The tails, |q| > 0.425 and about 15% of uniform points, are
+    gathered before that and scattered back after it. A chunk reads all
+    of its p before it writes, and a float32 chunk [s, e) overlays
+    p[s/2:e/2], so no write reaches an unread probability. On tail
+    points the central denominator stays above 0.002, so their discarded
     central values are finite and raise no floating-point warning.
     """
-    chunk = max(1, min(_CHUNK, x.size // 4))
-    q = np.empty(chunk)
-    r = np.empty(chunk)
-    for start in range(0, x.size, chunk):
-        p = x[start:start + chunk]
-        qc, rc = q[:p.size], r[:p.size]
-        np.subtract(p, 0.5, out=qc)
+    chunk = max(1, min(_CHUNK, p.size // 4))
+    q = np.empty(chunk, out.dtype)
+    r = np.empty(chunk, out.dtype)
+    for start in range(0, p.size, chunk):
+        pc, zc = p[start:start + chunk], out[start:start + chunk]
+        qc, rc = q[:pc.size], r[:pc.size]
+        np.subtract(pc, 0.5, out=qc)
         tail = np.flatnonzero(np.abs(qc, out=rc) > 0.425)
-        outer = _tail_quantiles(p[tail])
+        outer = _tail_quantiles(pc[tail], out.dtype)
         np.subtract(0.180625, np.multiply(qc, qc, out=rc), out=rc)
-        _polynomial(_CENTRAL[0], rc, out=p)
-        p *= qc
-        p /= _polynomial(_CENTRAL[1], rc, out=qc)
-        p[tail] = outer
+        _polynomial(_CENTRAL[0], rc, out=zc)
+        zc *= qc
+        zc /= _polynomial(_CENTRAL[1], rc, out=qc)
+        zc[tail] = outer
 
 
 def to_normal(unit: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Inverse standard normal CDF, defined on the open unit interval;
-    `out` may be `unit` itself, which then becomes the normals."""
+    """Inverse standard normal CDF, defined on the open unit interval,
+    evaluated in the precision of `out`: a C-contiguous float64 or
+    float32 array of unit's shape, else a new float64 one. `out` may be
+    `unit` itself, or a float32 view of its leading bytes, as
+    `replication_normals` passes; either way the uniforms become the
+    normals."""
     unit = np.asarray(unit, dtype=np.float64)
     if unit.size and not (unit.min() > 0.0 and unit.max() < 1.0):
         raise ValueError("unit point coordinates must lie strictly inside (0, 1)")
-    if out is None:
-        out = np.array(unit, order="C")
-    elif _output(out, unit.shape) is not unit:
-        np.copyto(out, unit)
-    _inverse_normal(out.reshape(-1))
+    out = _output(out, unit.shape, dtypes=(np.float64, np.float32))
+    _inverse_normal(unit.reshape(-1), out.reshape(-1))
     return out
 
 
@@ -405,10 +426,15 @@ def replication_uniforms(config: QmcConfig, replication: int, dimension: int,
 
 def replication_normals(config: QmcConfig, replication: int, dimension: int,
                         out: np.ndarray | None = None) -> np.ndarray:
-    """Standard normal (points, dimension) draws for one replication.
+    """Standard normal (points, dimension) draws for one replication, in
+    float32.
 
-    The uniforms become the normals in place: in `out` when it is given,
-    a C-contiguous float64 (points, dimension) array, else in a new one.
+    The uniforms are drawn in float64 into `out` when it is given, a
+    C-contiguous float64 (points, dimension) array, else into a new one,
+    and become float32 normals in the leading half of its bytes: the
+    result is a C-contiguous view of `out`, whose trailing half is left
+    holding spent uniforms.
     """
     unit = replication_uniforms(config, replication, dimension, out=out)
-    return to_normal(unit, out=unit)
+    leading = unit.reshape(-1).view(np.float32)[:unit.size].reshape(unit.shape)
+    return to_normal(unit, out=leading)

@@ -538,10 +538,12 @@ def test_a_sample_allocates_nothing_the_size_of_its_draws(kind, mode, use_lt):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the unrotated build holds two draw-sized temporaries, the scaled
-    # increments and their Brownian cumsum, made before the spots overwrite
-    # the draws
-    assert peak < (1.0 if use_lt else 2.5) * qmc.points_per_replication \
+    # rotated, a sample holds 0.54-0.64 of its draws' bytes beside the
+    # buffer, so float32 normals in an array of their own, another half of
+    # the draws' bytes, break the bound. The unrotated build holds two
+    # draw-sized temporaries, the scaled increments and their Brownian
+    # cumsum, made before the spots overwrite the draws
+    assert peak < (0.8 if use_lt else 2.5) * qmc.points_per_replication \
         * config.nominal_dimension * 8
 
 

@@ -360,3 +360,43 @@ def test_the_spot_grid_overwrites_its_draws_bit_for_bit(points, rotated):
     # out of place, the draws are only read
     assert not np.shares_memory(apart.spot_grid, normals)
     assert np.array_equal(normals, np.random.default_rng(points).standard_normal((points, d)))
+
+
+@pytest.mark.parametrize("points", [
+    300,    # a whole block of PRODUCT_ROWS draws and a ragged 44
+    100,    # less than one block
+])
+@pytest.mark.parametrize("rotated", [True, False])
+@pytest.mark.parametrize("dates", [
+    8,      # d = 24
+    7,      # d = 21: the draws' and the spots' rows sit off 64-byte lines
+])
+def test_float32_normals_in_the_leading_half_of_out_give_the_separate_bits(
+        points, rotated, dates):
+    # spot rows [s, e) overlay float32 draw rows [2s, 2e), so only a block
+    # loop that runs back to front reads every draw before it is overwritten
+    config = presets.ladder_market(3, dates)
+    loadings = market.vol_loadings(config)
+    d = config.nominal_dimension
+    generator = market.path_generator(config, loadings,
+                                      _haar_orthogonal(d, 8) if rotated else None)
+    normals = np.random.default_rng(points).standard_normal((points, d)).astype(np.float32)
+    apart = market.simulate_paths(config, generator, normals)
+    # a float64 draw of the same values gives the same bits
+    widened = market.simulate_paths(config, generator, normals.astype(np.float64))
+    buffer = np.empty((points, d))
+    leading = buffer.reshape(-1).view(np.float32)[:normals.size].reshape(normals.shape)
+    leading[...] = normals
+    in_place = market.simulate_paths(config, generator, leading, out=buffer)
+    assert np.shares_memory(in_place.spot_grid, buffer)
+    for name in ("spot_grid", "w_terminal", "w_time_integral"):
+        assert np.array_equal(getattr(in_place, name), getattr(apart, name)), name
+        assert np.array_equal(getattr(widened, name), getattr(apart, name)), name
+
+
+def test_a_float32_out_is_refused_by_name():
+    config = presets.ladder_market(3, 8)
+    generator = market.path_generator(config, market.vol_loadings(config))
+    normals = np.zeros((100, config.nominal_dimension), np.float32)
+    with pytest.raises(ValueError, match="^out must be a C-contiguous float64 array"):
+        market.simulate_paths(config, generator, normals, out=normals)

@@ -8,14 +8,16 @@ For each preset (table1 and table3-table5 unless --presets names some)
 on `ladder_market()`, the tool builds the run's rotation (unless
 --lt off) and path generator once, timing each, then draws replications
 0, 1, ... of `standard_stream()` (2048 points; 256 under --small) into
-one (points, d) buffer allocated once, the way a worker thread draws
-them: it holds the uniforms, the normals, the spot grid and the jets'
-weighted grid in turn. Per replication it times six stages:
+one float64 (points, d) buffer allocated once, the way a worker thread
+draws them: it holds the uniforms, the float32 normals in the leading
+half of its bytes, the spot grid and the jets' weighted grid in turn.
+Per replication it times six stages:
 
 - uniforms: `qmc.replication_uniforms` into the buffer;
-- inverse_normal: `qmc.to_normal` in place;
-- paths: `simulate_paths` over the spent normals (the product, the
-  offset and exp);
+- inverse_normal: `qmc.to_normal` from the uniforms into the float32
+  normals, as `qmc.replication_normals` does;
+- paths: `simulate_paths` from the normals into the buffer (the
+  product, the offset and exp);
 - evaluate: `payoffs.evaluate`;
 - basket_jets: `weights.basket_jets` over the evaluated spot grid;
 - weights: the payoff family's weight.
@@ -85,15 +87,17 @@ def stage_times(name: str, use_lt: bool, points: int, repeats: int) -> dict:
                                      None if lt_build is None else lt_build.matrix)
     weight_matrix = spec.weight_matrix(config.n_assets, config.n_dates)
     draws = np.empty((points, d))
+    # the float32 normals' place, the leading half of the buffer's bytes
+    leading = draws.reshape(-1).view(np.float32)[:draws.size].reshape(draws.shape)
 
     def replication(measure, index: int) -> tuple:
         """Each stage's measure in replication `index`."""
         unit, uniforms = measure(qmc.replication_uniforms, stream, index, d, out=draws)
-        normals, inverse = measure(qmc.to_normal, unit, out=unit)
-        bundle, paths = measure(simulate_paths, config, generator, normals, out=normals)
+        normals, inverse = measure(qmc.to_normal, unit, out=leading)
+        bundle, paths = measure(simulate_paths, config, generator, normals, out=draws)
         _, evaluating = measure(evaluate, spec, config, bundle)
         jets, jetting = measure(wt.basket_jets, config, generator.loadings, weight_matrix,
-                                bundle, normals)
+                                bundle, draws)
         _, weighting = measure(spec.family.weights, config, jets, bundle)
         return uniforms, inverse, paths, evaluating, jetting, weighting
 
